@@ -128,7 +128,7 @@ def run_experiment(args) -> dict:
     dataset = None
     if args.tomography == "full":
         settings = (
-            tomography.literal_settings_for(rho.n_qubits)
+            tomography.observables_for(rho.n_qubits)
             if args.settings_per_observable
             else None
         )
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except qasm.UnroutableCnotError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, qasm.QasmError) as e:
+    except (OSError, json.JSONDecodeError, qasm.QasmError, noise_mod.DeviceFileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SpecError, ValueError) as e:

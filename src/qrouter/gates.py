@@ -124,7 +124,7 @@ class Circuit:
 
 
 def _apply_tensor(tensor: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Contract gate ``u`` into the given axes of a (2,)*n (+ batch) tensor."""
+    """Contract operator ``u`` into the given axes of a (2,)*n (+ batch) tensor."""
     k = len(qubits)
     ut = u.reshape((2,) * (2 * k))
     out = np.tensordot(ut, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
@@ -132,36 +132,35 @@ def _apply_tensor(tensor: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) ->
 
 
 def embed_gate(u: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
-    """Lift a k-qubit operator onto ``qubits`` of an n-qubit register."""
+    """Dense 2^n x 2^n lift of a k-qubit operator: the tensor kernel's reference."""
     dim = 2**n_qubits
     t = np.eye(dim, dtype=complex).reshape((2,) * n_qubits + (dim,))
     return _apply_tensor(t, u, tuple(qubits)).reshape(dim, dim)
+
+
+def _run_gates(c: Circuit, t: np.ndarray) -> np.ndarray:
+    """Apply the gates of ``c`` to ``t``; barriers are skipped, measurements rejected."""
+    for instr in c.instructions:
+        if instr.name == "barrier":
+            continue
+        if instr.name == "measure":
+            raise ValueError("measurements cannot be simulated as gates")
+        t = _apply_tensor(t, GATE_MATRICES[instr.name], instr.qubits)
+    return t
 
 
 def apply_circuit(c: Circuit, psi: StateVector) -> StateVector:
     """Run the gates of ``c`` on ``psi``; measurements are rejected."""
     if c.n_qubits != psi.n_qubits:
         raise ValueError(f"circuit has {c.n_qubits} qubits, state has {psi.n_qubits}")
-    t = psi.amplitudes.reshape((2,) * c.n_qubits)
-    for instr in c.instructions:
-        if instr.name == "barrier":
-            continue
-        if instr.name == "measure":
-            raise ValueError("apply_circuit cannot simulate measurements")
-        t = _apply_tensor(t, GATE_MATRICES[instr.name], instr.qubits)
+    t = _run_gates(c, psi.amplitudes.reshape((2,) * c.n_qubits))
     return StateVector(c.n_qubits, t.reshape(-1))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary of a measurement-free circuit."""
     dim = 2**c.n_qubits
-    u = np.eye(dim, dtype=complex).reshape((2,) * c.n_qubits + (dim,))
-    for instr in c.instructions:
-        if instr.name == "barrier":
-            continue
-        if instr.name == "measure":
-            raise ValueError("circuit_unitary cannot include measurements")
-        u = _apply_tensor(u, GATE_MATRICES[instr.name], instr.qubits)
+    u = _run_gates(c, np.eye(dim, dtype=complex).reshape((2,) * c.n_qubits + (dim,)))
     return u.reshape(dim, dim)
 
 

@@ -5,6 +5,10 @@ the touched qubits, then amplitude and phase damping for the gate duration on
 each touched qubit using that qubit's T1/T2. At the error magnitudes modeled
 here the ordering is below any test tolerance, but it is pinned so runs are
 reproducible.
+
+Gates and channels act on rho as a (2,)*2n tensor through the kernel ``gates``
+uses for state vectors (K on the row axes, K* on the column axes); the result
+is validated as a ``DensityMatrix`` once per simulation, not after every step.
 """
 
 from __future__ import annotations
@@ -16,38 +20,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GATE_ARITY, GATE_MATRICES, Circuit, embed_gate
-from .qstate import DensityMatrix
+from .gates import GATE_ARITY, GATE_MATRICES, Circuit, _apply_tensor
+from .qstate import DensityMatrix, pauli_matrix
 
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Calibration row for one physical qubit (times in microseconds).
-
-    The frequencies and coupling are carried along for config fidelity; only
-    T1/T2 enter the channels.
-    """
+    """Calibration row for one physical qubit (times in microseconds)."""
 
     t1_us: float
     t2_us: float
-    resonator_freq_ghz: float | None = None
-    qubit_freq_ghz: float | None = None
-    anharmonicity_mhz: float | None = None
-    coupling_khz: float | None = None
 
     def __post_init__(self):
         if self.t1_us <= 0 or self.t2_us <= 0:
             raise ValueError("T1 and T2 must be positive")
 
 
-# ibmqx4 calibration table for q[0]..q[4]: T1, T2, resonator freq,
-# qubit freq, anharmonicity, qubit-cavity coupling
+# ibmqx4 calibration table for q[0]..q[4]: T1, T2
 IBMQX4_QUBITS = (
-    QubitParams(35.2, 38.1, 6.52396, 5.2461, -330.1, 410),
-    QubitParams(57.5, 40.5, 6.48078, 5.3025, -329.7, 512),
-    QubitParams(36.6, 54.8, 6.43875, 5.3025, -329.7, 408),
-    QubitParams(43.0, 42.1, 6.58036, 5.4317, -327.9, 434),
-    QubitParams(49.5, 19.2, 6.52698, 5.1824, -332.5, 458),
+    QubitParams(35.2, 38.1),
+    QubitParams(57.5, 40.5),
+    QubitParams(36.6, 54.8),
+    QubitParams(43.0, 42.1),
+    QubitParams(49.5, 19.2),
 )
 
 
@@ -75,32 +70,40 @@ def ibmqx4_model(**overrides) -> NoiseModel:
     return NoiseModel(qubits=IBMQX4_QUBITS, **overrides)
 
 
+class DeviceFileError(ValueError):
+    """A device file that does not have the expected structure."""
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    if key not in obj:
+        raise DeviceFileError(f"{where} has no {key!r}")
+    try:
+        return float(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise DeviceFileError(f"{where}: {key!r} is not a number: {obj[key]!r}") from None
+
+
 def noise_model_from_json(data) -> NoiseModel:
     """Load a device file; unspecified fields fall back to the preset defaults."""
     if isinstance(data, str):
         data = json.loads(data)
-    qubits = tuple(
-        QubitParams(
-            t1_us=float(q["t1_us"]),
-            t2_us=float(q["t2_us"]),
-            resonator_freq_ghz=q.get("resonator_freq_ghz"),
-            qubit_freq_ghz=q.get("qubit_freq_ghz"),
-            anharmonicity_mhz=q.get("anharmonicity_mhz"),
-            coupling_khz=q.get("coupling_khz"),
-        )
-        for q in data["qubits"]
-    )
-    kwargs = {}
-    for src, dst in (
-        ("p1", "p1"),
-        ("p2", "p2"),
-        ("p_readout", "p_readout"),
-        ("dur_1q_ns", "dur_1q_ns"),
-        ("dur_2q_ns", "dur_2q_ns"),
-    ):
-        if src in data:
-            kwargs[dst] = float(data[src])
-    return NoiseModel(qubits=qubits, **kwargs)
+    if not isinstance(data, dict):
+        raise DeviceFileError("device file must be a JSON object")
+    rows = data.get("qubits")
+    if not isinstance(rows, list):
+        raise DeviceFileError("device file needs a 'qubits' list")
+    qubits = []
+    for i, row in enumerate(rows):
+        where = f"device file qubits[{i}]"
+        if not isinstance(row, dict):
+            raise DeviceFileError(f"{where} must be an object")
+        qubits.append(QubitParams(_number(row, "t1_us", where), _number(row, "t2_us", where)))
+    kwargs = {
+        key: _number(data, key, "device file")
+        for key in ("p1", "p2", "p_readout", "dur_1q_ns", "dur_2q_ns")
+        if key in data
+    }
+    return NoiseModel(qubits=tuple(qubits), **kwargs)
 
 
 class KrausChannel:
@@ -159,14 +162,6 @@ def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> KrausChannel:
     return KrausChannel([k0, k1, k2])
 
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-}
-
-
 def depolarizing(p: float, n_qubits: int) -> KrausChannel:
     """rho -> (1 - p) rho + p I/2^n on ``n_qubits`` in {1, 2}."""
     if not 0.0 <= p <= 1.0:
@@ -176,14 +171,21 @@ def depolarizing(p: float, n_qubits: int) -> KrausChannel:
     d4 = 4**n_qubits
     ops = []
     for letters in itertools.product("IXYZ", repeat=n_qubits):
-        m = _PAULI_1Q[letters[0]]
-        for l in letters[1:]:
-            m = np.kron(m, _PAULI_1Q[l])
+        m = pauli_matrix("".join(letters))
         if all(l == "I" for l in letters):
             ops.append(np.sqrt(1.0 - p + p / d4) * m)
         else:
             ops.append(np.sqrt(p / d4) * m)
     return KrausChannel(ops)
+
+
+def _sandwich(t: np.ndarray, ops, qubits: tuple[int, ...]) -> np.ndarray:
+    """Sum of K rho K^dagger over ``ops`` in order, rho held as a (2,)*2n tensor."""
+    cols = tuple(t.ndim // 2 + q for q in qubits)
+    out = 0
+    for k in ops:
+        out = out + _apply_tensor(_apply_tensor(t, k, qubits), k.conj(), cols)
+    return out
 
 
 def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubits) -> DensityMatrix:
@@ -193,11 +195,8 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubits) -> DensityMatrix
         raise ValueError(
             f"channel acts on {ch.dim} dimensions but got {len(qubits)} qubits"
         )
-    out = np.zeros_like(rho.matrix)
-    for k in ch.operators:
-        full = embed_gate(k, qubits, rho.n_qubits)
-        out += full @ rho.matrix @ full.conj().T
-    return DensityMatrix(rho.n_qubits, out)
+    t = _sandwich(rho.matrix.reshape((2,) * (2 * rho.n_qubits)), ch.operators, qubits)
+    return DensityMatrix(rho.n_qubits, t.reshape(rho.dim, rho.dim))
 
 
 def readout_flip(probs, p_readout: float):
@@ -230,10 +229,8 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
         raise ValueError(
             f"model calibrates {len(model.qubits)} qubits, circuit needs {n}"
         )
-    dim = 2**n
-    rho_arr = np.zeros((dim, dim), dtype=complex)
-    rho_arr[0, 0] = 1.0
-    rho = DensityMatrix(n, rho_arr)
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
 
     damping_cache: dict[tuple[int, float], list[KrausChannel]] = {}
 
@@ -257,15 +254,14 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
             raise ValueError("simulate_noisy does not execute measurements")
         if instr.name not in GATE_MATRICES:
             raise ValueError(f"unsupported gate {instr.name!r}")
-        u = embed_gate(GATE_MATRICES[instr.name], instr.qubits, n)
-        rho = DensityMatrix(n, u @ rho.matrix @ u.conj().T)
+        rho = _sandwich(rho, (GATE_MATRICES[instr.name],), instr.qubits)
         if GATE_ARITY[instr.name] == 2:
-            rho = apply_channel(rho, depol_2q, instr.qubits)
+            rho = _sandwich(rho, depol_2q.operators, instr.qubits)
             dur = model.dur_2q_ns
         else:
-            rho = apply_channel(rho, depol_1q, instr.qubits)
+            rho = _sandwich(rho, depol_1q.operators, instr.qubits)
             dur = model.dur_1q_ns
         for q in instr.qubits:
             for ch in damping(q, dur):
-                rho = apply_channel(rho, ch, (q,))
-    return rho
+                rho = _sandwich(rho, ch.operators, (q,))
+    return DensityMatrix(n, rho.reshape(2**n, 2**n))

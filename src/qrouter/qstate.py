@@ -7,10 +7,29 @@ bit of a basis-state index, so basis index 0b110 on three qubits reads
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 ATOL = 1e-9
 PSD_SLACK = 1e-7
+
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1, -1]).astype(complex),
+}
+
+
+@lru_cache(maxsize=None)
+def pauli_matrix(pauli: str) -> np.ndarray:
+    """Tensor product of single-qubit Paulis, qubit 0 leftmost."""
+    m = _PAULI_1Q[pauli[0]]
+    for letter in pauli[1:]:
+        m = np.kron(m, _PAULI_1Q[letter])
+    m.setflags(write=False)
+    return m
 
 
 class StateVector:

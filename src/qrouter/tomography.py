@@ -12,13 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .gates import GATE_MATRICES
 from .noise import readout_flip
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, pauli_matrix
 
 _ROTATIONS = {
     "X": GATE_MATRICES["h"],
@@ -26,23 +25,6 @@ _ROTATIONS = {
     "Z": np.eye(2, dtype=complex),
     "I": np.eye(2, dtype=complex),
 }
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-}
-
-
-@lru_cache(maxsize=None)
-def pauli_matrix(pauli: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, qubit 0 leftmost."""
-    m = _PAULI_1Q[pauli[0]]
-    for letter in pauli[1:]:
-        m = np.kron(m, _PAULI_1Q[letter])
-    m.setflags(write=False)
-    return m
 
 
 def settings_for(n: int) -> list[str]:
@@ -61,11 +43,6 @@ def observables_for(n: int) -> list[str]:
         for p in itertools.product("IXYZ", repeat=n)
         if any(l != "I" for l in p)
     ]
-
-
-def literal_settings_for(n: int) -> list[str]:
-    """One dedicated setting per observable: the observable string itself."""
-    return observables_for(n)
 
 
 def _basis_probs(rho: DensityMatrix, setting: str) -> np.ndarray:

@@ -126,6 +126,27 @@ class TestRun:
         bad.write_text("qreg q[1];")
         assert run_cli("run", "--qasm", str(bad), "--out", report_path) == 2
 
+    @pytest.mark.parametrize(
+        "device, code, message",
+        [
+            ({"p1": 0.001}, 2, "'qubits'"),
+            ([{"t1_us": 35.2, "t2_us": 38.1}], 2, "JSON object"),
+            ({"qubits": [{"t1_us": 35.2}]}, 2, "'t2_us'"),
+            ({"qubits": [35.2]}, 2, "qubits[0]"),
+            ({"qubits": [{"t1_us": None, "t2_us": 38.1}]}, 2, "'t1_us'"),
+            ({"qubits": [{"t1_us": -1.0, "t2_us": 38.1}]}, 1, "T1 and T2"),
+            ({"qubits": [{"t1_us": 35.2, "t2_us": 38.1}], "p1": 1.5}, 1, "probability"),
+        ],
+    )
+    def test_device_file_errors(self, tmp_path, report_path, capsys, device, code, message):
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(device))
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--noise", str(dev),
+            "--tomography", "none", "--out", report_path,
+        ) == code
+        assert message in capsys.readouterr().err
+
     def test_unroutable_exit_3(self, tmp_path, report_path):
         qasm_file = tmp_path / "c.qasm"
         qasm_file.write_text(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrouter.gates import Circuit, apply_circuit, named_router_circuit
+from qrouter.gates import Circuit, apply_circuit, embed_gate, named_router_circuit
 from qrouter.noise import (
     IBMQX4_QUBITS,
     KrausChannel,
@@ -37,10 +37,6 @@ class TestDeviceTable:
     def test_q0_row(self):
         q0 = IBMQX4_QUBITS[0]
         assert (q0.t1_us, q0.t2_us) == (35.2, 38.1)
-        assert q0.resonator_freq_ghz == 6.52396
-        assert q0.qubit_freq_ghz == 5.2461
-        assert q0.anharmonicity_mhz == -330.1
-        assert q0.coupling_khz == 410
 
     def test_q4_row(self):
         q4 = IBMQX4_QUBITS[4]
@@ -67,7 +63,8 @@ class TestNoiseModel:
 
     def test_json_overrides(self):
         m = noise_model_from_json(
-            '{"qubits": [{"t1_us": 10, "t2_us": 12}], "p2": 0.005, "dur_2q_ns": 300}'
+            '{"qubits": [{"t1_us": 10, "t2_us": 12, "qubit_freq_ghz": 5.2}],'
+            ' "p2": 0.005, "dur_2q_ns": 300}'
         )
         assert m.qubits[0].t1_us == 10
         assert m.p2 == 0.005 and m.dur_2q_ns == 300
@@ -78,6 +75,29 @@ def channel_completeness(ch):
     dim = ch.dim
     total = sum(k.conj().T @ k for k in ch.operators)
     return np.max(np.abs(total - np.eye(dim)))
+
+
+def dense_channel(rho, ch, qubits):
+    """Reference: sum of K rho K^dagger with each K lifted to a dense 2^n x 2^n matrix."""
+    out = np.zeros_like(rho.matrix)
+    for k in ch.operators:
+        full = embed_gate(k, qubits, rho.n_qubits)
+        out += full @ rho.matrix @ full.conj().T
+    return out
+
+
+def random_density(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    m = a @ a.conj().T
+    return DensityMatrix(n, m / np.trace(m))
+
+
+def random_channel(rng, n_qubits, n_ops=3):
+    # the blocks of an isometry V (V^dagger V = I) form a complete Kraus set
+    d = 2**n_qubits
+    a = rng.normal(size=(n_ops * d, d)) + 1j * rng.normal(size=(n_ops * d, d))
+    v, _ = np.linalg.qr(a)
+    return KrausChannel(v.reshape(n_ops, d, d))
 
 
 class TestAmplitudeDamping:
@@ -173,6 +193,14 @@ class TestKrausChannel:
     )
     def test_trace_preservation(self, ch):
         assert channel_completeness(ch) < 1e-9
+
+    @pytest.mark.parametrize("qubits", [(0,), (2,), (0, 2), (2, 0), (2, 1)])
+    def test_apply_channel_matches_dense_reference(self, qubits):
+        rng = np.random.default_rng(sum(q << (2 * i) for i, q in enumerate(qubits)))
+        rho = random_density(rng, 3)
+        ch = random_channel(rng, len(qubits))
+        out = apply_channel(rho, ch, qubits)
+        assert np.max(np.abs(out.matrix - dense_channel(rho, ch, qubits))) <= 1e-12
 
     def test_apply_channel_dimension_mismatch(self):
         with pytest.raises(ValueError):

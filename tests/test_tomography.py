@@ -10,7 +10,6 @@ from qrouter.tomography import (
     expectation,
     fidelity,
     linear_inversion,
-    literal_settings_for,
     observables_for,
     pauli_matrix,
     project_to_physical,
@@ -47,9 +46,6 @@ class TestSettings:
                 all(s == l for s, l in zip(setting, p) if l != "I")
                 for setting in settings
             )
-
-    def test_literal_settings_one_per_observable(self):
-        assert literal_settings_for(3) == observables_for(3)
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
@@ -216,7 +212,7 @@ class TestReconstruct:
 
     def test_literal_mode_reconstruction(self):
         rho = to_density(StateVector(1, PSI_S))
-        ds = collect_dataset(rho, 8192, 4, settings=literal_settings_for(1))
+        ds = collect_dataset(rho, 8192, 4, settings=observables_for(1))
         rec = reconstruct(ds)
         assert fidelity(rec, rho) > 0.98
 
