@@ -5,8 +5,9 @@ Subcommands:
   emit-figure  dump the real or imaginary part of a reconstructed matrix as CSV
   verify       re-check a report against the router acceptance conditions
 
-Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error, 3 unroutable
-circuit, and for ``verify`` nonzero when any check fails.
+Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error (a malformed
+device file, coupling map or report included), 3 unroutable circuit, and for
+``verify`` 1 when any check fails.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ DEFAULT_LAYOUT = (2, 0, 1)  # keeps every router CNOT edge-adjacent on ibmqx4
 
 class SpecError(Exception):
     """Invalid experiment specification (exit code 1)."""
+
+
+class ReportError(ValueError):
+    """A report file that does not have the expected structure (exit code 2)."""
 
 
 def _load_noise(arg: str | None):
@@ -195,9 +200,25 @@ def _sibling(path: str, suffix: str) -> str:
     return str(p.with_name(p.stem + suffix))
 
 
-def emit_figure(args) -> None:
-    with open(args.report) as f:
+def _load_report(path: str) -> dict:
+    with open(path) as f:
         report = json.load(f)
+    if not isinstance(report, dict):
+        raise ReportError("report must be a JSON object")
+    return report
+
+
+def _report_number(report: dict, key: str) -> float:
+    if key not in report:
+        raise ReportError(f"report has no {key!r}")
+    try:
+        return float(report[key])
+    except (TypeError, ValueError):
+        raise ReportError(f"report {key!r} is not a number: {report[key]!r}") from None
+
+
+def emit_figure(args) -> None:
+    report = _load_report(args.report)
     if "reconstructed" not in report or report["reconstructed"] is None:
         raise SpecError("report has no reconstructed density matrix")
     rho = density_from_json(report["reconstructed"])
@@ -211,22 +232,25 @@ def emit_figure(args) -> None:
 
 
 def verify(args) -> int:
-    with open(args.report) as f:
-        report = json.load(f)
+    report = _load_report(args.report)
+    if "reconstructed" not in report:
+        raise ReportError("report has no 'reconstructed'")
+    fid = _report_number(report, "fidelity")
+    neg = _report_number(report, "negativity")
+    spec = report.get("spec", {})
+    if not isinstance(spec, dict):
+        raise ReportError("report 'spec' must be an object")
     checks: list[tuple[str, bool, str]] = []
 
     try:
-        rho = density_from_json(report["reconstructed"])
+        density_from_json(report["reconstructed"])
         checks.append(("density-matrix invariants", True, "Hermitian, trace 1, PSD"))
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         print(f"FAIL density-matrix invariants: {e}")
         return 1
 
-    spec = report.get("spec", {})
     name = spec.get("name", "custom")
     noisy = spec.get("noise", "none") != "none"
-    fid = float(report["fidelity"])
-    neg = float(report["negativity"])
 
     checks.append(
         ("fidelity in [0, 1]", 0.0 <= fid <= 1.0, f"fidelity = {fid:.4f}")
@@ -316,7 +340,14 @@ def main(argv=None) -> int:
     except qasm.UnroutableCnotError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, qasm.QasmError, noise_mod.DeviceFileError) as e:
+    except (
+        OSError,
+        json.JSONDecodeError,
+        qasm.QasmError,
+        qasm.CouplingMapError,
+        noise_mod.DeviceFileError,
+        ReportError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SpecError, ValueError) as e:

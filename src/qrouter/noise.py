@@ -6,9 +6,13 @@ each touched qubit using that qubit's T1/T2. At the error magnitudes modeled
 here the ordering is below any test tolerance, but it is pinned so runs are
 reproducible.
 
-Gates and channels act on rho as a (2,)*2n tensor through the kernel ``gates``
-uses for state vectors (K on the row axes, K* on the column axes); the result
-is validated as a ``DensityMatrix`` once per simulation, not after every step.
+The simulator folds that sequence into one 4^k x 4^k superoperator per
+distinct (gate, qubits) of the circuit, built once per simulation: the
+product, in the pinned order, of K (x) K* summed over each stage's Kraus
+operators (Nielsen & Chuang section 8.2). It acts on rho, held as a (2,)*2n
+tensor, with one call of the kernel ``gates`` uses for state vectors (on the
+row and column axes of the gate's qubits); the result is validated as a
+``DensityMatrix`` once per simulation, not after every step.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GATE_ARITY, GATE_MATRICES, Circuit, _apply_tensor
+from .gates import GATE_MATRICES, Circuit, _apply_tensor
 from .qstate import DensityMatrix, pauli_matrix
 
 
@@ -218,6 +222,34 @@ def readout_flip(probs, p_readout: float):
     return t.reshape(-1)
 
 
+def _superop(ops) -> np.ndarray:
+    """Matrix of rho -> sum_K K rho K^dagger on row-major vec(rho): the sum of K (x) K*."""
+    k = np.asarray(ops)
+    d = k.shape[-1]
+    terms = k[:, :, None, :, None] * k.conj()[:, None, :, None, :]
+    return terms.sum(axis=0).reshape(d * d, d * d)
+
+
+def _damping_superop(params: QubitParams, dur: float) -> np.ndarray:
+    """Amplitude then phase damping of one qubit over ``dur`` ns (4x4)."""
+    ad = amplitude_damping(dur, params.t1_us)
+    pd = phase_damping(dur, params.t1_us, params.t2_us)
+    return _superop(pd.operators) @ _superop(ad.operators)
+
+
+def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel, depol) -> np.ndarray:
+    """One noisy gate in the pinned order: unitary, depolarizing, then each qubit's
+    damping. Indices run over (row qubits, column qubits) of ``qubits``."""
+    k = len(qubits)
+    dur = model.dur_2q_ns if k == 2 else model.dur_1q_ns
+    damp = [_damping_superop(model.qubits[q], dur) for q in qubits]
+    if k == 2:
+        # damping on different qubits commutes; (r0 c0)x(r1 c1) -> (r0 r1 c0 c1)
+        pair = [m.reshape(2, 2, 2, 2) for m in damp]
+        damp = [np.einsum("acxz,bdyw->abcdxyzw", *pair).reshape(16, 16)]
+    return damp[0] @ depol[k] @ _superop((GATE_MATRICES[name],))
+
+
 def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
     """Density-matrix run of ``c`` from |0...0> under ``model``.
 
@@ -232,21 +264,11 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
     rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho[(0,) * (2 * n)] = 1.0
 
-    damping_cache: dict[tuple[int, float], list[KrausChannel]] = {}
-
-    def damping(q: int, dur: float):
-        key = (q, dur)
-        if key not in damping_cache:
-            params = model.qubits[q]
-            damping_cache[key] = [
-                amplitude_damping(dur, params.t1_us),
-                phase_damping(dur, params.t1_us, params.t2_us),
-            ]
-        return damping_cache[key]
-
-    depol_1q = depolarizing(model.p1, 1)
-    depol_2q = depolarizing(model.p2, 2)
-
+    depol = {
+        1: _superop(depolarizing(model.p1, 1).operators),
+        2: _superop(depolarizing(model.p2, 2).operators),
+    }
+    superops: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
     for instr in c.instructions:
         if instr.name == "barrier":
             continue
@@ -254,14 +276,9 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
             raise ValueError("simulate_noisy does not execute measurements")
         if instr.name not in GATE_MATRICES:
             raise ValueError(f"unsupported gate {instr.name!r}")
-        rho = _sandwich(rho, (GATE_MATRICES[instr.name],), instr.qubits)
-        if GATE_ARITY[instr.name] == 2:
-            rho = _sandwich(rho, depol_2q.operators, instr.qubits)
-            dur = model.dur_2q_ns
-        else:
-            rho = _sandwich(rho, depol_1q.operators, instr.qubits)
-            dur = model.dur_1q_ns
-        for q in instr.qubits:
-            for ch in damping(q, dur):
-                rho = _sandwich(rho, ch.operators, (q,))
+        key = (instr.name, instr.qubits)
+        if key not in superops:
+            superops[key] = _gate_superop(instr.name, instr.qubits, model, depol)
+        axes = instr.qubits + tuple(n + q for q in instr.qubits)
+        rho = _apply_tensor(rho, superops[key], axes)
     return DensityMatrix(n, rho.reshape(2**n, 2**n))

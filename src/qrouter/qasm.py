@@ -299,13 +299,29 @@ IBMQX4_COUPLING = CouplingMap(
 )
 
 
+class CouplingMapError(ValueError):
+    """A coupling-map file that does not have the expected structure."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def coupling_map_from_json(data) -> CouplingMap:
     """Load ``{"n_qubits": n, "edges": [[c, t], ...]}`` (dict or JSON text)."""
     if isinstance(data, str):
         data = json.loads(data)
-    return CouplingMap(
-        int(data["n_qubits"]), frozenset((int(c), int(t)) for c, t in data["edges"])
-    )
+    if not isinstance(data, dict):
+        raise CouplingMapError("coupling map must be a JSON object")
+    if not _is_int(data.get("n_qubits")):
+        raise CouplingMapError("coupling map needs an integer 'n_qubits'")
+    edges = data.get("edges")
+    if not isinstance(edges, (list, tuple)):
+        raise CouplingMapError("coupling map needs an 'edges' list")
+    for i, edge in enumerate(edges):
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(map(_is_int, edge))):
+            raise CouplingMapError(f"coupling map edges[{i}] is not a pair of integers: {edge!r}")
+    return CouplingMap(data["n_qubits"], frozenset(tuple(e) for e in edges))
 
 
 def get_coupling_map(name_or_path: str) -> CouplingMap:

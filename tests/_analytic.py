@@ -13,3 +13,31 @@ def psi_f_amplitudes():
     a = np.kron([1, 0], np.kron(PSI_S, PLUS))
     b = np.kron([0, 1], np.kron(PLUS, PSI_S))
     return (a - np.exp(1j * np.pi / 4) * b) / np.sqrt(2)
+
+
+def loop_expectation(dataset, pauli):
+    """Reference estimator: a parity loop over each compatible setting's outcome
+    strings, then the mean over those settings in dataset order."""
+    support = [i for i, letter in enumerate(pauli) if letter != "I"]
+    values = []
+    for setting, counts in dataset.counts.items():
+        if not all(setting[i] == pauli[i] for i in support):
+            continue
+        total = 0
+        for outcome, c in counts.items():
+            parity = sum(int(outcome[i]) for i in support) % 2
+            total += -c if parity else c
+        values.append(total / dataset.shots)
+    if not values:
+        raise ValueError(f"no measurement setting compatible with {pauli!r}")
+    return float(np.mean(values))
+
+
+def searchsorted_counts(probs, shots, seed):
+    """Reference sampler: each unsorted draw located in the cumulative edges."""
+    n = int(np.log2(len(probs)))
+    edges = np.cumsum(probs)
+    edges[-1] = 1.0
+    draws = np.random.default_rng(seed).random(shots)
+    counts = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(probs))
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0}

@@ -147,6 +147,37 @@ class TestRun:
         ) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cmap, code, message",
+        [
+            ([[1, 0]], 2, "JSON object"),
+            ({"edges": [[1, 0]]}, 2, "'n_qubits'"),
+            ({"n_qubits": "5", "edges": [[1, 0]]}, 2, "'n_qubits'"),
+            ({"n_qubits": 5}, 2, "'edges'"),
+            ({"n_qubits": 5, "edges": [[1, 0], [2]]}, 2, "edges[1]"),
+            ({"n_qubits": 5, "edges": [["2", "0"]]}, 2, "edges[0]"),
+            ({"n_qubits": 5, "edges": [[2, 0.5]]}, 2, "edges[0]"),
+            ({"n_qubits": 5, "edges": [[1, 1]]}, 1, "self-edge"),
+            ({"n_qubits": 5, "edges": [[1, 7]]}, 1, "outside register"),
+        ],
+    )
+    def test_coupling_map_file_errors(self, tmp_path, report_path, capsys, cmap, code, message):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(cmap))
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--transpile", str(path),
+            "--tomography", "none", "--out", report_path,
+        ) == code
+        assert message in capsys.readouterr().err
+
+    def test_coupling_map_file_accepted(self, tmp_path, report_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"n_qubits": 5, "edges": [[1, 0], [2, 0], [2, 1]]}))
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--transpile", str(path),
+            "--tomography", "none", "--no-timestamps", "--out", report_path,
+        ) == 0
+
     def test_unroutable_exit_3(self, tmp_path, report_path):
         qasm_file = tmp_path / "c.qasm"
         qasm_file.write_text(
@@ -189,6 +220,44 @@ class TestVerify:
 
     def test_unreadable_report_exit_2(self, tmp_path):
         assert run_cli("verify", "--report", str(tmp_path / "missing.json")) == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: [r], "JSON object"),
+            (lambda r: "report", "JSON object"),
+            (lambda r: {k: v for k, v in r.items() if k != "reconstructed"}, "'reconstructed'"),
+            (lambda r: {k: v for k, v in r.items() if k != "fidelity"}, "'fidelity'"),
+            (lambda r: {k: v for k, v in r.items() if k != "negativity"}, "'negativity'"),
+            (lambda r: {**r, "fidelity": None}, "'fidelity' is not a number"),
+            (lambda r: {**r, "negativity": "high"}, "'negativity' is not a number"),
+            (lambda r: {**r, "spec": ["router-control0"]}, "'spec'"),
+        ],
+        ids=["list", "string", "no-reconstructed", "no-fidelity", "no-negativity",
+             "fidelity-null", "negativity-text", "spec-list"],
+    )
+    def test_malformed_report_exit_2(self, report_path, capsys, edit, message):
+        run_cli(
+            "run", "--experiment", "router-control0", "--tomography", "none",
+            "--no-timestamps", "--out", report_path,
+        )
+        report = edit(read_json(report_path))
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        assert run_cli("verify", "--report", report_path) == 2
+        assert message in capsys.readouterr().err
+
+    def test_reconstructed_not_an_object_fails(self, report_path, capsys):
+        run_cli(
+            "run", "--experiment", "router-control0", "--tomography", "none",
+            "--no-timestamps", "--out", report_path,
+        )
+        report = read_json(report_path)
+        report["reconstructed"] = [1, 2]
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        assert run_cli("verify", "--report", report_path) == 1
+        assert "FAIL density-matrix invariants" in capsys.readouterr().out
 
 
 class TestEmitFigure:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from qrouter.gates import Circuit, apply_circuit, embed_gate, named_router_circuit
+from qrouter import noise
+from qrouter.gates import (
+    GATE_ARITY,
+    GATE_MATRICES,
+    ROUTER_EXPERIMENTS,
+    Circuit,
+    apply_circuit,
+    embed_gate,
+    named_router_circuit,
+)
 from qrouter.noise import (
     IBMQX4_QUBITS,
     KrausChannel,
@@ -16,6 +25,7 @@ from qrouter.noise import (
     readout_flip,
     simulate_noisy,
 )
+from qrouter.qasm import IBMQX4_COUPLING, apply_layout, transpile
 from qrouter.qstate import DensityMatrix, StateVector, basis_state, negativity, to_density
 from qrouter.tomography import fidelity
 
@@ -278,3 +288,101 @@ class TestSimulateNoisy:
     def test_rejects_too_many_qubits(self):
         with pytest.raises(ValueError):
             simulate_noisy(Circuit(6).add("h", 5), ibmqx4_model())
+
+
+def per_kraus_reference(c, model):
+    """The pinned noise order, one validated ``apply_channel`` per stage."""
+    rho = to_density(basis_state(c.n_qubits, 0))
+    for instr in c.gate_instructions():
+        qubits = instr.qubits
+        two = GATE_ARITY[instr.name] == 2
+        dur = model.dur_2q_ns if two else model.dur_1q_ns
+        rho = apply_channel(rho, KrausChannel([GATE_MATRICES[instr.name]]), qubits)
+        rho = apply_channel(rho, depolarizing(model.p2 if two else model.p1, len(qubits)), qubits)
+        for q in qubits:
+            params = model.qubits[q]
+            rho = apply_channel(rho, amplitude_damping(dur, params.t1_us), (q,))
+            rho = apply_channel(rho, phase_damping(dur, params.t1_us, params.t2_us), (q,))
+    return rho
+
+
+def random_circuit(rng, n, n_gates):
+    c = Circuit(n)
+    for _ in range(n_gates):
+        if rng.random() < 0.4:
+            a, b = rng.choice(n, 2, replace=False)
+            c.add("cx", int(a), int(b))
+        else:
+            c.add(str(rng.choice(["h", "x", "s", "sdg", "t", "tdg"])), int(rng.integers(n)))
+        if rng.random() < 0.05:
+            c.barrier()
+    return c
+
+
+def equivalence_circuits():
+    for name in ROUTER_EXPERIMENTS:
+        c = named_router_circuit(name)
+        yield f"{name}-3q", c
+        yield f"{name}-5q", transpile(apply_layout(c, (2, 0, 1), 5), IBMQX4_COUPLING)
+    rng = np.random.default_rng(2024)
+    for i in range(10):
+        yield f"random-4q-{i}", random_circuit(rng, 4, 25)
+
+
+SECOND_MODEL = NoiseModel(
+    qubits=(
+        QubitParams(20.0, 31.0),
+        QubitParams(61.0, 24.5),
+        QubitParams(15.5, 29.0),
+        QubitParams(82.0, 101.0),
+        QubitParams(33.0, 12.0),
+    ),
+    p1=4e-3,
+    p2=3e-2,
+    dur_1q_ns=55.0,
+    dur_2q_ns=650.0,
+)
+
+
+class TestFusedSimulator:
+    @pytest.mark.parametrize("model", [ibmqx4_model(), SECOND_MODEL], ids=["ibmqx4", "second"])
+    def test_matches_per_kraus_reference(self, model):
+        for label, c in equivalence_circuits():
+            fused = simulate_noisy(c, model).matrix
+            reference = per_kraus_reference(c, model).matrix
+            assert np.max(np.abs(fused - reference)) <= 1e-12, label
+
+    def test_unphysical_t2_still_warns(self):
+        model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
+        c = Circuit(2).add("h", 0).add("cx", 0, 1)
+        with pytest.warns(UserWarning, match="clamping dephasing rate"):
+            rho = simulate_noisy(c, model)
+        with pytest.warns(UserWarning, match="clamping dephasing rate"):
+            reference = per_kraus_reference(c, model)
+        assert np.max(np.abs(rho.matrix - reference.matrix)) <= 1e-12
+
+    def test_one_contraction_per_gate_and_one_validation(self, monkeypatch):
+        contractions = []
+        built = []
+        apply_tensor = noise._apply_tensor
+
+        def counting_apply(tensor, u, axes):
+            contractions.append(axes)
+            return apply_tensor(tensor, u, axes)
+
+        def counting_density(*args, **kwargs):
+            built.append(args)
+            return DensityMatrix(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "_apply_tensor", counting_apply)
+        monkeypatch.setattr(noise, "DensityMatrix", counting_density)
+        c = transpile(
+            apply_layout(named_router_circuit("router-superposition"), (2, 0, 1), 5),
+            IBMQX4_COUPLING,
+        )
+        c.barrier()
+        simulate_noisy(c, ibmqx4_model())
+        gates = c.gate_instructions()
+        assert len(contractions) == len(gates)
+        assert contractions == [i.qubits + tuple(5 + q for q in i.qubits) for i in gates]
+        assert len(built) == 1

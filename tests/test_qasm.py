@@ -132,6 +132,10 @@ class TestCouplingMap:
         )
         assert cmap == IBMQX4_COUPLING
 
+    def test_dict_with_tuple_edges(self):
+        cmap = coupling_map_from_json({"n_qubits": 2, "edges": [(1, 0)]})
+        assert cmap == CouplingMap(2, frozenset({(1, 0)}))
+
 
 class TestTranspile:
     def test_reversed_edge_hadamard_fix(self):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from qrouter.gates import apply_circuit, named_router_circuit
+from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
 from qrouter.qstate import DensityMatrix, StateVector, basis_state, to_density
 from qrouter.tomography import (
     TomographyDataset,
+    _basis_probs,
     collect_dataset,
     exact_expectations,
     expectation,
+    expectation_values,
     fidelity,
     linear_inversion,
     observables_for,
@@ -18,7 +21,7 @@ from qrouter.tomography import (
     settings_for,
 )
 
-from ._analytic import PLUS, PSI_S
+from ._analytic import PLUS, PSI_S, loop_expectation, searchsorted_counts
 
 
 def router_states():
@@ -139,6 +142,93 @@ class TestExpectation:
         ds = collect_dataset(to_density(StateVector(1, PSI_S)), 300, 2)
         for p in observables_for(1):
             assert -1.0 <= expectation(ds, p) <= 1.0
+
+
+def random_state(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    m = a @ a.conj().T
+    return DensityMatrix(n, m / np.trace(m))
+
+
+def estimator_datasets():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        for i in range(3):
+            rho = random_state(rng, n)
+            yield f"grid-{n}q-{i}", collect_dataset(rho, 1000 + i, i, p_readout=0.02 * i)
+            yield f"literal-{n}q-{i}", collect_dataset(
+                rho, 1000 + i, 10 + i, settings=observables_for(n)
+            )
+    noisy = simulate_noisy(named_router_circuit("router-superposition"), ibmqx4_model())
+    yield "grid-router", collect_dataset(noisy, 8192, 5)
+    yield "literal-router", collect_dataset(noisy, 8192, 5, settings=observables_for(3))
+
+
+class TestArrayEstimator:
+    """The array estimator and sorted-draw sampler against the loop references, exactly."""
+
+    @pytest.mark.parametrize(
+        "ds", [pytest.param(ds, id=label) for label, ds in estimator_datasets()]
+    )
+    def test_every_observable_equal_to_loop(self, ds):
+        loop = {p: loop_expectation(ds, p) for p in observables_for(ds.n_qubits)}
+        assert expectation_values(ds) == loop
+        assert all(expectation(ds, p) == v for p, v in loop.items())
+        rec = reconstruct(ds)
+        ref = project_to_physical(linear_inversion(loop, ds.n_qubits))
+        assert np.array_equal(rec.matrix, ref.matrix)
+
+    def test_no_compatible_setting_unchanged(self):
+        ds = TomographyDataset(2, 10, 0, {"ZX": {"00": 10}, "IZ": {"01": 4, "11": 6}})
+        for pauli in ("XI", "YZ", "IY"):
+            message = f"no measurement setting compatible with '{pauli}'"
+            with pytest.raises(ValueError, match=message):
+                loop_expectation(ds, pauli)
+            with pytest.raises(ValueError, match=message):
+                expectation(ds, pauli)
+        with pytest.raises(ValueError, match="no measurement setting compatible"):
+            reconstruct(ds)
+        assert expectation(ds, "IZ") == loop_expectation(ds, "IZ") == -1.0
+        assert expectation(ds, "ZI") == loop_expectation(ds, "ZI") == 1.0
+
+    def test_rejects_malformed_dataset(self):
+        with pytest.raises(ValueError):
+            expectation(TomographyDataset(2, 10, 0, {"Z": {"00": 10}}), "ZZ")
+        with pytest.raises(ValueError):
+            expectation(TomographyDataset(2, 10, 0, {"ZZ": {"0": 10}}), "ZZ")
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [0.3, 0.0, 0.7, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0],
+            [0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.4],
+        ],
+    )
+    def test_counts_with_zero_probability_outcomes(self, probs):
+        n = int(np.log2(len(probs)))
+        rho = DensityMatrix(n, np.diag(probs).astype(complex))
+        for seed in range(5):
+            got = sample_counts(rho, "Z" * n, 997, seed)
+            assert got == searchsorted_counts(_basis_probs(rho, "Z" * n), 997, seed)
+            assert all(probs[int(k, 2)] > 0 for k in got)
+
+    def test_counts_on_random_distributions(self):
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            n = 1 + trial % 3
+            probs = rng.random(2**n) * (rng.random(2**n) < 0.6)
+            probs[rng.integers(2**n)] += 0.1
+            rho = DensityMatrix(n, np.diag(probs / probs.sum()).astype(complex))
+            p_readout = 0.02 if trial % 2 else 0.0
+            for setting in ("Z" * n, settings_for(n)[trial % 3**n]):
+                ref_probs = readout_flip(_basis_probs(rho, setting), p_readout)
+                got = sample_counts(rho, setting, 4096, trial, p_readout)
+                assert got == searchsorted_counts(ref_probs, 4096, trial)
 
 
 class TestLinearInversion:
