@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error (a malformed
 device file, coupling map or report included), 3 unroutable circuit, and for
-``verify`` 1 when any check fails.
+``verify`` 1 when any check fails. An invalid ``reconstructed`` density
+matrix exits 2 in ``emit-figure`` and is a failed check (1) in ``verify``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .qstate import (
     density_to_json,
     negativity,
     partial_trace,
-    permute_qubits,
     to_density,
     von_neumann_entropy,
 )
@@ -88,9 +88,7 @@ def run_experiment(args) -> dict:
     seed = args.seed
     if shots < 1:
         raise SpecError("shots must be positive")
-    if circuit.instructions and any(
-        i.name == "measure" for i in circuit.instructions
-    ):
+    if any(i.name == "measure" for i in circuit.instructions):
         raise SpecError("experiment circuits must not contain measure instructions")
 
     ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
@@ -113,58 +111,42 @@ def run_experiment(args) -> dict:
 
     if model is not None:
         rho = noise_mod.simulate_noisy(exec_circuit, model)
-        if layout is not None:
-            # discard idle device qubits, then restore logical ordering
-            rho = partial_trace(rho, sorted(layout))
-            rank = {q: i for i, q in enumerate(sorted(layout))}
-            rho = permute_qubits(rho, [rank[q] for q in layout])
+    elif layout is not None:
+        rho = to_density(
+            apply_circuit(exec_circuit, basis_state(exec_circuit.n_qubits, 0))
+        )
     else:
-        if layout is not None:
-            # transpilation is unitary-preserving; verify then score ideally
-            full = apply_circuit(
-                exec_circuit, basis_state(exec_circuit.n_qubits, 0)
-            )
-            rho = partial_trace(to_density(full), sorted(layout))
-            rank = {q: i for i, q in enumerate(sorted(layout))}
-            rho = permute_qubits(rho, [rank[q] for q in layout])
-        else:
-            rho = ideal_dm
+        rho = ideal_dm
+    if layout is not None:
+        # discard idle device qubits; logical qubit i sits on layout[i]
+        rho = partial_trace(rho, layout)
 
-    dataset = None
-    if args.tomography == "full":
+    state, target = rho, ideal_dm
+    if args.tomography == "routed":
+        q = _routed_qubit(experiment)
+        state, target = partial_trace(rho, [q]), partial_trace(ideal_dm, [q])
+    reconstructed, counts_file = rho, None
+    if args.tomography != "none":
         settings = (
-            tomography.observables_for(rho.n_qubits)
+            tomography.observables_for(state.n_qubits)
             if args.settings_per_observable
             else None
         )
-        dataset = tomography.collect_dataset(rho, shots, seed, settings=settings)
+        dataset = tomography.collect_dataset(state, shots, seed, settings=settings)
         reconstructed = tomography.reconstruct(dataset)
-        target = ideal_dm
-    elif args.tomography == "routed":
-        q = _routed_qubit(experiment)
-        dataset = tomography.collect_dataset(partial_trace(rho, [q]), shots, seed)
-        reconstructed = tomography.reconstruct(dataset)
-        target = partial_trace(ideal_dm, [q])
-    elif args.tomography == "none":
-        reconstructed = rho
-        target = ideal_dm
-    else:
-        raise SpecError(f"unknown tomography mode {args.tomography!r}")
-
-    fid = tomography.fidelity(reconstructed, target)
-    source_3q = reconstructed if reconstructed.n_qubits == rho.n_qubits else rho
-    if source_3q.n_qubits >= 2:
-        neg = negativity(source_3q, [0], list(range(1, source_3q.n_qubits)))
-        ent = von_neumann_entropy(partial_trace(source_3q, [0]))
-    else:
-        neg = 0.0
-        ent = von_neumann_entropy(source_3q)
-
-    counts_file = None
-    if dataset is not None:
         counts_file = args.counts_out or _sibling(args.out, ".counts.json")
         with open(counts_file, "w") as f:
             json.dump(dataset.to_json(), f, indent=2, sort_keys=True)
+
+    fid = tomography.fidelity(reconstructed, target)
+    # routed tomography sees one qubit; the entanglement metrics need them all
+    scored = rho if args.tomography == "routed" else reconstructed
+    if scored.n_qubits >= 2:
+        neg = negativity(scored, [0], list(range(1, scored.n_qubits)))
+        ent = von_neumann_entropy(partial_trace(scored, [0]))
+    else:
+        neg = 0.0
+        ent = von_neumann_entropy(scored)
 
     report = {
         "spec": {
@@ -201,10 +183,13 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def _load_report(path: str) -> dict:
+    """A report that is a JSON object with a non-null 'reconstructed' entry."""
     with open(path) as f:
         report = json.load(f)
     if not isinstance(report, dict):
         raise ReportError("report must be a JSON object")
+    if report.get("reconstructed") is None:
+        raise ReportError("report has no 'reconstructed'")
     return report
 
 
@@ -213,15 +198,16 @@ def _report_number(report: dict, key: str) -> float:
         raise ReportError(f"report has no {key!r}")
     try:
         return float(report[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ReportError(f"report {key!r} is not a number: {report[key]!r}") from None
 
 
 def emit_figure(args) -> None:
     report = _load_report(args.report)
-    if "reconstructed" not in report or report["reconstructed"] is None:
-        raise SpecError("report has no reconstructed density matrix")
-    rho = density_from_json(report["reconstructed"])
+    try:
+        rho = density_from_json(report["reconstructed"])
+    except ValueError as e:
+        raise ReportError(f"report 'reconstructed': {e}") from None
     part = np.real(rho.matrix) if args.part == "real" else np.imag(rho.matrix)
     labels = [f"|{format(i, f'0{rho.n_qubits}b')}>" for i in range(rho.dim)]
     with open(args.out, "w", newline="") as f:
@@ -233,8 +219,6 @@ def emit_figure(args) -> None:
 
 def verify(args) -> int:
     report = _load_report(args.report)
-    if "reconstructed" not in report:
-        raise ReportError("report has no 'reconstructed'")
     fid = _report_number(report, "fidelity")
     neg = _report_number(report, "negativity")
     spec = report.get("spec", {})
@@ -244,12 +228,14 @@ def verify(args) -> int:
 
     try:
         density_from_json(report["reconstructed"])
-        checks.append(("density-matrix invariants", True, "Hermitian, trace 1, PSD"))
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         print(f"FAIL density-matrix invariants: {e}")
         return 1
+    checks.append(("density-matrix invariants", True, "Hermitian, trace 1, PSD"))
 
     name = spec.get("name", "custom")
+    if not isinstance(name, str):
+        raise ReportError(f"report spec 'name' is not a string: {name!r}")
     noisy = spec.get("noise", "none") != "none"
 
     checks.append(

@@ -218,7 +218,7 @@ def readout_flip(probs, p_readout: float):
     confusion = np.array([[1 - p_readout, p_readout], [p_readout, 1 - p_readout]])
     t = probs.reshape((2,) * n)
     for axis in range(n):
-        t = np.moveaxis(np.tensordot(confusion, t, axes=([1], [axis])), 0, axis)
+        t = _apply_tensor(t, confusion, (axis,))
     return t.reshape(-1)
 
 

@@ -193,22 +193,16 @@ def parse(src: str) -> Circuit:
             n = int(size.text)
             if n < 1:
                 raise QasmSyntaxError("register size must be positive", size.line, size.col)
+            if (qreg if kw == "qreg" else creg) is not None:
+                raise DuplicateRegisterError(
+                    f"only one {kw} is supported", name.line, name.col
+                )
             if kw == "qreg":
-                if qreg is not None:
-                    raise DuplicateRegisterError(
-                        "only one qreg is supported", name.line, name.col
-                    )
                 qreg = (name.text, n)
+                circuit.n_qubits = n
             else:
-                if creg is not None:
-                    raise DuplicateRegisterError(
-                        "only one creg is supported", name.line, name.col
-                    )
                 creg = (name.text, n)
-            rebuilt = Circuit(qreg[1] if qreg else 0, creg[1] if creg else 0)
-            rebuilt.instructions = circuit.instructions
-            rebuilt._measured = circuit._measured
-            circuit = rebuilt
+                circuit.n_clbits = n
             continue
 
         if kw in GATE_MATRICES:

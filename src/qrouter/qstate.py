@@ -127,23 +127,18 @@ def _check_qubit_subset(qubits, n: int, what: str):
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the ``keep`` qubits (retained in ascending index order)."""
+    """Reduced state on the ``keep`` qubits, in the order given.
+
+    New qubit i is old qubit ``keep[i]``, so a sorted ``keep`` retains
+    ascending index order and an unsorted one also permutes the qubits.
+    """
     n = rho.n_qubits
-    keep = _check_qubit_subset(keep, n, "keep set")
-    traced = [q for q in range(n) if q not in keep]
+    keep = list(keep)
+    _check_qubit_subset(keep, n, "keep set")
     t = rho.matrix.reshape((2,) * (2 * n))
-    # contract each traced qubit's row axis with its column axis
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    out = []
-    subs = list(range(2 * n))
-    for q in traced:
-        subs[col[q]] = subs[row[q]]
-    for q in keep:
-        out.append(subs[row[q]])
-    for q in keep:
-        out.append(subs[col[q]])
-    reduced = np.einsum(t, subs, out)
+    # a traced qubit's column axis shares its row axis's label, so einsum sums it
+    subs = list(range(n)) + [n + q if q in keep else q for q in range(n)]
+    reduced = np.einsum(t, subs, keep + [n + q for q in keep])
     k = len(keep)
     return DensityMatrix(k, reduced.reshape(2**k, 2**k))
 
@@ -200,9 +195,26 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return {"n_qubits": rho.n_qubits, "entries": entries}
 
 
-def density_from_json(data: dict) -> DensityMatrix:
-    n = int(data["n_qubits"])
-    m = np.array(
-        [[complex(re, im) for re, im in row] for row in data["entries"]], dtype=complex
-    )
-    return DensityMatrix(n, m)
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def density_from_json(data) -> DensityMatrix:
+    """Inverse of ``density_to_json``; malformed structure raises ``ValueError``."""
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("density matrix must be a JSON object with an 'entries' list")
+    n, dim = data.get("n_qubits"), len(entries)
+    # checked against the row count before 2**n can grow without bound
+    if not (_is_number(n) and isinstance(n, int) and 0 <= n < dim.bit_length() and dim == 2**n):
+        raise ValueError(f"density matrix 'n_qubits' {n!r} does not match {dim} rows")
+    pairs = [z for row in entries if isinstance(row, list) and len(row) == dim for z in row]
+    if len(pairs) != dim * dim or not all(
+        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in pairs
+    ):
+        raise ValueError("density matrix 'entries' must be rows of [re, im] number pairs")
+    try:
+        m = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except OverflowError:
+        raise ValueError("density matrix entry is out of range") from None
+    return DensityMatrix(n, m.reshape(dim, dim))

@@ -1,8 +1,11 @@
+import copy
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from qrouter import cli
 from qrouter.cli import main
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
@@ -23,6 +26,42 @@ def read_json(path):
 @pytest.fixture
 def report_path(tmp_path):
     return str(tmp_path / "report.json")
+
+
+FUZZ_VALUES = (
+    None, True, False, "", "router-control0", "none", [], [1, 2], [[0, 1]], {},
+    {"n_qubits": 1}, 0, 1, -1, 3, 0.5, -2.5, 1e308, -1e308, 10**6, -(10**6),
+)
+
+
+def mutate(doc, rng):
+    """Copy of ``doc`` with the value at one random path replaced by a fuzz value."""
+    doc = copy.deepcopy(doc)
+    value = copy.deepcopy(FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))])
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and rng.random() < 0.75:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, keys[int(rng.integers(len(keys)))]
+        node = parent[key]
+    if parent is None:
+        return value
+    parent[key] = value
+    return doc
+
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    """Build the argument parser once: the fuzz tests target the loaders, not argparse."""
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+
+
+def fuzzed(doc, rng, count):
+    """``count`` seeded variants of ``doc``, each with one to three values replaced."""
+    for _ in range(count):
+        variant = doc
+        for _ in range(int(rng.integers(1, 4))):
+            variant = mutate(variant, rng)
+        yield variant
 
 
 class TestRun:
@@ -178,6 +217,23 @@ class TestRun:
             "--tomography", "none", "--no-timestamps", "--out", report_path,
         ) == 0
 
+    @pytest.mark.filterwarnings("ignore:T2 = .* exceeds 2\\*T1")
+    def test_fuzzed_device_files_exit_cleanly(self, tmp_path, report_path, one_parser):
+        device = {
+            "qubits": [{"t1_us": 35.2, "t2_us": 38.1}, {"t1_us": 57.5, "t2_us": 40.5},
+                       {"t1_us": 36.6, "t2_us": 54.8}],
+            "p1": 1e-3, "p2": 1e-2, "p_readout": 0.02, "dur_1q_ns": 100.0, "dur_2q_ns": 400.0,
+        }
+        dev = tmp_path / "dev.json"
+        codes = set()
+        for variant in fuzzed(device, np.random.default_rng(17), 200):
+            dev.write_text(json.dumps(variant))
+            codes.add(run_cli(
+                "run", "--experiment", "router-control0", "--noise", str(dev),
+                "--tomography", "none", "--no-timestamps", "--out", report_path,
+            ))
+        assert codes <= {0, 1, 2, 3} and {0, 1, 2} <= codes
+
     def test_unroutable_exit_3(self, tmp_path, report_path):
         qasm_file = tmp_path / "c.qasm"
         qasm_file.write_text(
@@ -227,14 +283,18 @@ class TestVerify:
             (lambda r: [r], "JSON object"),
             (lambda r: "report", "JSON object"),
             (lambda r: {k: v for k, v in r.items() if k != "reconstructed"}, "'reconstructed'"),
+            (lambda r: {**r, "reconstructed": None}, "'reconstructed'"),
             (lambda r: {k: v for k, v in r.items() if k != "fidelity"}, "'fidelity'"),
             (lambda r: {k: v for k, v in r.items() if k != "negativity"}, "'negativity'"),
             (lambda r: {**r, "fidelity": None}, "'fidelity' is not a number"),
             (lambda r: {**r, "negativity": "high"}, "'negativity' is not a number"),
+            (lambda r: {**r, "fidelity": 10**400}, "'fidelity' is not a number"),
             (lambda r: {**r, "spec": ["router-control0"]}, "'spec'"),
+            (lambda r: {**r, "spec": {**r["spec"], "name": ["router-control0"]}}, "'name'"),
         ],
-        ids=["list", "string", "no-reconstructed", "no-fidelity", "no-negativity",
-             "fidelity-null", "negativity-text", "spec-list"],
+        ids=["list", "string", "no-reconstructed", "reconstructed-null", "no-fidelity",
+             "no-negativity", "fidelity-null", "negativity-text", "fidelity-overflow",
+             "spec-list", "spec-name-list"],
     )
     def test_malformed_report_exit_2(self, report_path, capsys, edit, message):
         run_cli(
@@ -286,3 +346,61 @@ class TestEmitFigure:
         rows = [line.split(",") for line in open(csv_path).read().strip().split("\n")]
         m = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
         assert np.max(np.abs(m + m.T)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: [r], "JSON object"),
+            (lambda r: {k: v for k, v in r.items() if k != "reconstructed"}, "'reconstructed'"),
+            (lambda r: {**r, "reconstructed": None}, "'reconstructed'"),
+            (lambda r: {**r, "reconstructed": [1, 2]}, "JSON object"),
+            (lambda r: {**r, "reconstructed": {"n_qubits": 3}}, "'entries'"),
+            (lambda r: {**r, "reconstructed": {**r["reconstructed"], "n_qubits": [3]}},
+             "'n_qubits'"),
+            (lambda r: {**r, "reconstructed": {**r["reconstructed"], "n_qubits": "3"}},
+             "'n_qubits'"),
+            (lambda r: {**r, "reconstructed": {**r["reconstructed"], "n_qubits": 10**12}},
+             "'n_qubits'"),
+            (lambda r: {**r, "reconstructed": {
+                "n_qubits": 1, "entries": [[1.0, 0.0], [0.0, 0.0]]}}, "[re, im]"),
+            (lambda r: {**r, "reconstructed": {
+                "n_qubits": 1, "entries": [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]}},
+             "[re, im]"),
+            (lambda r: {**r, "reconstructed": {
+                "n_qubits": 1, "entries": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}},
+             "Hermitian"),
+        ],
+        ids=["list", "no-reconstructed", "reconstructed-null", "reconstructed-list",
+             "no-entries", "n_qubits-list", "n_qubits-text", "n_qubits-huge",
+             "entries-not-pairs", "pair-too-short", "not-hermitian"],
+    )
+    def test_malformed_report_exit_2(self, tmp_path, report_path, capsys, edit, message):
+        run_cli(
+            "run", "--experiment", "router-control0", "--tomography", "none",
+            "--no-timestamps", "--out", report_path,
+        )
+        report = edit(read_json(report_path))
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        csv_path = tmp_path / "fig.csv"
+        assert run_cli("emit-figure", "--report", report_path, "--part", "real",
+                       "--out", str(csv_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not csv_path.exists()
+
+
+def test_fuzzed_reports_exit_cleanly(tmp_path, report_path, one_parser):
+    run_cli(
+        "run", "--experiment", "router-superposition", "--noise", "ibmqx4", "--shots", "256",
+        "--no-timestamps", "--out", report_path,
+    )
+    report = read_json(report_path)
+    csv_path = str(tmp_path / "fig.csv")
+    codes = set()
+    for variant in fuzzed(report, np.random.default_rng(23), 300):
+        with open(report_path, "w") as f:
+            json.dump(variant, f)
+        codes.add(run_cli("verify", "--report", report_path))
+        codes.add(run_cli("emit-figure", "--report", report_path, "--part", "imag",
+                          "--out", csv_path))
+    assert codes <= {0, 1, 2, 3} and {0, 1, 2} <= codes

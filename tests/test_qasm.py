@@ -73,6 +73,12 @@ class TestParse:
         with pytest.raises(QasmSyntaxError):
             parse(HEADER + "qreg q[1]; creg c[1]; measure q[0] -> c[0]; h q[0];")
 
+    def test_gate_after_measure_with_late_creg(self):
+        c = parse(HEADER + "qreg q[2]; h q[0]; creg c[2]; measure q[0] -> c[1];")
+        assert (c.n_qubits, c.n_clbits, len(c.instructions)) == (2, 2, 2)
+        with pytest.raises(QasmSyntaxError, match="already measured"):
+            parse(HEADER + "qreg q[2]; h q[0]; creg c[2]; measure q[0] -> c[1]; h q[0];")
+
     def test_syntax_error_has_position(self):
         with pytest.raises(QasmSyntaxError) as e:
             parse(HEADER + "qreg q[1]\nh q[0];")

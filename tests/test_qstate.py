@@ -110,10 +110,38 @@ class TestDensityMatrix:
         assert np.allclose(again.matrix, rho.matrix)
         assert again.n_qubits == 3
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            None,
+            {"n_qubits": 1},
+            {"entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": "1", "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": 1.0, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": True, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": 10**12, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": -1, "entries": [[[1, 0]]]},
+            {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0]]]},
+            {"n_qubits": 1, "entries": [[1, 0], [0, 0]]},
+            {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0], [0]]]},
+            {"n_qubits": 1, "entries": [[["1", 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": 1, "entries": [[[None, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": 1, "entries": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"n_qubits": 1, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.2, 0]]]},
+        ],
+    )
+    def test_json_malformed_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            density_from_json(data)
+
 
 def brute_partial_trace(m, n, keep):
-    """Index-loop oracle, independent of the einsum implementation."""
-    keep = sorted(keep)
+    """Index-loop oracle, independent of the einsum implementation.
+
+    Bits are read in ``keep`` order, so new qubit i is old qubit ``keep[i]``.
+    """
     traced = [q for q in range(n) if q not in keep]
     k = len(keep)
     out = np.zeros((2**k, 2**k), dtype=complex)
@@ -161,6 +189,19 @@ class TestPartialTrace:
                     brute_partial_trace(rho.matrix, 3, keep),
                     atol=1e-12,
                 )
+
+    @pytest.mark.parametrize("keep", [[2, 0], [1, 0, 2], [2, 1]])
+    def test_unsorted_keep_permutes(self, keep):
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        rho = to_density(StateVector(3, amps / np.linalg.norm(amps)))
+        red = partial_trace(rho, keep).matrix
+        assert np.allclose(red, brute_partial_trace(rho.matrix, 3, keep), atol=1e-12)
+        rank = {q: i for i, q in enumerate(sorted(keep))}
+        sorted_then_permuted = permute_qubits(
+            partial_trace(rho, sorted(keep)), [rank[q] for q in keep]
+        )
+        assert np.array_equal(red, sorted_then_permuted.matrix)
 
     def test_sequential_equals_joint(self):
         rng = np.random.default_rng(3)
