@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -136,7 +137,7 @@ def run_experiment(args) -> dict:
         reconstructed = tomography.reconstruct(dataset)
         counts_file = args.counts_out or _sibling(args.out, ".counts.json")
         with open(counts_file, "w") as f:
-            json.dump(dataset.to_json(), f, indent=2, sort_keys=True)
+            f.write(json.dumps(dataset.to_json(), indent=2, sort_keys=True))
 
     fid = tomography.fidelity(reconstructed, target)
     # routed tomography sees one qubit; the entanglement metrics need them all
@@ -172,8 +173,7 @@ def run_experiment(args) -> dict:
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat()
         }
     with open(args.out, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -313,8 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             run_experiment(args)

@@ -19,12 +19,16 @@ from .gates import GATE_MATRICES
 from .noise import readout_flip
 from .qstate import DensityMatrix, pauli_matrix
 
-_ROTATIONS = {
-    "X": GATE_MATRICES["h"],
-    "Y": GATE_MATRICES["h"] @ GATE_MATRICES["sdg"],  # circuit order: sdg, then h
-    "Z": np.eye(2, dtype=complex),
-    "I": np.eye(2, dtype=complex),
-}
+# rotation into the Z basis for each setting letter, in the order of _ALPHABET
+_ALPHABET = np.frombuffer(b"IXYZ", dtype=np.uint8)
+_ROTATIONS = np.array(
+    [
+        np.eye(2, dtype=complex),
+        GATE_MATRICES["h"],
+        GATE_MATRICES["h"] @ GATE_MATRICES["sdg"],  # circuit order: sdg, then h
+        np.eye(2, dtype=complex),
+    ]
+)
 
 
 def settings_for(n: int) -> list[str]:
@@ -45,15 +49,38 @@ def observables_for(n: int) -> list[str]:
     ]
 
 
-def _basis_probs(rho: DensityMatrix, setting: str) -> np.ndarray:
-    r = _ROTATIONS[setting[0]]
-    for letter in setting[1:]:
-        # np.kron(r, b) (the same products), without np.kron's per-call overhead
-        b = _ROTATIONS[letter]
-        r = (r[:, None, :, None] * b[None, :, None, :]).reshape(2 * len(r), 2 * len(r))
-    probs = np.real(np.einsum("ij,jk,ik->i", r, rho.matrix, r.conj()))
+def _letters(strings, n: int, alphabet: str, what: str) -> np.ndarray:
+    """Byte codes of equal-length strings over ``alphabet`` as a (len, n) array."""
+    for x in strings:
+        if len(x) != n or not set(x) <= set(alphabet):
+            raise ValueError(f"{what} {x!r} is not {n} letters of {alphabet}")
+    return np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(len(strings), n)
+
+
+def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) -> np.ndarray:
+    """Outcome distribution of each setting as an (S, 2^n) array, rows in order.
+
+    Each row is bit-identical to one setting's kron-then-einsum Born
+    probabilities, clipped at 0 and normalised, then pushed through
+    ``readout_flip`` when ``p_readout`` is nonzero.
+    """
+    n = rho.n_qubits
+    # "IXYZ" is in byte order, so searchsorted maps each letter to its _ROTATIONS row
+    letters = np.searchsorted(_ALPHABET, _letters(settings, n, "IXYZ", "setting"))
+    r = _ROTATIONS[letters[:, 0]]
+    for q in range(1, n):
+        # np.kron of each setting's rotations (the same products), batched
+        b = _ROTATIONS[letters[:, q]]
+        d = 2 * r.shape[1]
+        r = (r[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, d, d)
+    # one einsum per row: a batched "sij,jk,sik->si" sums in another order
+    probs = np.array([np.einsum("ij,jk,ik->i", u, rho.matrix, u.conj()).real for u in r])
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    probs /= probs.sum(axis=1, keepdims=True)
+    if p_readout:
+        # row by row: a batched confusion contraction rounds differently
+        probs = np.array([readout_flip(p, p_readout) for p in probs])
+    return probs
 
 
 def sample_counts(
@@ -66,34 +93,22 @@ def sample_counts(
     """Draw outcome counts for one setting; deterministic for a fixed seed.
 
     Outcome keys are bitstrings with qubit 0 first. Sampling is
-    inverse-transform over the (readout-corrupted) Born distribution.
+    inverse-transform over the (readout-corrupted) Born distribution: this is
+    ``collect_dataset`` on the one setting, which draws from ``seed ^ 0 == seed``.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    if len(setting) != rho.n_qubits:
-        raise ValueError(f"setting {setting!r} does not match {rho.n_qubits} qubits")
-    probs = _basis_probs(rho, setting)
-    if p_readout:
-        probs = readout_flip(probs, p_readout)
-    rng = np.random.default_rng(seed)
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    # outcome i takes the draws in [edges[i-1], edges[i]): count draws below each edge
-    below = np.searchsorted(np.sort(rng.random(shots)), edges, side="left")
-    counts = np.diff(below, prepend=0)
-    n = rho.n_qubits
-    return {
-        format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0
-    }
+    return collect_dataset(rho, shots, seed, p_readout, [setting]).counts[setting]
 
 
 @dataclass
 class TomographyDataset:
     """Counts per measurement setting at a fixed shot budget.
 
-    ``seed`` is the master seed; setting index i sampled with seed ^ i, so
-    collection order (or parallelism) cannot change the data. RNG identity is
-    recorded so counts files are reproducible bit-for-bit.
+    ``seed`` is the master seed: ``collect_dataset`` draws setting index i
+    from ``default_rng(seed ^ i)``, so a setting's counts depend on its index
+    and distribution alone, never on how the other settings were sampled; the
+    one-pass sampler gives what per-setting ``sample_counts(..., seed ^ i)``
+    calls would. RNG identity is recorded so counts files are reproducible
+    bit-for-bit.
     """
 
     n_qubits: int
@@ -131,22 +146,38 @@ def collect_dataset(
     p_readout: float = 0.0,
     settings: list[str] | None = None,
 ) -> TomographyDataset:
-    """Sample every setting (default: the 3^n grid) into one dataset."""
+    """Sample every setting (default: the 3^n grid) into one dataset.
+
+    One array pass: the basis rotations of all S settings as one (S, 2^n, 2^n)
+    stack, then the Born probabilities, optional readout flips and cumulative
+    edges as (S, 2^n) arrays. Setting i draws ``shots`` uniforms from
+    ``default_rng(seed ^ i)`` into one reused buffer, sorts them, and counts
+    the draws below each edge (outcome j takes the draws in
+    [edges[j-1], edges[j])); no settings x shots matrix is ever formed.
+    """
+    n = rho.n_qubits
     if settings is None:
-        settings = settings_for(rho.n_qubits)
+        settings = settings_for(n)
+    settings = list(settings)
+    if not settings:
+        raise ValueError("need at least one measurement setting")
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    probs = _setting_probs(rho, settings, p_readout)
+    edges = np.cumsum(probs, axis=1)
+    edges[:, -1] = 1.0
+    below = np.empty(edges.shape, dtype=np.intp)
+    draws = np.empty(shots)
+    for i, row in enumerate(below):
+        np.random.default_rng(seed ^ i).random(out=draws)
+        draws.sort()
+        row[:] = np.searchsorted(draws, edges[i], side="left")
+    labels = [format(j, f"0{n}b") for j in range(2**n)]
     counts = {
-        s: sample_counts(rho, s, shots, seed ^ i, p_readout)
-        for i, s in enumerate(settings)
+        s: {label: c for label, c in zip(labels, row) if c}
+        for s, row in zip(settings, np.diff(below, axis=1, prepend=0).tolist())
     }
-    return TomographyDataset(rho.n_qubits, shots, seed, counts)
-
-
-def _letters(strings, n: int, alphabet: str, what: str) -> np.ndarray:
-    """Byte codes of equal-length strings over ``alphabet`` as a (len, n) array."""
-    for x in strings:
-        if len(x) != n or not set(x) <= set(alphabet):
-            raise ValueError(f"{what} {x!r} is not {n} letters of {alphabet}")
-    return np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(len(strings), n)
+    return TomographyDataset(n, shots, seed, counts)
 
 
 def expectation_values(

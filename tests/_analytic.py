@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from qrouter.gates import GATE_MATRICES
+
 C8 = np.cos(np.pi / 8)
 S8 = np.sin(np.pi / 8)
 PSI_S = np.array([C8, S8], dtype=complex)
@@ -41,3 +43,23 @@ def searchsorted_counts(probs, shots, seed):
     draws = np.random.default_rng(seed).random(shots)
     counts = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(probs))
     return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0}
+
+
+_ROTATIONS = {
+    "X": GATE_MATRICES["h"],
+    "Y": GATE_MATRICES["h"] @ GATE_MATRICES["sdg"],  # circuit order: sdg, then h
+    "Z": np.eye(2, dtype=complex),
+    "I": np.eye(2, dtype=complex),
+}
+
+
+def basis_probs(rho, setting):
+    """Reference Born probabilities of one setting: the kron of its rotations, then
+    one einsum, clipped at 0 and normalised."""
+    r = _ROTATIONS[setting[0]]
+    for letter in setting[1:]:
+        b = _ROTATIONS[letter]
+        r = (r[:, None, :, None] * b[None, :, None, :]).reshape(2 * len(r), 2 * len(r))
+    probs = np.real(np.einsum("ij,jk,ik->i", r, rho.matrix, r.conj()))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()

@@ -1,5 +1,4 @@
 import copy
-import functools
 import json
 
 import numpy as np
@@ -47,12 +46,6 @@ def mutate(doc, rng):
         return value
     parent[key] = value
     return doc
-
-
-@pytest.fixture
-def one_parser(monkeypatch):
-    """Build the argument parser once: the fuzz tests target the loaders, not argparse."""
-    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
 
 
 def fuzzed(doc, rng, count):
@@ -218,7 +211,7 @@ class TestRun:
         ) == 0
 
     @pytest.mark.filterwarnings("ignore:T2 = .* exceeds 2\\*T1")
-    def test_fuzzed_device_files_exit_cleanly(self, tmp_path, report_path, one_parser):
+    def test_fuzzed_device_files_exit_cleanly(self, tmp_path, report_path):
         device = {
             "qubits": [{"t1_us": 35.2, "t2_us": 38.1}, {"t1_us": 57.5, "t2_us": 40.5},
                        {"t1_us": 36.6, "t2_us": 54.8}],
@@ -243,6 +236,40 @@ class TestRun:
             "run", "--qasm", str(qasm_file), "--transpile", "ibmqx4",
             "--layout", "0,1,2,3,4", "--tomography", "none", "--out", report_path,
         ) == 3
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, tmp_path):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        missing = str(tmp_path / "missing.json")
+        calls = [
+            ["verify", "--report", missing],
+            ["emit-figure", "--report", missing, "--part", "real", "--out", missing],
+            ["verify", "--report", missing],
+        ]
+        try:
+            for argv in calls:
+                assert main(argv) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_options_do_not_carry_over_between_runs(self, tmp_path):
+        first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        custom_counts = str(tmp_path / "custom.counts.json")
+        common = ["run", "--experiment", "router-control0", "--transpile", "ibmqx4",
+                  "--shots", "64", "--no-timestamps"]  # fmt: skip
+        assert run_cli(*common, "--layout", "1,2,0", "--counts-out", custom_counts,
+                       "--out", first) == 0  # fmt: skip
+        assert run_cli(*common, "--out", second) == 0
+        a, b = read_json(first), read_json(second)
+        assert a["spec"]["layout"] == [1, 2, 0] and a["counts_file"] == custom_counts
+        assert b["spec"]["layout"] == list(cli.DEFAULT_LAYOUT)
+        assert b["counts_file"] == str(tmp_path / "b.counts.json")
+        assert read_json(b["counts_file"])["shots"] == 64
 
 
 class TestVerify:
@@ -389,7 +416,7 @@ class TestEmitFigure:
         assert not csv_path.exists()
 
 
-def test_fuzzed_reports_exit_cleanly(tmp_path, report_path, one_parser):
+def test_fuzzed_reports_exit_cleanly(tmp_path, report_path):
     run_cli(
         "run", "--experiment", "router-superposition", "--noise", "ibmqx4", "--shots", "256",
         "--no-timestamps", "--out", report_path,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
 from qrouter.qstate import DensityMatrix, StateVector, basis_state, to_density
 from qrouter.tomography import (
     TomographyDataset,
-    _basis_probs,
+    _setting_probs,
     collect_dataset,
     exact_expectations,
     expectation,
@@ -21,7 +23,7 @@ from qrouter.tomography import (
     settings_for,
 )
 
-from ._analytic import PLUS, PSI_S, loop_expectation, searchsorted_counts
+from ._analytic import PLUS, PSI_S, basis_probs, loop_expectation, searchsorted_counts
 
 
 def router_states():
@@ -214,7 +216,7 @@ class TestArrayEstimator:
         rho = DensityMatrix(n, np.diag(probs).astype(complex))
         for seed in range(5):
             got = sample_counts(rho, "Z" * n, 997, seed)
-            assert got == searchsorted_counts(_basis_probs(rho, "Z" * n), 997, seed)
+            assert got == searchsorted_counts(basis_probs(rho, "Z" * n), 997, seed)
             assert all(probs[int(k, 2)] > 0 for k in got)
 
     def test_counts_on_random_distributions(self):
@@ -226,9 +228,71 @@ class TestArrayEstimator:
             rho = DensityMatrix(n, np.diag(probs / probs.sum()).astype(complex))
             p_readout = 0.02 if trial % 2 else 0.0
             for setting in ("Z" * n, settings_for(n)[trial % 3**n]):
-                ref_probs = readout_flip(_basis_probs(rho, setting), p_readout)
+                ref_probs = readout_flip(basis_probs(rho, setting), p_readout)
                 got = sample_counts(rho, setting, 4096, trial, p_readout)
                 assert got == searchsorted_counts(ref_probs, 4096, trial)
+
+
+class TestOnePassSampler:
+    """``collect_dataset`` against the per-setting reference, exactly: the
+    kron-then-einsum probabilities, then unsorted draws from ``seed ^ i``
+    located in the cumulative edges."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mixed", "basis"])
+    def test_counts_equal_reference(self, n, kind):
+        if kind == "mixed":
+            rho = random_state(np.random.default_rng(40 + n), n)
+        else:  # zero-probability outcomes in every setting with a Z letter
+            rho = to_density(basis_state(n, 2**n - 2))
+        for settings in (settings_for(n), observables_for(n)):
+            for p_readout in (0.0, 0.02):
+                for shots in (1, 997, 8192):
+                    seed = 1000 * n + shots
+                    ds = collect_dataset(rho, shots, seed, p_readout, settings)
+                    assert list(ds.counts) == settings
+                    for i, s in enumerate(settings):
+                        ref = readout_flip(basis_probs(rho, s), p_readout)
+                        assert ds.counts[s] == searchsorted_counts(ref, shots, seed ^ i)
+                        assert all(ref[int(k, 2)] > 0 for k in ds.counts[s])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_probabilities_equal_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        settings = observables_for(n) if n <= 3 else settings_for(n)
+        for _ in range(8 if n <= 3 else 2):
+            rho = random_state(rng, n)
+            for p_readout in (0.0, 0.02):
+                probs = _setting_probs(rho, settings, p_readout)
+                assert probs.shape == (len(settings), 2**n)
+                for row, s in zip(probs, settings):
+                    ref = readout_flip(basis_probs(rho, s), p_readout)
+                    assert np.array_equal(row, ref), s
+
+    def test_no_settings_by_shots_matrix(self):
+        rho = random_state(np.random.default_rng(3), 3)
+        settings = observables_for(3)
+        collect_dataset(rho, 8192, 0, settings=settings)
+        tracemalloc.start()
+        try:
+            collect_dataset(rho, 8192, 1, settings=settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 63 x 8192 float64 draw matrix alone would be 4.1 MB
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("setting", ["QZ", "xz", "Z I", "XYZ", "X"])
+    def test_rejects_bad_setting(self, setting):
+        rho = to_density(basis_state(2, 0))
+        with pytest.raises(ValueError, match="setting"):
+            sample_counts(rho, setting, 10, 0)
+        with pytest.raises(ValueError, match="setting"):
+            collect_dataset(rho, 10, 0, settings=["ZZ", setting])
+
+    def test_rejects_empty_settings(self):
+        with pytest.raises(ValueError, match="at least one measurement setting"):
+            collect_dataset(to_density(basis_state(1, 0)), 10, 0, settings=[])
 
 
 class TestLinearInversion:
