@@ -89,6 +89,8 @@ def run_experiment(args) -> dict:
     seed = args.seed
     if shots < 1:
         raise SpecError("shots must be positive")
+    if seed < 0:
+        raise SpecError("seed must be a non-negative integer")
     if any(i.name == "measure" for i in circuit.instructions):
         raise SpecError("experiment circuits must not contain measure instructions")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import StateVector, basis_state
+from .qstate import StateVector
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -31,14 +31,6 @@ GATE_MATRICES = {
 GATE_ARITY = {name: int(np.log2(m.shape[0])) for name, m in GATE_MATRICES.items()}
 
 SINGLE_QUBIT_GATES = frozenset(g for g, k in GATE_ARITY.items() if k == 1)
-
-
-def gate_matrix(kind: str) -> np.ndarray:
-    """Unitary matrix of a named gate (copy; safe to mutate)."""
-    try:
-        return GATE_MATRICES[kind].copy()
-    except KeyError:
-        raise ValueError(f"unknown gate {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -253,10 +245,3 @@ def named_router_circuit(name: str) -> Circuit:
         raise ValueError(f"unknown router experiment {name!r}") from None
     return router_circuit(control, signal, name=name)
 
-
-def prep_state(spec) -> StateVector:
-    """Single-qubit state produced by running a preparation on |0>."""
-    c = Circuit(1)
-    for g in resolve_prep(spec):
-        c.add(g, 0)
-    return apply_circuit(c, basis_state(1, 0))

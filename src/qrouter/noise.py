@@ -7,16 +7,19 @@ here the ordering is below any test tolerance, but it is pinned so runs are
 reproducible.
 
 The simulator folds that sequence into one 4^k x 4^k superoperator per
-distinct (gate, qubits) of the circuit, built once per simulation: the
-product, in the pinned order, of K (x) K* summed over each stage's Kraus
-operators (Nielsen & Chuang section 8.2). It acts on rho, held as a (2,)*2n
-tensor, with one call of the kernel ``gates`` uses for state vectors (on the
-row and column axes of the gate's qubits); the result is validated as a
-``DensityMatrix`` once per simulation, not after every step.
+distinct (gate, qubits): the product, in the pinned order, of K (x) K* summed
+over each stage's Kraus operators (Nielsen & Chuang section 8.2). Superoperators
+depend only on the model, so each is built once per process and kept in a
+bounded per-model cache; the T2 > 2*T1 clamping warnings raised while building
+one are raised again on every simulation that uses it. A superoperator acts on
+rho, held as a (2,)*2n tensor, with one call of the kernel ``gates`` uses for
+state vectors (on the row and column axes of the gate's qubits); the result is
+validated as a ``DensityMatrix`` once per simulation, not after every step.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import warnings
@@ -237,7 +240,12 @@ def _damping_superop(params: QubitParams, dur: float) -> np.ndarray:
     return _superop(pd.operators) @ _superop(ad.operators)
 
 
-def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel, depol) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _depolarizing_superop(p: float, n_qubits: int) -> np.ndarray:
+    return _superop(depolarizing(p, n_qubits).operators)
+
+
+def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.ndarray:
     """One noisy gate in the pinned order: unitary, depolarizing, then each qubit's
     damping. Indices run over (row qubits, column qubits) of ``qubits``."""
     k = len(qubits)
@@ -247,7 +255,24 @@ def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel, depol) 
         # damping on different qubits commutes; (r0 c0)x(r1 c1) -> (r0 r1 c0 c1)
         pair = [m.reshape(2, 2, 2, 2) for m in damp]
         damp = [np.einsum("acxz,bdyw->abcdxyzw", *pair).reshape(16, 16)]
-    return damp[0] @ depol[k] @ _superop((GATE_MATRICES[name],))
+    depol = _depolarizing_superop(model.p2 if k == 2 else model.p1, k)
+    return damp[0] @ depol @ _superop((GATE_MATRICES[name],))
+
+
+def _noisy_gate(name: str, qubits: tuple[int, ...], model: NoiseModel):
+    """``_gate_superop`` (read-only) with the warnings its build raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sop = _gate_superop(name, qubits, model)
+    sop.flags.writeable = False
+    return sop, tuple(w.message for w in caught)
+
+
+@functools.lru_cache(maxsize=16)
+def _model_superops(model: NoiseModel) -> dict:
+    """``_noisy_gate`` results of one model by (gate, qubits), filled as circuits
+    need them; at most one entry per distinct gate placement the model runs."""
+    return {}
 
 
 def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
@@ -264,11 +289,8 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
     rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho[(0,) * (2 * n)] = 1.0
 
-    depol = {
-        1: _superop(depolarizing(model.p1, 1).operators),
-        2: _superop(depolarizing(model.p2, 2).operators),
-    }
-    superops: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+    superops = _model_superops(model)
+    clamped = {}
     for instr in c.instructions:
         if instr.name == "barrier":
             continue
@@ -277,8 +299,14 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
         if instr.name not in GATE_MATRICES:
             raise ValueError(f"unsupported gate {instr.name!r}")
         key = (instr.name, instr.qubits)
-        if key not in superops:
-            superops[key] = _gate_superop(instr.name, instr.qubits, model, depol)
+        entry = superops.get(key)
+        if entry is None:
+            entry = superops[key] = _noisy_gate(instr.name, instr.qubits, model)
+        sop, notes = entry
+        for note in notes:
+            clamped[str(note)] = note
         axes = instr.qubits + tuple(n + q for q in instr.qubits)
-        rho = _apply_tensor(rho, superops[key], axes)
+        rho = _apply_tensor(rho, sop, axes)
+    for note in clamped.values():
+        warnings.warn(note, stacklevel=2)
     return DensityMatrix(n, rho.reshape(2**n, 2**n))

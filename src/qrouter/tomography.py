@@ -92,9 +92,9 @@ def sample_counts(
 ) -> dict[str, int]:
     """Draw outcome counts for one setting; deterministic for a fixed seed.
 
-    Outcome keys are bitstrings with qubit 0 first. Sampling is
-    inverse-transform over the (readout-corrupted) Born distribution: this is
-    ``collect_dataset`` on the one setting, which draws from ``seed ^ 0 == seed``.
+    Outcome keys are bitstrings with qubit 0 first. This is ``collect_dataset``
+    on the one setting, so its counts are setting index 0 of master ``seed``:
+    one multinomial draw over the (readout-corrupted) Born distribution.
     """
     return collect_dataset(rho, shots, seed, p_readout, [setting]).counts[setting]
 
@@ -104,18 +104,19 @@ class TomographyDataset:
     """Counts per measurement setting at a fixed shot budget.
 
     ``seed`` is the master seed: ``collect_dataset`` draws setting index i
-    from ``default_rng(seed ^ i)``, so a setting's counts depend on its index
-    and distribution alone, never on how the other settings were sampled; the
-    one-pass sampler gives what per-setting ``sample_counts(..., seed ^ i)``
-    calls would. RNG identity is recorded so counts files are reproducible
-    bit-for-bit.
+    from ``default_rng(SeedSequence([seed, i]))``, so a setting's counts
+    depend on (seed, index, distribution) alone, never on how the other
+    settings were sampled, and distinct (seed, index) pairs get independent
+    streams. ``rng_name`` names that derivation so counts files are
+    reproducible bit-for-bit; a file without one predates it (``seed ^ i``
+    streams and sorted uniform draws) and loads as ``"numpy-pcg64"``.
     """
 
     n_qubits: int
     shots: int
     seed: int
     counts: dict[str, dict[str, int]]
-    rng_name: str = "numpy-pcg64"
+    rng_name: str = "numpy-pcg64-seedseq-multinomial"
 
     def to_json(self) -> dict:
         return {
@@ -148,12 +149,11 @@ def collect_dataset(
 ) -> TomographyDataset:
     """Sample every setting (default: the 3^n grid) into one dataset.
 
-    One array pass: the basis rotations of all S settings as one (S, 2^n, 2^n)
-    stack, then the Born probabilities, optional readout flips and cumulative
-    edges as (S, 2^n) arrays. Setting i draws ``shots`` uniforms from
-    ``default_rng(seed ^ i)`` into one reused buffer, sorts them, and counts
-    the draws below each edge (outcome j takes the draws in
-    [edges[j-1], edges[j])); no settings x shots matrix is ever formed.
+    The basis rotations of all S settings form one (S, 2^n, 2^n) stack, and
+    the Born probabilities with optional readout flips one (S, 2^n) array.
+    Setting i's counts are then one ``multinomial(shots, probs[i])`` draw
+    from ``default_rng(SeedSequence([seed, i]))``: the exact distribution of
+    ``shots`` i.i.d. shots, at a cost that does not grow with ``shots``.
     """
     n = rho.n_qubits
     if settings is None:
@@ -163,20 +163,15 @@ def collect_dataset(
         raise ValueError("need at least one measurement setting")
     if shots < 1:
         raise ValueError("shots must be positive")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     probs = _setting_probs(rho, settings, p_readout)
-    edges = np.cumsum(probs, axis=1)
-    edges[:, -1] = 1.0
-    below = np.empty(edges.shape, dtype=np.intp)
-    draws = np.empty(shots)
-    for i, row in enumerate(below):
-        np.random.default_rng(seed ^ i).random(out=draws)
-        draws.sort()
-        row[:] = np.searchsorted(draws, edges[i], side="left")
     labels = [format(j, f"0{n}b") for j in range(2**n)]
-    counts = {
-        s: {label: c for label, c in zip(labels, row) if c}
-        for s, row in zip(settings, np.diff(below, axis=1, prepend=0).tolist())
-    }
+    counts = {}
+    for i, (s, row) in enumerate(zip(settings, probs)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        drawn = rng.multinomial(shots, row).tolist()
+        counts[s] = {label: c for label, c in zip(labels, drawn) if c}
     return TomographyDataset(n, shots, seed, counts)
 
 
@@ -272,14 +267,6 @@ def reconstruct(dataset: TomographyDataset) -> DensityMatrix:
     """Full pipeline: expectations -> linear inversion -> physicality projection."""
     exps = expectation_values(dataset)
     return project_to_physical(linear_inversion(exps, dataset.n_qubits))
-
-
-def exact_expectations(rho: DensityMatrix) -> dict[str, float]:
-    """Noise-free <P> = Tr(P rho) for every non-identity observable."""
-    return {
-        p: float(np.real(np.trace(pauli_matrix(p) @ rho.matrix)))
-        for p in observables_for(rho.n_qubits)
-    }
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -2,12 +2,38 @@
 
 import numpy as np
 
-from qrouter.gates import GATE_MATRICES
+from qrouter.gates import GATE_MATRICES, Circuit, apply_circuit, resolve_prep
+from qrouter.qstate import basis_state, pauli_matrix
+from qrouter.tomography import observables_for
 
 C8 = np.cos(np.pi / 8)
 S8 = np.sin(np.pi / 8)
 PSI_S = np.array([C8, S8], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+
+
+def gate_matrix(kind: str) -> np.ndarray:
+    """Unitary matrix of a named gate (copy; safe to mutate)."""
+    try:
+        return GATE_MATRICES[kind].copy()
+    except KeyError:
+        raise ValueError(f"unknown gate {kind!r}") from None
+
+
+def prep_state(spec):
+    """Single-qubit state produced by running a preparation on |0>."""
+    c = Circuit(1)
+    for g in resolve_prep(spec):
+        c.add(g, 0)
+    return apply_circuit(c, basis_state(1, 0))
+
+
+def exact_expectations(rho):
+    """Noise-free <P> = Tr(P rho) for every non-identity observable."""
+    return {
+        p: float(np.real(np.trace(pauli_matrix(p) @ rho.matrix)))
+        for p in observables_for(rho.n_qubits)
+    }
 
 
 def psi_f_amplitudes():
@@ -35,13 +61,12 @@ def loop_expectation(dataset, pauli):
     return float(np.mean(values))
 
 
-def searchsorted_counts(probs, shots, seed):
-    """Reference sampler: each unsorted draw located in the cumulative edges."""
+def multinomial_counts(probs, shots, seed, index):
+    """Reference sampler: setting ``index`` of master ``seed`` is one multinomial
+    draw of ``shots`` from its own ``SeedSequence([seed, index])`` stream."""
     n = int(np.log2(len(probs)))
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    draws = np.random.default_rng(seed).random(shots)
-    counts = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(probs))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    counts = rng.multinomial(shots, probs)
     return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0}
 
 

@@ -9,7 +9,6 @@ from qrouter.gates import (
     circuit_unitary,
     fredkin_circuit,
     named_router_circuit,
-    prep_state,
     router_circuit,
 )
 from qrouter.noise import (
@@ -29,14 +28,13 @@ from qrouter.qstate import (
 )
 from qrouter.tomography import (
     collect_dataset,
-    exact_expectations,
     fidelity,
     linear_inversion,
     project_to_physical,
     reconstruct,
 )
 
-from ._analytic import C8, PLUS, PSI_S, psi_f_amplitudes
+from ._analytic import C8, PLUS, PSI_S, exact_expectations, prep_state, psi_f_amplitudes
 
 EXPERIMENTS = ["router-superposition", "router-control0", "router-control1"]
 

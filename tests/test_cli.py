@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qrouter import cli
+from qrouter import cli, noise
 from qrouter.cli import main
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
@@ -226,6 +226,17 @@ class TestRun:
                 "--tomography", "none", "--no-timestamps", "--out", report_path,
             ))
         assert codes <= {0, 1, 2, 3} and {0, 1, 2} <= codes
+        cache = noise._model_superops.cache_info()
+        assert cache.currsize <= cache.maxsize
+
+    @pytest.mark.parametrize("mode", ["full", "routed", "none"])
+    def test_negative_seed_exit_1(self, report_path, capsys, mode):
+        code = run_cli(
+            "run", "--experiment", "router-control0", "--tomography", mode,
+            "--seed", "-1", "--no-timestamps", "--out", report_path,
+        )
+        assert code == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_unroutable_exit_3(self, tmp_path, report_path):
         qasm_file = tmp_path / "c.qasm"

@@ -7,9 +7,7 @@ from qrouter.gates import (
     circuit_unitary,
     embed_gate,
     fredkin_circuit,
-    gate_matrix,
     named_router_circuit,
-    prep_state,
     router_circuit,
 )
 from qrouter.qstate import (
@@ -20,7 +18,7 @@ from qrouter.qstate import (
     to_density,
 )
 
-from ._analytic import PLUS, PSI_S, psi_f_amplitudes
+from ._analytic import PLUS, PSI_S, gate_matrix, prep_state, psi_f_amplitudes
 
 
 def cswap_permutation():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,41 @@ class TestFusedSimulator:
         with pytest.warns(UserWarning, match="clamping dephasing rate"):
             reference = per_kraus_reference(c, model)
         assert np.max(np.abs(rho.matrix - reference.matrix)) <= 1e-12
+
+    def test_unphysical_t2_warns_on_every_call(self):
+        model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
+        c = Circuit(2).add("h", 0).add("cx", 0, 1)
+        runs = []
+        for _ in range(2):  # the second call reads the cached superoperators
+            with pytest.warns(UserWarning, match="clamping dephasing rate"):
+                runs.append(simulate_noisy(c, model).matrix)
+        assert np.array_equal(*runs)
+        # a circuit that never touches the unphysical qubit does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_noisy(Circuit(2).add("x", 1), model)
+
+    def test_models_share_no_superoperators(self):
+        models = [ibmqx4_model(), SECOND_MODEL, ibmqx4_model(p1=2e-3), ibmqx4_model()]
+        circuits = list(equivalence_circuits())[:6]
+        for model in models + models[::-1]:
+            for label, c in circuits:
+                fused = simulate_noisy(c, model).matrix
+                reference = per_kraus_reference(c, model).matrix
+                assert np.max(np.abs(fused - reference)) <= 1e-12, label
+
+    def test_cache_is_bounded(self):
+        c = Circuit(2).add("h", 0).add("cx", 0, 1)
+        limit = noise._model_superops.cache_info().maxsize
+        for i in range(3 * limit):
+            simulate_noisy(c, zero_model(p1=i * 1e-4))
+            simulate_noisy(c, zero_model(p1=i * 1e-4))
+            assert noise._model_superops.cache_info().currsize <= limit
+        # one entry per distinct gate placement, however often it runs
+        model = zero_model(p1=0.0)
+        for _ in range(3):
+            simulate_noisy(c, model)
+        assert len(noise._model_superops(model)) == 2
 
     def test_one_contraction_per_gate_and_one_validation(self, monkeypatch):
         contractions = []

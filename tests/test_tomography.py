@@ -10,7 +10,6 @@ from qrouter.tomography import (
     TomographyDataset,
     _setting_probs,
     collect_dataset,
-    exact_expectations,
     expectation,
     expectation_values,
     fidelity,
@@ -23,7 +22,14 @@ from qrouter.tomography import (
     settings_for,
 )
 
-from ._analytic import PLUS, PSI_S, basis_probs, loop_expectation, searchsorted_counts
+from ._analytic import (
+    PLUS,
+    PSI_S,
+    basis_probs,
+    exact_expectations,
+    loop_expectation,
+    multinomial_counts,
+)
 
 
 def router_states():
@@ -95,10 +101,20 @@ class TestSampleCounts:
 
 class TestDataset:
     def test_collection_order_independent(self):
-        rho = to_density(StateVector(1, PSI_S))
-        ds = collect_dataset(rho, 200, 7)
-        for i, s in enumerate(settings_for(1)):
-            assert ds.counts[s] == sample_counts(rho, s, 200, 7 ^ i)
+        # setting i's counts depend on (seed, i, its distribution) alone
+        rho = random_state(np.random.default_rng(5), 2)
+        settings = settings_for(2)
+        ds = collect_dataset(rho, 500, 7, settings=settings)
+        for i, s in enumerate(settings):
+            assert ds.counts[s] == multinomial_counts(basis_probs(rho, s), 500, 7, i)
+        for j in range(len(settings)):
+            changed = list(settings)
+            changed[j] = "II"  # another distribution at index j
+            other = collect_dataset(rho, 500, 7, settings=changed)
+            assert other.counts["II"] == multinomial_counts(basis_probs(rho, "II"), 500, 7, j)
+            assert all(other.counts[s] == ds.counts[s] for s in settings if s != settings[j])
+            head = collect_dataset(rho, 500, 7, settings=settings[: j + 1])
+            assert head.counts == {s: ds.counts[s] for s in settings[: j + 1]}
 
     def test_json_round_trip(self):
         ds = collect_dataset(to_density(basis_state(1, 0)), 100, 3, p_readout=0.02)
@@ -108,6 +124,12 @@ class TestDataset:
     def test_json_schema_keys(self):
         data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
         assert set(data) >= {"shots", "seed", "settings", "rng"}
+        assert data["rng"] == "numpy-pcg64-seedseq-multinomial"
+
+    def test_file_without_rng_loads_as_legacy(self):
+        data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
+        del data["rng"]
+        assert TomographyDataset.from_json(data).rng_name == "numpy-pcg64"
 
 
 class TestExpectation:
@@ -167,7 +189,7 @@ def estimator_datasets():
 
 
 class TestArrayEstimator:
-    """The array estimator and sorted-draw sampler against the loop references, exactly."""
+    """The array estimator and the sampler against the loop references, exactly."""
 
     @pytest.mark.parametrize(
         "ds", [pytest.param(ds, id=label) for label, ds in estimator_datasets()]
@@ -216,7 +238,7 @@ class TestArrayEstimator:
         rho = DensityMatrix(n, np.diag(probs).astype(complex))
         for seed in range(5):
             got = sample_counts(rho, "Z" * n, 997, seed)
-            assert got == searchsorted_counts(basis_probs(rho, "Z" * n), 997, seed)
+            assert got == multinomial_counts(basis_probs(rho, "Z" * n), 997, seed, 0)
             assert all(probs[int(k, 2)] > 0 for k in got)
 
     def test_counts_on_random_distributions(self):
@@ -230,13 +252,13 @@ class TestArrayEstimator:
             for setting in ("Z" * n, settings_for(n)[trial % 3**n]):
                 ref_probs = readout_flip(basis_probs(rho, setting), p_readout)
                 got = sample_counts(rho, setting, 4096, trial, p_readout)
-                assert got == searchsorted_counts(ref_probs, 4096, trial)
+                assert got == multinomial_counts(ref_probs, 4096, trial, 0)
 
 
 class TestOnePassSampler:
     """``collect_dataset`` against the per-setting reference, exactly: the
-    kron-then-einsum probabilities, then unsorted draws from ``seed ^ i``
-    located in the cumulative edges."""
+    kron-then-einsum probabilities, then one multinomial draw from
+    ``SeedSequence([seed, i])``."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["mixed", "basis"])
@@ -253,7 +275,7 @@ class TestOnePassSampler:
                     assert list(ds.counts) == settings
                     for i, s in enumerate(settings):
                         ref = readout_flip(basis_probs(rho, s), p_readout)
-                        assert ds.counts[s] == searchsorted_counts(ref, shots, seed ^ i)
+                        assert ds.counts[s] == multinomial_counts(ref, shots, seed, i)
                         assert all(ref[int(k, 2)] > 0 for k in ds.counts[s])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -293,6 +315,53 @@ class TestOnePassSampler:
     def test_rejects_empty_settings(self):
         with pytest.raises(ValueError, match="at least one measurement setting"):
             collect_dataset(to_density(basis_state(1, 0)), 10, 0, settings=[])
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3"])
+    def test_rejects_bad_seed(self, seed):
+        rho = to_density(basis_state(1, 0))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            collect_dataset(rho, 10, seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_counts(rho, "Z", 10, seed)
+
+
+class TestSamplerStatistics:
+    """Properties of the draws themselves, independent of how they are derived."""
+
+    def test_every_seed_and_setting_has_its_own_stream(self):
+        # every grid setting of the maximally mixed state has the same uniform
+        # distribution, so equal counts would mean a shared stream
+        rho = DensityMatrix(3, np.eye(8, dtype=complex) / 8)
+        seen = set()
+        for seed in range(100):
+            for counts in collect_dataset(rho, 1000, seed).counts.values():
+                seen.add(tuple(sorted(counts.items())))
+        assert len(seen) == 100 * 27
+
+    def test_mean_counts_within_five_sigma(self):
+        _, rho = next(router_states())  # router-superposition
+        settings = settings_for(3)
+        shots, seeds = 8192, 400
+        probs = np.array([basis_probs(rho, s) for s in settings])
+        total = np.zeros(probs.shape)
+        for seed in range(seeds):
+            ds = collect_dataset(rho, shots, seed)
+            for row, s in zip(total, settings):
+                for outcome, c in ds.counts[s].items():
+                    row[int(outcome, 2)] += c
+        mean = total / seeds
+        sigma = np.sqrt(shots * probs * (1 - probs) / seeds)
+        assert np.all(np.abs(mean - shots * probs) <= 5 * sigma + 1e-9)
+
+    def test_counts_sum_to_shots_on_possible_outcomes(self):
+        for _, rho in router_states():
+            for settings in (settings_for(3), observables_for(3)):
+                probs = {s: basis_probs(rho, s) for s in settings}
+                for seed in range(20):
+                    ds = collect_dataset(rho, 997, seed, settings=settings)
+                    for s, counts in ds.counts.items():
+                        assert sum(counts.values()) == 997
+                        assert all(probs[s][int(k, 2)] > 0 for k in counts), s
 
 
 class TestLinearInversion:
