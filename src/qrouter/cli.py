@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error (a malformed
 device file, coupling map or report included), 3 unroutable circuit, and for
 ``verify`` 1 when any check fails. An invalid ``reconstructed`` density
 matrix exits 2 in ``emit-figure`` and is a failed check (1) in ``verify``.
+``verify`` recomputes the fidelity (and, unless the report is of routed
+tomography, the negativity) from ``reconstructed`` and ``ideal_state``; a stored
+value that differs by more than 1e-9 is a failed check, and an ``ideal_state``
+that is not a normalised state of matching size exits 2.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from . import qasm, tomography
 from .gates import ROUTER_EXPERIMENTS, apply_circuit, named_router_circuit
 from .qstate import (
     DensityMatrix,
+    StateVector,
+    _is_number,
     basis_state,
     density_from_json,
     density_to_json,
@@ -39,6 +45,7 @@ from .qstate import (
 
 DEFAULT_SHOTS = 8192
 DEFAULT_LAYOUT = (2, 0, 1)  # keeps every router CNOT edge-adjacent on ibmqx4
+RECOMPUTE_TOL = 1e-9  # stored vs recomputed report numbers in ``verify``
 
 
 class SpecError(Exception):
@@ -74,12 +81,8 @@ def _resolve_circuit(args):
     return "custom", circuit
 
 
-def _routed_qubit(experiment: str) -> int:
-    if experiment == "router-control0":
-        return 1
-    if experiment == "router-control1":
-        return 2
-    raise SpecError("routed-qubit tomography applies only to router-control0/control1")
+# the qubit that carries the signal in each classically controlled router
+_ROUTED_QUBIT = {"router-control0": 1, "router-control1": 2}
 
 
 def run_experiment(args) -> dict:
@@ -99,6 +102,8 @@ def run_experiment(args) -> dict:
 
     exec_circuit = circuit
     layout = None
+    if args.layout and not args.transpile:
+        raise SpecError("--layout applies only together with --transpile")
     if args.transpile:
         cmap = qasm.get_coupling_map(args.transpile)
         layout = (
@@ -126,7 +131,9 @@ def run_experiment(args) -> dict:
 
     state, target = rho, ideal_dm
     if args.tomography == "routed":
-        q = _routed_qubit(experiment)
+        if experiment not in _ROUTED_QUBIT:
+            raise SpecError("routed-qubit tomography applies only to router-control0/control1")
+        q = _ROUTED_QUBIT[experiment]
         state, target = partial_trace(rho, [q]), partial_trace(ideal_dm, [q])
     reconstructed, counts_file = rho, None
     if args.tomography != "none":
@@ -144,12 +151,8 @@ def run_experiment(args) -> dict:
     fid = tomography.fidelity(reconstructed, target)
     # routed tomography sees one qubit; the entanglement metrics need them all
     scored = rho if args.tomography == "routed" else reconstructed
-    if scored.n_qubits >= 2:
-        neg = negativity(scored, [0], list(range(1, scored.n_qubits)))
-        ent = von_neumann_entropy(partial_trace(scored, [0]))
-    else:
-        neg = 0.0
-        ent = von_neumann_entropy(scored)
+    neg = _control_negativity(scored)
+    ent = von_neumann_entropy(partial_trace(scored, [0]) if scored.n_qubits >= 2 else scored)
 
     report = {
         "spec": {
@@ -179,6 +182,13 @@ def run_experiment(args) -> dict:
     return report
 
 
+def _control_negativity(rho: DensityMatrix) -> float:
+    """Negativity across control (qubit 0) | the other qubits; 0 for one qubit."""
+    if rho.n_qubits < 2:
+        return 0.0
+    return negativity(rho, [0], list(range(1, rho.n_qubits)))
+
+
 def _sibling(path: str, suffix: str) -> str:
     p = Path(path)
     return str(p.with_name(p.stem + suffix))
@@ -204,6 +214,20 @@ def _report_number(report: dict, key: str) -> float:
         raise ReportError(f"report {key!r} is not a number: {report[key]!r}") from None
 
 
+def _report_ideal(report: dict) -> DensityMatrix:
+    """The report's 'ideal_state' amplitude pairs as a density matrix."""
+    amps = report.get("ideal_state")
+    if not isinstance(amps, list) or not all(
+        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in amps
+    ):
+        raise ReportError("report 'ideal_state' must be a list of [re, im] number pairs")
+    try:
+        psi = StateVector(len(amps).bit_length() - 1, [complex(re, im) for re, im in amps])
+    except (ValueError, OverflowError) as e:
+        raise ReportError(f"report 'ideal_state': {e}") from None
+    return to_density(psi)
+
+
 def emit_figure(args) -> None:
     report = _load_report(args.report)
     try:
@@ -226,18 +250,42 @@ def verify(args) -> int:
     spec = report.get("spec", {})
     if not isinstance(spec, dict):
         raise ReportError("report 'spec' must be an object")
+    name = spec.get("name", "custom")
+    if not isinstance(name, str):
+        raise ReportError(f"report spec 'name' is not a string: {name!r}")
+    ideal = _report_ideal(report)
     checks: list[tuple[str, bool, str]] = []
 
     try:
-        density_from_json(report["reconstructed"])
+        rho = density_from_json(report["reconstructed"])
     except ValueError as e:
         print(f"FAIL density-matrix invariants: {e}")
         return 1
     checks.append(("density-matrix invariants", True, "Hermitian, trace 1, PSD"))
 
-    name = spec.get("name", "custom")
-    if not isinstance(name, str):
-        raise ReportError(f"report spec 'name' is not a string: {name!r}")
+    routed = spec.get("tomography") == "routed"
+    target = ideal
+    if routed:
+        q = _ROUTED_QUBIT.get(name)
+        if q is None or q >= ideal.n_qubits:
+            raise ReportError(f"routed report of {name!r} has no routed qubit")
+        target = partial_trace(ideal, [q])
+    if target.dim != rho.dim:
+        raise ReportError(
+            f"report 'ideal_state' gives {target.n_qubits} scored qubits, "
+            f"'reconstructed' has {rho.n_qubits}"
+        )
+    recomputed = [("fidelity", fid, tomography.fidelity(rho, target))]
+    if not routed:  # routed negativity is of the full state, which is not stored
+        recomputed.append(("negativity", neg, _control_negativity(rho)))
+    for key, stored, value in recomputed:
+        checks.append(
+            (
+                f"{key} recomputed",
+                abs(stored - value) <= RECOMPUTE_TOL,
+                f"stored {stored:.12g}, recomputed {value:.12g}",
+            )
+        )
     noisy = spec.get("noise", "none") != "none"
 
     checks.append(

@@ -207,22 +207,28 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubits) -> DensityMatrix
 
 
 def readout_flip(probs, p_readout: float):
-    """Push an outcome distribution through independent per-qubit bit flips."""
+    """Push outcome distributions through independent per-qubit bit flips.
+
+    ``probs`` is one distribution of length 2^n, or a stack of them along the
+    last axis; the confusion matrix acts on each qubit of that axis and the
+    result has the input's shape.
+    """
     if not 0.0 <= p_readout <= 1.0:
         raise ValueError(f"probability {p_readout} outside [0, 1]")
-    probs = np.asarray(probs, dtype=float).reshape(-1)
-    n = int(np.log2(probs.shape[0]))
-    if 2**n != probs.shape[0]:
-        raise ValueError("distribution length must be a power of 2")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
+    probs = np.array(probs, dtype=float, ndmin=1)
+    size = probs.shape[-1]
+    if size == 0 or size & (size - 1):
+        raise ValueError("distribution length must be a positive power of 2")
+    if np.any(probs < -1e-12) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("input is not a probability distribution")
     if p_readout == 0.0:
-        return probs.copy()
+        return probs
     confusion = np.array([[1 - p_readout, p_readout], [p_readout, 1 - p_readout]])
-    t = probs.reshape((2,) * n)
-    for axis in range(n):
+    lead, n = probs.ndim - 1, size.bit_length() - 1
+    t = probs.reshape(probs.shape[:-1] + (2,) * n)
+    for axis in range(lead, lead + n):
         t = _apply_tensor(t, confusion, (axis,))
-    return t.reshape(-1)
+    return t.reshape(probs.shape)
 
 
 def _superop(ops) -> np.ndarray:

@@ -60,9 +60,9 @@ def _letters(strings, n: int, alphabet: str, what: str) -> np.ndarray:
 def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) -> np.ndarray:
     """Outcome distribution of each setting as an (S, 2^n) array, rows in order.
 
-    Each row is bit-identical to one setting's kron-then-einsum Born
-    probabilities, clipped at 0 and normalised, then pushed through
-    ``readout_flip`` when ``p_readout`` is nonzero.
+    The Born probabilities of every rotated basis come from one batched
+    contraction, are clipped at 0 and normalised per row, then pass through
+    ``readout_flip`` as one stack when ``p_readout`` is nonzero.
     """
     n = rho.n_qubits
     # "IXYZ" is in byte order, so searchsorted maps each letter to its _ROTATIONS row
@@ -73,14 +73,10 @@ def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) ->
         b = _ROTATIONS[letters[:, q]]
         d = 2 * r.shape[1]
         r = (r[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, d, d)
-    # one einsum per row: a batched "sij,jk,sik->si" sums in another order
-    probs = np.array([np.einsum("ij,jk,ik->i", u, rho.matrix, u.conj()).real for u in r])
+    probs = np.einsum("sij,jk,sik->si", r, rho.matrix, r.conj()).real
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
-    if p_readout:
-        # row by row: a batched confusion contraction rounds differently
-        probs = np.array([readout_flip(p, p_readout) for p in probs])
-    return probs
+    return readout_flip(probs, p_readout) if p_readout else probs
 
 
 def sample_counts(
@@ -181,32 +177,35 @@ def expectation_values(
     """Estimate <P> for each of ``paulis`` (default: every non-identity observable).
 
     One integer counts matrix (settings x 2^n) times a +-1 parity matrix gives
-    every (setting, observable) total; each estimate is the mean over the
-    observable's compatible settings in dataset order.
+    every (setting, observable) total; masked to the compatible settings and
+    summed, each total is divided by (compatible settings x shots), so every
+    estimate is the mean over the settings that measure its observable.
     """
     n = dataset.n_qubits
     if paulis is None:
         paulis = observables_for(n)
     obs = _letters(paulis, n, "IXYZ", "pauli")
     settings = _letters(list(dataset.counts), n, "IXYZ", "setting")
-    index = {format(i, f"0{n}b"): i for i in range(2**n)}
-    counts = np.zeros((len(settings), 2**n), dtype=np.int64)
-    for row, outcomes in zip(counts, dataset.counts.values()):
-        for outcome, c in outcomes.items():
-            if outcome not in index:
-                raise ValueError(f"outcome {outcome!r} is not a {n}-bit string")
-            row[index[outcome]] = c
+    labels = [format(i, f"0{n}b") for i in range(2**n)]
+    known = set(labels)
+    for outcomes in dataset.counts.values():
+        bad = outcomes.keys() - known
+        if bad:
+            raise ValueError(f"outcome {min(bad, key=repr)!r} is not a {n}-bit string")
+    counts = np.array(
+        [[outcomes.get(label, 0) for label in labels] for outcomes in dataset.counts.values()],
+        dtype=np.int64,
+    ).reshape(len(settings), 2**n)
     support = obs != ord("I")
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1 - 2 * ((bits @ support.T) % 2)
-    values = (counts @ signs) / dataset.shots
     compatible = np.all((settings[:, None, :] == obs[None, :, :]) | ~support[None], axis=2)
-    out = {}
-    for j, pauli in enumerate(paulis):
-        if not compatible[:, j].any():
-            raise ValueError(f"no measurement setting compatible with {pauli!r}")
-        out[pauli] = float(np.mean(values[compatible[:, j], j]))
-    return out
+    k = compatible.sum(axis=0)
+    if not k.all():
+        pauli = paulis[int(np.argmin(k))]
+        raise ValueError(f"no measurement setting compatible with {pauli!r}")
+    values = ((counts @ signs) * compatible).sum(axis=0) / (k * dataset.shots)
+    return dict(zip(paulis, values.tolist()))
 
 
 def expectation(dataset: TomographyDataset, pauli: str) -> float:
@@ -219,22 +218,29 @@ def expectation(dataset: TomographyDataset, pauli: str) -> float:
 
 
 def linear_inversion(expectations: dict[str, float], n: int) -> np.ndarray:
-    """rho_hat = 2^-n sum_P <P> P; Hermitian and unit-trace, possibly non-PSD."""
-    dim = 2**n
-    m = np.eye(dim, dtype=complex)  # the implicit all-I term, <I...I> = 1
-    for pauli in observables_for(n):
-        if pauli not in expectations:
-            raise ValueError(f"missing expectation for {pauli!r}")
-        m = m + expectations[pauli] * pauli_matrix(pauli)
-    return m / dim
+    """rho_hat = 2^-n (I + sum_P <P> P); Hermitian and unit-trace, possibly non-PSD.
+
+    The sum over the 4^n - 1 observables is one contraction of the
+    expectation vector with the stack of their Pauli matrices.
+    """
+    paulis = observables_for(n)
+    try:
+        e = np.array([expectations[p] for p in paulis], dtype=float)
+    except KeyError as err:
+        raise ValueError(f"missing expectation for {err.args[0]!r}") from None
+    stack = np.array([pauli_matrix(p) for p in paulis])
+    return (np.eye(2**n) + np.tensordot(e, stack, axes=1)) / 2**n
 
 
 def project_to_physical(m: np.ndarray) -> DensityMatrix:
-    """Water-filling projection of a near-physical Hermitian estimate.
+    """Closest density matrix to a near-physical Hermitian estimate.
 
-    Repeatedly zeroes the most-negative eigenvalue and spreads its weight
-    equally over the remaining nonzero eigenvalues; a PSD input passes
-    through unchanged.
+    The closed form of Smolin, Gambetta and Smith (arXiv:1106.5458): with the
+    eigenvalues sorted in descending order, the largest k with
+    lambda_k > (lambda_1 + ... + lambda_k - t) / k, t the eigenvalue total,
+    fixes one shift; every eigenvalue moves down by it and is clipped at 0,
+    which spreads the negative mass equally over the surviving eigenvalues.
+    A PSD input passes through unchanged up to the final normalisation.
     """
     m = np.asarray(m, dtype=complex)
     if np.max(np.abs(m - m.conj().T)) > 1e-6:
@@ -244,19 +250,10 @@ def project_to_physical(m: np.ndarray) -> DensityMatrix:
         raise ValueError(f"input trace {tr} is not approximately 1")
     herm = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(herm)
-    vals = vals.real.copy()
-    zeroed = np.zeros(vals.shape, dtype=bool)
-    while vals.min() < 0:
-        i = int(np.argmin(vals))
-        deficit = vals[i]
-        vals[i] = 0.0
-        zeroed[i] = True
-        alive = ~zeroed & (vals != 0)
-        if not alive.any():
-            # deficit with nothing left to absorb it; trace fixes below
-            break
-        vals[alive] += deficit / alive.sum()
-    vals = np.clip(vals, 0.0, None)
+    csum = np.cumsum(vals[::-1])
+    shifts = (csum - csum[-1]) / np.arange(1, len(vals) + 1)
+    shift = shifts[np.flatnonzero(vals[::-1] > shifts)[-1]]
+    vals = np.clip(vals - shift, 0.0, None)
     vals /= vals.sum()
     out = (vecs * vals) @ vecs.conj().T
     n = int(np.log2(m.shape[0]))

@@ -88,3 +88,34 @@ def basis_probs(rho, setting):
     probs = np.real(np.einsum("ij,jk,ik->i", r, rho.matrix, r.conj()))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
+
+
+def loop_inversion(expectations, n):
+    """Reference linear inversion: 2^-n (I + sum_P <P> P), one matrix add per Pauli."""
+    dim = 2**n
+    m = np.eye(dim, dtype=complex)  # the implicit all-I term, <I...I> = 1
+    for pauli in observables_for(n):
+        m = m + expectations[pauli] * pauli_matrix(pauli)
+    return m / dim
+
+
+def water_filling(m):
+    """Reference projection onto density matrices: repeatedly zero the most
+    negative eigenvalue and spread its weight equally over the remaining
+    nonzero ones, then normalise the trace."""
+    herm = (m + m.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(herm)
+    zeroed = np.zeros(vals.shape, dtype=bool)
+    while vals.min() < 0:
+        i = int(np.argmin(vals))
+        deficit = vals[i]
+        vals[i] = 0.0
+        zeroed[i] = True
+        alive = ~zeroed & (vals != 0)
+        if not alive.any():
+            break
+        vals[alive] += deficit / alive.sum()
+    vals = np.clip(vals, 0.0, None)
+    vals /= vals.sum()
+    out = (vecs * vals) @ vecs.conj().T
+    return (out + out.conj().T) / 2.0

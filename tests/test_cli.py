@@ -238,6 +238,17 @@ class TestRun:
         assert code == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout", ["9,9,9", "2,0,1"])
+    def test_layout_without_transpile_exit_1(self, report_path, capsys, layout):
+        code = run_cli(
+            "run", "--experiment", "router-control0", "--layout", layout,
+            "--tomography", "none", "--out", report_path,
+        )
+        assert code == 1
+        assert "--layout applies only together with --transpile" in capsys.readouterr().err
+        with pytest.raises(FileNotFoundError):
+            read_json(report_path)
+
     def test_unroutable_exit_3(self, tmp_path, report_path):
         qasm_file = tmp_path / "c.qasm"
         qasm_file.write_text(
@@ -311,6 +322,77 @@ class TestVerify:
             json.dump(report, f)
         assert run_cli("verify", "--report", report_path) != 0
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["full", "routed", "none"])
+    def test_recomputed_numbers_pass(self, report_path, capsys, mode):
+        run_cli(
+            "run", "--experiment", "router-control1", "--noise", "ibmqx4",
+            "--tomography", mode, "--seed", "2", "--no-timestamps", "--out", report_path,
+        )
+        assert run_cli("verify", "--report", report_path) == 0
+        out = capsys.readouterr().out
+        assert "PASS fidelity recomputed" in out
+        assert ("PASS negativity recomputed" in out) == (mode != "routed")
+
+    @pytest.mark.parametrize("mode", ["full", "routed"])
+    def test_edited_fidelity_fails(self, report_path, capsys, mode):
+        # 0.95 lies inside the noisy band, so only the recomputation catches it
+        run_cli(
+            "run", "--experiment", "router-control1", "--noise", "ibmqx4",
+            "--tomography", mode, "--seed", "2", "--no-timestamps", "--out", report_path,
+        )
+        report = read_json(report_path)
+        assert abs(report["fidelity"] - 0.95) > 1e-3
+        report["fidelity"] = 0.95
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        assert run_cli("verify", "--report", report_path) == 1
+        out = capsys.readouterr().out
+        assert "FAIL fidelity recomputed: stored 0.95" in out
+        assert "PASS fidelity band" in out
+
+    def test_relabelled_negativity_fails(self, report_path, capsys):
+        # a classically controlled report passed off as the entangling router
+        run_cli(
+            "run", "--experiment", "router-control0", "--seed", "4",
+            "--no-timestamps", "--out", report_path,
+        )
+        report = read_json(report_path)
+        report["spec"]["name"] = "router-superposition"
+        report["negativity"] = 0.5
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        assert run_cli("verify", "--report", report_path) == 1
+        out = capsys.readouterr().out
+        assert "FAIL negativity recomputed: stored 0.5" in out
+        assert "PASS entanglement generated" in out
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: {k: v for k, v in r.items() if k != "ideal_state"}, "'ideal_state'"),
+            (lambda r: {**r, "ideal_state": None}, "'ideal_state'"),
+            (lambda r: {**r, "ideal_state": [[1.0, 0.0, 0.0]]}, "[re, im]"),
+            (lambda r: {**r, "ideal_state": [[1.0, "0"]]}, "[re, im]"),
+            (lambda r: {**r, "ideal_state": [[1.0, 0.0]] * 8}, "normalized"),
+            (lambda r: {**r, "ideal_state": [[1.0, 0.0]] + [[0.0, 0.0]] * 6}, "amplitudes"),
+            (lambda r: {**r, "ideal_state": [[1.0, 0.0], [0.0, 0.0]]}, "scored qubits"),
+            (lambda r: {**r, "spec": {**r["spec"], "tomography": "routed", "name": "custom"}},
+             "routed qubit"),
+        ],
+        ids=["missing", "null", "triple", "text", "unnormalised", "length-7", "one-qubit",
+             "routed-custom"],
+    )
+    def test_malformed_ideal_state_exit_2(self, report_path, capsys, edit, message):
+        run_cli(
+            "run", "--experiment", "router-superposition", "--tomography", "none",
+            "--no-timestamps", "--out", report_path,
+        )
+        report = edit(read_json(report_path))
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        assert run_cli("verify", "--report", report_path) == 2
+        assert message in capsys.readouterr().err
 
     def test_unreadable_report_exit_2(self, tmp_path):
         assert run_cli("verify", "--report", str(tmp_path / "missing.json")) == 2

@@ -241,6 +241,27 @@ class TestReadoutFlip:
         with pytest.raises(ValueError):
             readout_flip([0.5, 0.2], 0.1)
 
+    @pytest.mark.parametrize("probs", [[], np.zeros((3, 0)), [0.2, 0.3, 0.5]])
+    def test_rejects_length_not_a_power_of_two(self, probs):
+        for p_readout in (0.0, 0.02):
+            with pytest.raises(ValueError, match="power of 2"):
+                readout_flip(probs, p_readout)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batched_equals_row_by_row(self, n):
+        rng = np.random.default_rng(70 + n)
+        stack = rng.random((2, 5, 2**n)) * (rng.random((2, 5, 2**n)) < 0.7)
+        stack[..., 0] += 0.1
+        stack /= stack.sum(axis=-1, keepdims=True)
+        tol = 4**n * np.finfo(float).eps
+        for p_readout in (0.0, 0.02, 0.5):
+            out = readout_flip(stack, p_readout)
+            assert out.shape == stack.shape
+            for row, got in zip(stack.reshape(-1, 2**n), out.reshape(-1, 2**n)):
+                assert np.max(np.abs(got - readout_flip(row, p_readout))) <= tol
+        with pytest.raises(ValueError, match="probability distribution"):
+            readout_flip(np.stack([stack[0, 0], 2 * stack[0, 0]]), 0.02)
+
 
 class TestSimulateNoisy:
     def test_zero_noise_matches_pure_simulation(self):
