@@ -10,9 +10,11 @@ device file, coupling map or report included), 3 unroutable circuit, and for
 ``verify`` 1 when any check fails. An invalid ``reconstructed`` density
 matrix exits 2 in ``emit-figure`` and is a failed check (1) in ``verify``.
 ``verify`` recomputes the fidelity (and, unless the report is of routed
-tomography, the negativity) from ``reconstructed`` and ``ideal_state``; a stored
-value that differs by more than 1e-9 is a failed check, and an ``ideal_state``
-that is not a normalised state of matching size exits 2.
+tomography, the negativity and the control entropy) from ``reconstructed`` and
+``ideal_state``; a stored value that differs by more than 1e-9 is a failed check,
+and an ``ideal_state`` that is not a normalised state of matching size exits 2.
+``run`` rejects (exit 1) an executed register wider than 12 qubits and full
+tomography of more than 6, before any state is formed.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .qstate import (
 DEFAULT_SHOTS = 8192
 DEFAULT_LAYOUT = (2, 0, 1)  # keeps every router CNOT edge-adjacent on ibmqx4
 RECOMPUTE_TOL = 1e-9  # stored vs recomputed report numbers in ``verify``
+MAX_QUBITS = 12  # widest executed register: its density matrix is 4^12 complex = 268 MB
+MAX_TOMOGRAPHY_QUBITS = 6  # literal-mode rotation stack: (4^6 - 1) * 4^6 complex = 268 MB
 
 
 class SpecError(Exception):
@@ -97,15 +101,20 @@ def run_experiment(args) -> dict:
     if any(i.name == "measure" for i in circuit.instructions):
         raise SpecError("experiment circuits must not contain measure instructions")
 
-    ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
-    ideal_dm = to_density(ideal)
+    if args.layout and not args.transpile:
+        raise SpecError("--layout applies only together with --transpile")
+    cmap = qasm.get_coupling_map(args.transpile) if args.transpile else None
+    width = circuit.n_qubits if cmap is None else cmap.n_qubits
+    if width > MAX_QUBITS:
+        raise SpecError(f"executed register of {width} qubits; at most {MAX_QUBITS} are simulated")
+    if args.tomography == "full" and circuit.n_qubits > MAX_TOMOGRAPHY_QUBITS:
+        raise SpecError(
+            f"tomography of {circuit.n_qubits} qubits; at most {MAX_TOMOGRAPHY_QUBITS} are run"
+        )
 
     exec_circuit = circuit
     layout = None
-    if args.layout and not args.transpile:
-        raise SpecError("--layout applies only together with --transpile")
-    if args.transpile:
-        cmap = qasm.get_coupling_map(args.transpile)
+    if cmap is not None:
         layout = (
             tuple(int(x) for x in args.layout.split(","))
             if args.layout
@@ -117,6 +126,8 @@ def run_experiment(args) -> dict:
             qasm.apply_layout(circuit, layout, cmap.n_qubits), cmap
         )
 
+    ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
+    ideal_dm = to_density(ideal)
     if model is not None:
         rho = noise_mod.simulate_noisy(exec_circuit, model)
     elif layout is not None:
@@ -152,7 +163,7 @@ def run_experiment(args) -> dict:
     # routed tomography sees one qubit; the entanglement metrics need them all
     scored = rho if args.tomography == "routed" else reconstructed
     neg = _control_negativity(scored)
-    ent = von_neumann_entropy(partial_trace(scored, [0]) if scored.n_qubits >= 2 else scored)
+    ent = _control_entropy(scored)
 
     report = {
         "spec": {
@@ -187,6 +198,11 @@ def _control_negativity(rho: DensityMatrix) -> float:
     if rho.n_qubits < 2:
         return 0.0
     return negativity(rho, [0], list(range(1, rho.n_qubits)))
+
+
+def _control_entropy(rho: DensityMatrix) -> float:
+    """Von Neumann entropy (bits) of the control qubit 0, or of the one qubit."""
+    return von_neumann_entropy(partial_trace(rho, [0]) if rho.n_qubits >= 2 else rho)
 
 
 def _sibling(path: str, suffix: str) -> str:
@@ -247,6 +263,7 @@ def verify(args) -> int:
     report = _load_report(args.report)
     fid = _report_number(report, "fidelity")
     neg = _report_number(report, "negativity")
+    ent = _report_number(report, "entropy_control_bits")
     spec = report.get("spec", {})
     if not isinstance(spec, dict):
         raise ReportError("report 'spec' must be an object")
@@ -276,8 +293,9 @@ def verify(args) -> int:
             f"'reconstructed' has {rho.n_qubits}"
         )
     recomputed = [("fidelity", fid, tomography.fidelity(rho, target))]
-    if not routed:  # routed negativity is of the full state, which is not stored
+    if not routed:  # routed negativity and entropy are of the full state, which is not stored
         recomputed.append(("negativity", neg, _control_negativity(rho)))
+        recomputed.append(("entropy_control_bits", ent, _control_entropy(rho)))
     for key, stored, value in recomputed:
         checks.append(
             (

@@ -4,7 +4,8 @@ Supported statements: the ``OPENQASM 2.0;`` header, ``include`` (ignored),
 one ``qreg`` and one ``creg``, the fixed gate set (h/x/s/sdg/t/tdg/cx),
 ``measure`` and ``barrier``, with ``//`` comments. Everything else is a
 positioned parse error; the parser never raises anything but ``QasmError``
-subclasses on malformed text.
+subclasses on malformed text. Tokens carry only their offset into the text;
+the 1-based line and column are computed from it when an error is raised.
 """
 
 from __future__ import annotations
@@ -68,187 +69,129 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _position(src: str, off: int) -> tuple[int, int]:
+    """1-based (line, col) of ``off``; end of input is column 1 of the last line."""
+    line = src.count("\n", 0, off) + 1
+    return line, (off - src.rfind("\n", 0, off) if off < len(src) else 1)
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens, closed by an ``end`` token at ``len(src)``."""
     tokens = []
-    line, col = 1, 1
     for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
         if kind == "bad":
-            raise QasmSyntaxError(f"unexpected character {text!r}", line, col)
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
+            raise QasmSyntaxError(f"unexpected character {m.group()!r}", *_position(src, m.start()))
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "end of input", len(src)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], end_line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = end_line
-
-    def _here(self):
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return t.line, t.col
-        return self.end_line, 1
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        t = self.peek()
-        if t is None:
-            line, col = self._here()
-            raise QasmSyntaxError("unexpected end of input", line, col)
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
-        t = self.peek()
-        if t is None or t.kind != kind or (text is not None and t.text != text):
-            line, col = self._here()
-            want = what or (text if text is not None else kind)
-            got = t.text if t is not None else "end of input"
-            raise QasmSyntaxError(f"expected {want!r}, got {got!r}", line, col)
-        self.pos += 1
-        return t
 
 
 def parse(src: str) -> Circuit:
     """Parse QASM source into a Circuit; raises positioned QasmError on failure."""
     tokens = _tokenize(src)
-    p = _Parser(tokens, src.count("\n") + 1)
+    if tokens[0][:2] != ("id", "OPENQASM"):
+        raise MissingHeaderError(
+            "program must start with 'OPENQASM 2.0;'", *_position(src, tokens[0][2])
+        )
+    i = 1
 
-    first = p.peek()
-    if first is None or not (first.kind == "id" and first.text == "OPENQASM"):
-        line, col = p._here()
-        raise MissingHeaderError("program must start with 'OPENQASM 2.0;'", line, col)
-    p.take()
-    ver = p.expect("num", what="version number")
-    if ver.text != "2.0":
-        raise QasmSyntaxError(f"unsupported OPENQASM version {ver.text}", ver.line, ver.col)
-    p.expect("sym", ";")
+    def take(what: str, kind: str | None = None) -> tuple[str, int]:
+        """Next token's text and offset; it must be of ``kind``, else have the text ``what``."""
+        nonlocal i
+        k, text, off = tokens[i]
+        if (k != kind) if kind else (text != what):
+            raise QasmSyntaxError(f"expected {what!r}, got {text!r}", *_position(src, off))
+        i += 1
+        return text, off
 
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
-    circuit = Circuit(0)
+    def bracketed(what: str) -> tuple[str, int]:
+        """``[n]`` with an integer literal n: its text and offset."""
+        take("[")
+        text, off = take(what, "num")
+        if "." in text:
+            raise QasmSyntaxError(f"{what} must be an integer", *_position(src, off))
+        take("]")
+        return text, off
 
-    def operand(expect_reg: tuple[str, int] | None, reg_role: str) -> int:
-        name = p.expect("id", what=f"{reg_role} register operand")
-        if expect_reg is None:
-            raise QasmSyntaxError(f"no {reg_role} register declared", name.line, name.col)
-        if name.text != expect_reg[0]:
-            raise QasmSyntaxError(f"unknown register {name.text!r}", name.line, name.col)
-        p.expect("sym", "[")
-        idx = p.expect("num", what="index")
-        if "." in idx.text:
-            raise QasmSyntaxError("index must be an integer", idx.line, idx.col)
-        p.expect("sym", "]")
-        i = int(idx.text)
-        if i >= expect_reg[1]:
+    regs: dict[str, tuple[str, int]] = {}  # "qreg"/"creg" -> (name, size)
+
+    def operand(kw: str) -> int:
+        role = "quantum" if kw == "qreg" else "classical"
+        name, off = take(f"{role} register operand", "id")
+        if kw not in regs:
+            raise QasmSyntaxError(f"no {role} register declared", *_position(src, off))
+        reg, size = regs[kw]
+        if name != reg:
+            raise QasmSyntaxError(f"unknown register {name!r}", *_position(src, off))
+        text, off = bracketed("index")
+        index = int(text)
+        if index >= size:
             raise IndexOutOfRangeError(
-                f"index {i} out of range for {expect_reg[0]}[{expect_reg[1]}]",
-                idx.line,
-                idx.col,
+                f"index {index} out of range for {reg}[{size}]", *_position(src, off)
             )
-        return i
+        return index
 
-    while p.peek() is not None:
-        t = p.take()
-        if t.kind != "id":
-            raise QasmSyntaxError(f"expected a statement, got {t.text!r}", t.line, t.col)
-        kw = t.text
-
+    ver, off = take("version number", "num")
+    if ver != "2.0":
+        raise QasmSyntaxError(f"unsupported OPENQASM version {ver}", *_position(src, off))
+    take(";")
+    circuit = Circuit(0)
+    while tokens[i][0] != "end":
+        kind, kw, off = tokens[i]
+        i += 1
+        if kind != "id":
+            raise QasmSyntaxError(f"expected a statement, got {kw!r}", *_position(src, off))
         if kw == "OPENQASM":
-            raise QasmSyntaxError("duplicate OPENQASM header", t.line, t.col)
-
+            raise QasmSyntaxError("duplicate OPENQASM header", *_position(src, off))
         if kw == "include":
-            p.expect("str", what="include filename")
-            p.expect("sym", ";")
+            take("include filename", "str")
+            take(";")
             continue
-
         if kw in ("qreg", "creg"):
-            name = p.expect("id", what="register name")
-            p.expect("sym", "[")
-            size = p.expect("num", what="register size")
-            if "." in size.text:
-                raise QasmSyntaxError("register size must be an integer", size.line, size.col)
-            p.expect("sym", "]")
-            p.expect("sym", ";")
-            n = int(size.text)
-            if n < 1:
-                raise QasmSyntaxError("register size must be positive", size.line, size.col)
-            if (qreg if kw == "qreg" else creg) is not None:
+            name, name_off = take("register name", "id")
+            text, size_off = bracketed("register size")
+            take(";")
+            size = int(text)
+            if size < 1:
+                raise QasmSyntaxError("register size must be positive", *_position(src, size_off))
+            if kw in regs:
                 raise DuplicateRegisterError(
-                    f"only one {kw} is supported", name.line, name.col
+                    f"only one {kw} is supported", *_position(src, name_off)
                 )
-            if kw == "qreg":
-                qreg = (name.text, n)
-                circuit.n_qubits = n
-            else:
-                creg = (name.text, n)
-                circuit.n_clbits = n
+            regs[kw] = (name, size)
+            setattr(circuit, "n_qubits" if kw == "qreg" else "n_clbits", size)
             continue
-
         if kw in GATE_MATRICES:
-            qubits = [operand(qreg, "quantum")]
+            qubits = [operand("qreg")]
             for _ in range(GATE_ARITY[kw] - 1):
-                p.expect("sym", ",")
-                qubits.append(operand(qreg, "quantum"))
-            p.expect("sym", ";")
+                take(",")
+                qubits.append(operand("qreg"))
+            take(";")
             if len(set(qubits)) != len(qubits):
-                raise IndexOutOfRangeError(
-                    f"repeated operand q[{qubits[0]}]", t.line, t.col
-                )
-            try:
-                circuit.add(kw, *qubits)
-            except ValueError as e:
-                raise QasmSyntaxError(str(e), t.line, t.col) from None
-            continue
-
-        if kw == "measure":
-            q = operand(qreg, "quantum")
-            p.expect("arrow", what="->")
-            c = operand(creg, "classical")
-            p.expect("sym", ";")
-            try:
-                circuit.measure(q, c)
-            except ValueError as e:
-                raise QasmSyntaxError(str(e), t.line, t.col) from None
-            continue
-
-        if kw == "barrier":
-            qubits = []
-            nxt = p.peek()
-            if nxt is not None and nxt.kind == "id":
-                qubits.append(operand(qreg, "quantum"))
-                while p.peek() is not None and p.peek().text == ",":
-                    p.take()
-                    qubits.append(operand(qreg, "quantum"))
-            p.expect("sym", ";")
-            try:
-                circuit.barrier(*qubits) if qubits else circuit.barrier()
-            except ValueError as e:
-                raise QasmSyntaxError(str(e), t.line, t.col) from None
-            continue
-
-        raise UnknownGateError(f"unknown gate or statement {kw!r}", t.line, t.col)
-
+                raise IndexOutOfRangeError(f"repeated operand q[{qubits[0]}]", *_position(src, off))
+            append, args = circuit.add, (kw, *qubits)
+        elif kw == "measure":
+            q = operand("qreg")
+            take("->")
+            append, args = circuit.measure, (q, operand("creg"))
+            take(";")
+        elif kw == "barrier":
+            args = []
+            if tokens[i][0] == "id":
+                args.append(operand("qreg"))
+                while tokens[i][1] == ",":
+                    i += 1
+                    args.append(operand("qreg"))
+            take(";")
+            append = circuit.barrier
+        else:
+            raise UnknownGateError(f"unknown gate or statement {kw!r}", *_position(src, off))
+        try:
+            append(*args)
+        except ValueError as e:  # a qubit already measured, or a repeated barrier operand
+            raise QasmSyntaxError(str(e), *_position(src, off)) from None
     return circuit
 
 

@@ -249,6 +249,47 @@ class TestRun:
         with pytest.raises(FileNotFoundError):
             read_json(report_path)
 
+    @pytest.mark.parametrize(
+        "width, tomography, message",
+        [
+            (13, "none", "executed register of 13 qubits; at most 12"),
+            (40, "full", "executed register of 40 qubits; at most 12"),
+            (7, "full", "tomography of 7 qubits; at most 6"),
+        ],
+    )
+    def test_too_wide_qasm_exit_1_before_any_state(
+        self, tmp_path, report_path, capsys, monkeypatch, width, tomography, message
+    ):
+        monkeypatch.setattr(cli, "apply_circuit", None)  # any simulation would raise
+        qasm_file = tmp_path / "wide.qasm"
+        qasm_file.write_text(f"OPENQASM 2.0;\nqreg q[{width}];\nh q[0];\n")
+        assert run_cli(
+            "run", "--qasm", str(qasm_file), "--tomography", tomography, "--out", report_path,
+        ) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", [13, 40])
+    def test_too_wide_coupling_map_exit_1_before_any_state(
+        self, tmp_path, report_path, capsys, monkeypatch, width
+    ):
+        monkeypatch.setattr(cli, "apply_circuit", None)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"n_qubits": width, "edges": [[1, 0], [2, 0], [2, 1]]}))
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--transpile", str(path),
+            "--tomography", "none", "--out", report_path,
+        ) == 1
+        assert f"executed register of {width} qubits" in capsys.readouterr().err
+
+    def test_seven_qubits_without_tomography_run(self, tmp_path, report_path):
+        qasm_file = tmp_path / "seven.qasm"
+        qasm_file.write_text("OPENQASM 2.0;\nqreg q[7];\nh q[0];\ncx q[0], q[6];\n")
+        assert run_cli(
+            "run", "--qasm", str(qasm_file), "--tomography", "none", "--no-timestamps",
+            "--out", report_path,
+        ) == 0
+        assert run_cli("verify", "--report", report_path) == 0
+
     def test_unroutable_exit_3(self, tmp_path, report_path):
         qasm_file = tmp_path / "c.qasm"
         qasm_file.write_text(
@@ -333,6 +374,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS fidelity recomputed" in out
         assert ("PASS negativity recomputed" in out) == (mode != "routed")
+        assert ("PASS entropy_control_bits recomputed" in out) == (mode != "routed")
 
     @pytest.mark.parametrize("mode", ["full", "routed"])
     def test_edited_fidelity_fails(self, report_path, capsys, mode):
@@ -350,6 +392,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL fidelity recomputed: stored 0.95" in out
         assert "PASS fidelity band" in out
+
+    def test_edited_entropy_fails(self, report_path, capsys):
+        # no band checks the entropy, so only the recomputation catches the edit
+        run_cli(
+            "run", "--experiment", "router-control0", "--noise", "ibmqx4",
+            "--seed", "3", "--no-timestamps", "--out", report_path,
+        )
+        report = read_json(report_path)
+        assert abs(report["entropy_control_bits"] - 0.5) > 1e-3
+        report["entropy_control_bits"] = 0.5
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        assert run_cli("verify", "--report", report_path) == 1
+        out = capsys.readouterr().out
+        assert "FAIL entropy_control_bits recomputed: stored 0.5," in out
+        assert out.count("FAIL") == 1
 
     def test_relabelled_negativity_fails(self, report_path, capsys):
         # a classically controlled report passed off as the entangling router
@@ -409,11 +467,16 @@ class TestVerify:
             (lambda r: {**r, "fidelity": None}, "'fidelity' is not a number"),
             (lambda r: {**r, "negativity": "high"}, "'negativity' is not a number"),
             (lambda r: {**r, "fidelity": 10**400}, "'fidelity' is not a number"),
+            (lambda r: {k: v for k, v in r.items() if k != "entropy_control_bits"},
+             "'entropy_control_bits'"),
+            (lambda r: {**r, "entropy_control_bits": [0.5]},
+             "'entropy_control_bits' is not a number"),
             (lambda r: {**r, "spec": ["router-control0"]}, "'spec'"),
             (lambda r: {**r, "spec": {**r["spec"], "name": ["router-control0"]}}, "'name'"),
         ],
         ids=["list", "string", "no-reconstructed", "reconstructed-null", "no-fidelity",
              "no-negativity", "fidelity-null", "negativity-text", "fidelity-overflow",
+             "no-entropy", "entropy-list",
              "spec-list", "spec-name-list"],
     )
     def test_malformed_report_exit_2(self, report_path, capsys, edit, message):

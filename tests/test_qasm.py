@@ -85,6 +85,166 @@ class TestParse:
         assert e.value.line >= 3
 
 
+Q = HEADER + "qreg q[2];\ncreg c[2];\n"
+
+# One malformed program per raise site in ``parse``: class, message, line, col.
+PARSE_ERRORS = [
+    ("bad-char", HEADER + "qreg q[1];\nh q[0]; @",
+     QasmSyntaxError, "unexpected character '@'", 4, 9),
+    ("bad-char-after-tab-comment", HEADER + "// note\n\tqreg q[1]; $",
+     QasmSyntaxError, "unexpected character '$'", 4, 13),
+    ("no-header", "qreg q[1];",
+     MissingHeaderError, "program must start with 'OPENQASM 2.0;'", 1, 1),
+    ("empty", "",
+     MissingHeaderError, "program must start with 'OPENQASM 2.0;'", 1, 1),
+    ("only-comment", "// nothing here\n  ",
+     MissingHeaderError, "program must start with 'OPENQASM 2.0;'", 2, 1),
+    ("version", "OPENQASM 3.0;",
+     QasmSyntaxError, "unsupported OPENQASM version 3.0", 1, 10),
+    ("version-missing", "OPENQASM ;",
+     QasmSyntaxError, "expected 'version number', got ';'", 1, 10),
+    ("header-semicolon-eof", "OPENQASM 2.0",
+     QasmSyntaxError, "expected ';', got 'end of input'", 1, 1),
+    ("header-semicolon-eof-newlines", "OPENQASM 2.0\n\n",
+     QasmSyntaxError, "expected ';', got 'end of input'", 3, 1),
+    ("duplicate-header", HEADER + "OPENQASM 2.0;",
+     QasmSyntaxError, "duplicate OPENQASM header", 3, 1),
+    ("include-filename", "OPENQASM 2.0;\ninclude qelib1;",
+     QasmSyntaxError, "expected 'include filename', got 'qelib1'", 2, 9),
+    ("include-semicolon", 'OPENQASM 2.0;\ninclude "qelib1.inc"\nqreg q[1];',
+     QasmSyntaxError, "expected ';', got 'qreg'", 3, 1),
+    ("statement", HEADER + "qreg q[1];\n; h q[0];",
+     QasmSyntaxError, "expected a statement, got ';'", 4, 1),
+    ("statement-number", HEADER + "  2 q[0];",
+     QasmSyntaxError, "expected a statement, got '2'", 3, 3),
+    ("register-name", HEADER + "qreg [2];",
+     QasmSyntaxError, "expected 'register name', got '['", 3, 6),
+    ("register-bracket", HEADER + "qreg q 2;",
+     QasmSyntaxError, "expected '[', got '2'", 3, 8),
+    ("register-size", HEADER + "qreg q[];",
+     QasmSyntaxError, "expected 'register size', got ']'", 3, 8),
+    ("register-close", HEADER + "qreg q[2;",
+     QasmSyntaxError, "expected ']', got ';'", 3, 9),
+    ("register-semicolon", HEADER + "creg c[2]\n",
+     QasmSyntaxError, "expected ';', got 'end of input'", 4, 1),
+    ("register-size-real", HEADER + "qreg q[1.5];",
+     QasmSyntaxError, "register size must be an integer", 3, 8),
+    ("register-size-zero", HEADER + "qreg q[0];",
+     QasmSyntaxError, "register size must be positive", 3, 8),
+    ("second-qreg", HEADER + "qreg q[1];\nqreg r[1];",
+     DuplicateRegisterError, "only one qreg is supported", 4, 6),
+    ("second-creg", Q + "creg d[1];",
+     DuplicateRegisterError, "only one creg is supported", 5, 6),
+    ("no-qreg", HEADER + "h q[0];",
+     QasmSyntaxError, "no quantum register declared", 3, 3),
+    ("no-creg", HEADER + "qreg q[1];\nmeasure q[0] -> c[0];",
+     QasmSyntaxError, "no classical register declared", 4, 17),
+    ("unknown-qreg", Q + "x r[0];",
+     QasmSyntaxError, "unknown register 'r'", 5, 3),
+    ("unknown-creg", Q + "measure q[0] -> d[0];",
+     QasmSyntaxError, "unknown register 'd'", 5, 17),
+    ("operand", Q + "h ;",
+     QasmSyntaxError, "expected 'quantum register operand', got ';'", 5, 3),
+    ("operand-bracket", Q + "h q 0;",
+     QasmSyntaxError, "expected '[', got '0'", 5, 5),
+    ("index", Q + "h q[];",
+     QasmSyntaxError, "expected 'index', got ']'", 5, 5),
+    ("index-real", Q + "h q[0.5];",
+     QasmSyntaxError, "index must be an integer", 5, 5),
+    ("index-close", Q + "h q[0;",
+     QasmSyntaxError, "expected ']', got ';'", 5, 6),
+    ("index-range", HEADER + "qreg q[1];\nh q[03];",
+     IndexOutOfRangeError, "index 3 out of range for q[1]", 4, 5),
+    ("index-range-clbit", Q + "measure q[0] -> c[2];",
+     IndexOutOfRangeError, "index 2 out of range for c[2]", 5, 19),
+    ("gate-comma", Q + "cx q[0] q[1];",
+     QasmSyntaxError, "expected ',', got 'q'", 5, 9),
+    ("gate-semicolon", Q + "h q[0]\nh q[1];",
+     QasmSyntaxError, "expected ';', got 'h'", 6, 1),
+    ("gate-eof", Q + "h q[0]",
+     QasmSyntaxError, "expected ';', got 'end of input'", 5, 1),
+    ("measure-arrow", Q + "measure q[0] c[0];",
+     QasmSyntaxError, "expected '->', got 'c'", 5, 14),
+    ("measure-operand", Q + "measure q[0] -> ;",
+     QasmSyntaxError, "expected 'classical register operand', got ';'", 5, 17),
+    ("measure-semicolon", Q + "measure q[0] -> c[0]",
+     QasmSyntaxError, "expected ';', got 'end of input'", 5, 1),
+    ("barrier-semicolon", Q + "barrier q[0] q[1];",
+     QasmSyntaxError, "expected ';', got 'q'", 5, 14),
+    ("barrier-eof", Q + "barrier q[0],\n",
+     QasmSyntaxError, "expected 'quantum register operand', got 'end of input'", 6, 1),
+    ("repeated-operand", Q + "cx q[1],\n   q[1];",
+     IndexOutOfRangeError, "repeated operand q[1]", 5, 1),
+    ("measured-gate", Q + "measure q[0] -> c[0];\nh q[1]; t q[0];",
+     QasmSyntaxError, "qubit 0 was already measured", 6, 9),
+    ("measured-measure", Q + "measure q[1] -> c[0];\nmeasure q[1] -> c[1];",
+     QasmSyntaxError, "qubit 1 was already measured", 6, 1),
+    ("repeated-barrier", Q + "barrier q[0], q[1], q[0];",
+     QasmSyntaxError, "repeated qubit operand in (0, 1, 0)", 5, 1),
+    ("unknown-gate", Q + "h q[0];\n  rz q[0];",
+     UnknownGateError, "unknown gate or statement 'rz'", 6, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "src, cls, message, line, col",
+    [row[1:] for row in PARSE_ERRORS],
+    ids=[row[0] for row in PARSE_ERRORS],
+)
+def test_parse_error_table(src, cls, message, line, col):
+    with pytest.raises(QasmError) as e:
+        parse(src)
+    assert type(e.value) is cls
+    assert (str(e.value), e.value.line, e.value.col) == (
+        f"line {line}, col {col}: {message}", line, col
+    )
+
+
+# separators that split statements across lines and carry comments
+SEPARATORS = [" ", "\t", "\n", "  \n\t", " // note; q[0]\n", "\n// h q[9];\n\n", "\r\n "]
+
+
+def spaced_program(c, rng):
+    """QASM text for ``c`` with a seeded separator between every two tokens."""
+    tokens = ["OPENQASM", "2.0", ";", "include", '"qelib1.inc"', ";"]
+    tokens += ["qreg", "q", "[", str(c.n_qubits), "]", ";"]
+    if c.n_clbits:
+        tokens += ["creg", "c", "[", str(c.n_clbits), "]", ";"]
+    for instr in c.instructions:
+        tokens.append(instr.name)
+        for i, q in enumerate(instr.qubits):
+            tokens += ([","] if i else []) + ["q", "[", str(q), "]"]
+        if instr.name == "measure":
+            tokens += ["->", "c", "[", str(instr.clbits[0]), "]"]
+        tokens.append(";")
+    seps = rng.choice(SEPARATORS, size=len(tokens))
+    return "".join(f"{sep}{tok}" for sep, tok in zip(seps, tokens)) + str(rng.choice(SEPARATORS))
+
+
+def test_seeded_multiline_programs_parse_to_their_circuits():
+    rng = np.random.default_rng(11)
+    gates1 = ["h", "x", "s", "sdg", "t", "tdg"]
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        c = Circuit(n, int(rng.integers(0, 3)) and n)
+        for _ in range(int(rng.integers(0, 12))):
+            r = rng.random()
+            if r < 0.1:
+                c.barrier(*[int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]])
+            elif n >= 2 and r < 0.4:
+                q = rng.permutation(n)[:2]
+                c.add("cx", int(q[0]), int(q[1]))
+            else:
+                c.add(str(rng.choice(gates1)), int(rng.integers(n)))
+        for q in rng.permutation(n)[: int(rng.integers(0, n + 1))] if c.n_clbits else []:
+            c.measure(int(q), int(rng.integers(c.n_clbits)))
+        got = parse(spaced_program(c, rng))
+        assert [(i.name, i.qubits, i.clbits) for i in got.instructions] == [
+            (i.name, i.qubits, i.clbits) for i in c.instructions
+        ]
+        assert (got.n_qubits, got.n_clbits) == (c.n_qubits, c.n_clbits)
+
+
 class TestSerialize:
     def test_empty_circuit(self):
         text = serialize(Circuit(1))
