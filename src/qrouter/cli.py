@@ -120,8 +120,6 @@ def run_experiment(args) -> dict:
             if args.layout
             else DEFAULT_LAYOUT[: circuit.n_qubits]
         )
-        if len(layout) != circuit.n_qubits:
-            raise SpecError(f"layout must list {circuit.n_qubits} physical qubits")
         exec_circuit = qasm.transpile(
             qasm.apply_layout(circuit, layout, cmap.n_qubits), cmap
         )
@@ -140,12 +138,12 @@ def run_experiment(args) -> dict:
         # discard idle device qubits; logical qubit i sits on layout[i]
         rho = partial_trace(rho, layout)
 
-    state, target = rho, ideal_dm
+    state, q = rho, None
     if args.tomography == "routed":
         if experiment not in _ROUTED_QUBIT:
             raise SpecError("routed-qubit tomography applies only to router-control0/control1")
         q = _ROUTED_QUBIT[experiment]
-        state, target = partial_trace(rho, [q]), partial_trace(ideal_dm, [q])
+        state = partial_trace(rho, [q])
     reconstructed, counts_file = rho, None
     if args.tomography != "none":
         settings = (
@@ -158,12 +156,6 @@ def run_experiment(args) -> dict:
         counts_file = args.counts_out or _sibling(args.out, ".counts.json")
         with open(counts_file, "w") as f:
             f.write(json.dumps(dataset.to_json(), indent=2, sort_keys=True))
-
-    fid = tomography.fidelity(reconstructed, target)
-    # routed tomography sees one qubit; the entanglement metrics need them all
-    scored = rho if args.tomography == "routed" else reconstructed
-    neg = _control_negativity(scored)
-    ent = _control_entropy(scored)
 
     report = {
         "spec": {
@@ -178,9 +170,7 @@ def run_experiment(args) -> dict:
         },
         "ideal_state": [[z.real, z.imag] for z in ideal.amplitudes],
         "reconstructed": density_to_json(reconstructed),
-        "fidelity": fid,
-        "negativity": neg,
-        "entropy_control_bits": ent,
+        **_scores(reconstructed, ideal_dm, q, rho),
         "seed": seed,
         "counts_file": counts_file,
     }
@@ -193,16 +183,25 @@ def run_experiment(args) -> dict:
     return report
 
 
-def _control_negativity(rho: DensityMatrix) -> float:
-    """Negativity across control (qubit 0) | the other qubits; 0 for one qubit."""
-    if rho.n_qubits < 2:
-        return 0.0
-    return negativity(rho, [0], list(range(1, rho.n_qubits)))
-
-
-def _control_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy (bits) of the control qubit 0, or of the one qubit."""
-    return von_neumann_entropy(partial_trace(rho, [0]) if rho.n_qubits >= 2 else rho)
+def _scores(rho: DensityMatrix, ideal: DensityMatrix, routed_qubit, executed=None) -> dict:
+    """A report's numbers: the fidelity of ``rho`` to ``ideal`` (reduced to
+    ``routed_qubit`` unless that is None), then the negativity and entropy (bits)
+    across control qubit 0 | the rest of the whole state: ``rho``, or with a
+    routed qubit ``executed``, without which only the fidelity is returned."""
+    target = ideal if routed_qubit is None else partial_trace(ideal, [routed_qubit])
+    if target.dim != rho.dim:
+        raise ReportError(
+            f"report 'ideal_state' gives {target.n_qubits} scored qubits, "
+            f"'reconstructed' has {rho.n_qubits}"
+        )
+    scores = {"fidelity": tomography.fidelity(rho, target)}
+    whole = rho if routed_qubit is None else executed
+    if whole is not None and whole.n_qubits < 2:
+        scores.update(negativity=0.0, entropy_control_bits=von_neumann_entropy(whole))
+    elif whole is not None:
+        scores["negativity"] = negativity(whole, [0], list(range(1, whole.n_qubits)))
+        scores["entropy_control_bits"] = von_neumann_entropy(partial_trace(whole, [0]))
+    return scores
 
 
 def _sibling(path: str, suffix: str) -> str:
@@ -261,9 +260,9 @@ def emit_figure(args) -> None:
 
 def verify(args) -> int:
     report = _load_report(args.report)
-    fid = _report_number(report, "fidelity")
-    neg = _report_number(report, "negativity")
-    ent = _report_number(report, "entropy_control_bits")
+    keys = ("fidelity", "negativity", "entropy_control_bits")
+    stored = {key: _report_number(report, key) for key in keys}
+    fid, neg = stored["fidelity"], stored["negativity"]
     spec = report.get("spec", {})
     if not isinstance(spec, dict):
         raise ReportError("report 'spec' must be an object")
@@ -280,28 +279,18 @@ def verify(args) -> int:
         return 1
     checks.append(("density-matrix invariants", True, "Hermitian, trace 1, PSD"))
 
-    routed = spec.get("tomography") == "routed"
-    target = ideal
-    if routed:
+    q = None
+    if spec.get("tomography") == "routed":
         q = _ROUTED_QUBIT.get(name)
         if q is None or q >= ideal.n_qubits:
             raise ReportError(f"routed report of {name!r} has no routed qubit")
-        target = partial_trace(ideal, [q])
-    if target.dim != rho.dim:
-        raise ReportError(
-            f"report 'ideal_state' gives {target.n_qubits} scored qubits, "
-            f"'reconstructed' has {rho.n_qubits}"
-        )
-    recomputed = [("fidelity", fid, tomography.fidelity(rho, target))]
-    if not routed:  # routed negativity and entropy are of the full state, which is not stored
-        recomputed.append(("negativity", neg, _control_negativity(rho)))
-        recomputed.append(("entropy_control_bits", ent, _control_entropy(rho)))
-    for key, stored, value in recomputed:
+    # a routed report does not store the executed state, so only its fidelity is recomputed
+    for key, value in _scores(rho, ideal, q).items():
         checks.append(
             (
                 f"{key} recomputed",
-                abs(stored - value) <= RECOMPUTE_TOL,
-                f"stored {stored:.12g}, recomputed {value:.12g}",
+                abs(stored[key] - value) <= RECOMPUTE_TOL,
+                f"stored {stored[key]:.12g}, recomputed {value:.12g}",
             )
         )
     noisy = spec.get("noise", "none") != "none"

@@ -59,13 +59,13 @@ class Circuit:
         self.instructions: list[Instruction] = []
         self._measured: set[int] = set()
 
-    def _check_qubits(self, qubits):
+    def _check_qubits(self, qubits, measured_ok: bool = False):
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit operand in {qubits}")
         for q in qubits:
             if not 0 <= q < self.n_qubits:
                 raise ValueError(f"qubit {q} out of range for register of {self.n_qubits}")
-            if q in self._measured:
+            if q in self._measured and not measured_ok:
                 raise ValueError(f"qubit {q} was already measured")
 
     def add(self, gate: str, *qubits: int) -> "Circuit":
@@ -87,16 +87,29 @@ class Circuit:
 
     def barrier(self, *qubits: int) -> "Circuit":
         qs = tuple(qubits) if qubits else tuple(range(self.n_qubits))
-        if len(set(qs)) != len(qs):
-            raise ValueError(f"repeated qubit operand in {qs}")
-        for q in qs:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"qubit {q} out of range for register of {self.n_qubits}")
+        self._check_qubits(qs, measured_ok=True)  # a barrier may span measured qubits
         self.instructions.append(Instruction("barrier", qs))
         return self
 
+    def append(self, instr: Instruction) -> "Circuit":
+        """Copy ``instr`` in through the validating method for its kind."""
+        if instr.name == "measure":
+            return self.measure(instr.qubits[0], instr.clbits[0])
+        if instr.name == "barrier":
+            return self.barrier(*instr.qubits)
+        return self.add(instr.name, *instr.qubits)
+
     def gate_instructions(self):
         return [i for i in self.instructions if i.name in GATE_MATRICES]
+
+    def unitary_gates(self):
+        """The gates in order, for a simulator: barriers are skipped, and a
+        measurement or any other non-gate instruction raises ``ValueError``."""
+        for instr in self.instructions:
+            if instr.name in GATE_MATRICES:
+                yield instr
+            elif instr.name != "barrier":
+                raise ValueError(f"cannot simulate {instr.name!r} as a gate")
 
     def __eq__(self, other):
         # structural equality; the name is metadata
@@ -131,12 +144,8 @@ def embed_gate(u: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
 
 
 def _run_gates(c: Circuit, t: np.ndarray) -> np.ndarray:
-    """Apply the gates of ``c`` to ``t``; barriers are skipped, measurements rejected."""
-    for instr in c.instructions:
-        if instr.name == "barrier":
-            continue
-        if instr.name == "measure":
-            raise ValueError("measurements cannot be simulated as gates")
+    """Apply the gates of ``c`` to ``t`` (see ``Circuit.unitary_gates``)."""
+    for instr in c.unitary_gates():
         t = _apply_tensor(t, GATE_MATRICES[instr.name], instr.qubits)
     return t
 
@@ -187,8 +196,6 @@ def append_fredkin(c: Circuit, control: int, a: int, b: int) -> Circuit:
 
 def fredkin_circuit(control: int, a: int, b: int, n_qubits: int | None = None) -> Circuit:
     """Controlled-swap circuit over the smallest register containing the operands."""
-    if len({control, a, b}) != 3:
-        raise ValueError("controlled-swap needs three distinct qubits")
     n = max(control, a, b) + 1 if n_qubits is None else n_qubits
     return append_fredkin(Circuit(n, name="cswap"), control, a, b)
 

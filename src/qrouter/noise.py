@@ -39,7 +39,7 @@ class QubitParams:
     t2_us: float
 
     def __post_init__(self):
-        if self.t1_us <= 0 or self.t2_us <= 0:
+        if not (self.t1_us > 0 and self.t2_us > 0):  # NaN fails too
             raise ValueError("T1 and T2 must be positive")
 
 
@@ -55,7 +55,11 @@ IBMQX4_QUBITS = (
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-gate depolarizing + per-qubit damping + readout flip parameters."""
+    """Per-gate depolarizing + per-qubit damping + readout flip parameters.
+
+    ``qrouter run`` does not yet pass ``p_readout`` to the sampler: only
+    ``simulate_noisy``'s gate and damping noise reaches its counts.
+    """
 
     qubits: tuple[QubitParams, ...]
     p1: float = 1e-3
@@ -68,7 +72,7 @@ class NoiseModel:
         for p in (self.p1, self.p2, self.p_readout):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
-        if self.dur_1q_ns < 0 or self.dur_2q_ns < 0:
+        if not (self.dur_1q_ns >= 0 and self.dur_2q_ns >= 0):  # NaN fails too
             raise ValueError("gate durations must be nonnegative")
 
 
@@ -85,9 +89,12 @@ def _number(obj: dict, key: str, where: str) -> float:
     if key not in obj:
         raise DeviceFileError(f"{where} has no {key!r}")
     try:
-        return float(obj[key])
+        value = float(obj[key])
     except (TypeError, ValueError, OverflowError):
         raise DeviceFileError(f"{where}: {key!r} is not a number: {obj[key]!r}") from None
+    if not np.isfinite(value):  # Python's json reads NaN and Infinity; RFC 8259 has neither
+        raise DeviceFileError(f"{where}: {key!r} is not finite: {obj[key]!r}")
+    return value
 
 
 def noise_model_from_json(data) -> NoiseModel:
@@ -124,7 +131,7 @@ class KrausChannel:
             raise ValueError("channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-9:
+        if not np.max(np.abs(total - np.eye(dim))) <= 1e-9:  # NaN fails too
             raise ValueError("Kraus operators do not satisfy sum K^dag K = I")
         self.operators = ops
 
@@ -186,15 +193,6 @@ def depolarizing(p: float, n_qubits: int) -> KrausChannel:
     return KrausChannel(ops)
 
 
-def _sandwich(t: np.ndarray, ops, qubits: tuple[int, ...]) -> np.ndarray:
-    """Sum of K rho K^dagger over ``ops`` in order, rho held as a (2,)*2n tensor."""
-    cols = tuple(t.ndim // 2 + q for q in qubits)
-    out = 0
-    for k in ops:
-        out = out + _apply_tensor(_apply_tensor(t, k, qubits), k.conj(), cols)
-    return out
-
-
 def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubits) -> DensityMatrix:
     """Apply a channel on the listed qubits of a larger register."""
     qubits = tuple(qubits)
@@ -202,7 +200,8 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubits) -> DensityMatrix
         raise ValueError(
             f"channel acts on {ch.dim} dimensions but got {len(qubits)} qubits"
         )
-    t = _sandwich(rho.matrix.reshape((2,) * (2 * rho.n_qubits)), ch.operators, qubits)
+    t = rho.matrix.reshape((2,) * (2 * rho.n_qubits))
+    t = _apply_superop(t, _superop(ch.operators), qubits)
     return DensityMatrix(rho.n_qubits, t.reshape(rho.dim, rho.dim))
 
 
@@ -239,16 +238,17 @@ def _superop(ops) -> np.ndarray:
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 
+def _apply_superop(t: np.ndarray, sop: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Contract ``sop`` into the row and column axes of ``qubits`` of rho held as (2,)*2n."""
+    n = t.ndim // 2
+    return _apply_tensor(t, sop, qubits + tuple(n + q for q in qubits))
+
+
 def _damping_superop(params: QubitParams, dur: float) -> np.ndarray:
     """Amplitude then phase damping of one qubit over ``dur`` ns (4x4)."""
     ad = amplitude_damping(dur, params.t1_us)
     pd = phase_damping(dur, params.t1_us, params.t2_us)
     return _superop(pd.operators) @ _superop(ad.operators)
-
-
-@functools.lru_cache(maxsize=8)
-def _depolarizing_superop(p: float, n_qubits: int) -> np.ndarray:
-    return _superop(depolarizing(p, n_qubits).operators)
 
 
 def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.ndarray:
@@ -261,7 +261,7 @@ def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.n
         # damping on different qubits commutes; (r0 c0)x(r1 c1) -> (r0 r1 c0 c1)
         pair = [m.reshape(2, 2, 2, 2) for m in damp]
         damp = [np.einsum("acxz,bdyw->abcdxyzw", *pair).reshape(16, 16)]
-    depol = _depolarizing_superop(model.p2 if k == 2 else model.p1, k)
+    depol = _superop(depolarizing(model.p2 if k == 2 else model.p1, k).operators)
     return damp[0] @ depol @ _superop((GATE_MATRICES[name],))
 
 
@@ -297,13 +297,7 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
 
     superops = _model_superops(model)
     clamped = {}
-    for instr in c.instructions:
-        if instr.name == "barrier":
-            continue
-        if instr.name == "measure":
-            raise ValueError("simulate_noisy does not execute measurements")
-        if instr.name not in GATE_MATRICES:
-            raise ValueError(f"unsupported gate {instr.name!r}")
+    for instr in c.unitary_gates():
         key = (instr.name, instr.qubits)
         entry = superops.get(key)
         if entry is None:
@@ -311,8 +305,7 @@ def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
         sop, notes = entry
         for note in notes:
             clamped[str(note)] = note
-        axes = instr.qubits + tuple(n + q for q in instr.qubits)
-        rho = _apply_tensor(rho, sop, axes)
+        rho = _apply_superop(rho, sop, instr.qubits)
     for note in clamped.values():
         warnings.warn(note, stacklevel=2)
     return DensityMatrix(n, rho.reshape(2**n, 2**n))

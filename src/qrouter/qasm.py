@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .gates import GATE_ARITY, GATE_MATRICES, Circuit
+from .gates import GATE_ARITY, GATE_MATRICES, Circuit, Instruction
 
 
 class QasmError(Exception):
@@ -58,7 +58,7 @@ class UnroutableCnotError(Exception):
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>//[^\n]*)
-      | (?P<num>\d+(\.\d+)?)
+      | (?P<num>[0-9]+(\.[0-9]+)?)
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<str>"[^"\n]*")
       | (?P<arrow>->)
@@ -106,14 +106,17 @@ def parse(src: str) -> Circuit:
         i += 1
         return text, off
 
-    def bracketed(what: str) -> tuple[str, int]:
-        """``[n]`` with an integer literal n: its text and offset."""
+    def bracketed(what: str) -> tuple[int, int]:
+        """``[n]`` with an integer literal n: its value and offset."""
         take("[")
         text, off = take(what, "num")
         if "." in text:
             raise QasmSyntaxError(f"{what} must be an integer", *_position(src, off))
         take("]")
-        return text, off
+        try:
+            return int(text), off
+        except ValueError:  # past the interpreter's integer-string digit limit
+            raise QasmSyntaxError(f"{what} has too many digits", *_position(src, off)) from None
 
     regs: dict[str, tuple[str, int]] = {}  # "qreg"/"creg" -> (name, size)
 
@@ -125,8 +128,7 @@ def parse(src: str) -> Circuit:
         reg, size = regs[kw]
         if name != reg:
             raise QasmSyntaxError(f"unknown register {name!r}", *_position(src, off))
-        text, off = bracketed("index")
-        index = int(text)
+        index, off = bracketed("index")
         if index >= size:
             raise IndexOutOfRangeError(
                 f"index {index} out of range for {reg}[{size}]", *_position(src, off)
@@ -151,9 +153,8 @@ def parse(src: str) -> Circuit:
             continue
         if kw in ("qreg", "creg"):
             name, name_off = take("register name", "id")
-            text, size_off = bracketed("register size")
+            size, size_off = bracketed("register size")
             take(";")
-            size = int(text)
             if size < 1:
                 raise QasmSyntaxError("register size must be positive", *_position(src, size_off))
             if kw in regs:
@@ -292,12 +293,8 @@ def transpile(c: Circuit, cmap: CouplingMap) -> Circuit:
                 out.add("h", tgt)
             else:
                 raise UnroutableCnotError(ctl, tgt)
-        elif instr.name == "measure":
-            out.measure(instr.qubits[0], instr.clbits[0])
-        elif instr.name == "barrier":
-            out.barrier(*instr.qubits)
         else:
-            out.add(instr.name, *instr.qubits)
+            out.append(instr)
     return out
 
 
@@ -310,11 +307,5 @@ def apply_layout(c: Circuit, layout, n_qubits: int) -> Circuit:
         raise ValueError("layout entries must be distinct and within the device")
     out = Circuit(n_qubits, c.n_clbits, name=c.name)
     for instr in c.instructions:
-        mapped = tuple(layout[q] for q in instr.qubits)
-        if instr.name == "measure":
-            out.measure(mapped[0], instr.clbits[0])
-        elif instr.name == "barrier":
-            out.barrier(*mapped)
-        else:
-            out.add(instr.name, *mapped)
+        out.append(Instruction(instr.name, tuple(layout[q] for q in instr.qubits), instr.clbits))
     return out

@@ -136,6 +136,12 @@ class TomographyDataset:
         )
 
 
+def _check_total_shots(shots: int, n_settings: int) -> None:
+    """Estimation sums int64 counts over the settings, so their total must fit in one."""
+    if int(shots) * n_settings > np.iinfo(np.int64).max:
+        raise ValueError(f"{shots} shots x {n_settings} settings exceed 2^63 - 1 in total")
+
+
 def collect_dataset(
     rho: DensityMatrix,
     shots: int,
@@ -159,6 +165,7 @@ def collect_dataset(
         raise ValueError("need at least one measurement setting")
     if shots < 1:
         raise ValueError("shots must be positive")
+    _check_total_shots(shots, len(settings))
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     probs = _setting_probs(rho, settings, p_readout)
@@ -182,6 +189,7 @@ def expectation_values(
     estimate is the mean over the settings that measure its observable.
     """
     n = dataset.n_qubits
+    _check_total_shots(dataset.shots, len(dataset.counts))
     if paulis is None:
         paulis = observables_for(n)
     obs = _letters(paulis, n, "IXYZ", "pauli")

@@ -168,6 +168,8 @@ class TestRun:
             ({"qubits": [{"t1_us": None, "t2_us": 38.1}]}, 2, "'t1_us'"),
             ({"qubits": [{"t1_us": -1.0, "t2_us": 38.1}]}, 1, "T1 and T2"),
             ({"qubits": [{"t1_us": 35.2, "t2_us": 38.1}], "p1": 1.5}, 1, "probability"),
+            ({"qubits": [{"t1_us": float("nan"), "t2_us": 38.1}]}, 2, "'t1_us' is not finite"),
+            ({"qubits": [], "dur_1q_ns": float("nan")}, 2, "'dur_1q_ns' is not finite"),
         ],
     )
     def test_device_file_errors(self, tmp_path, report_path, capsys, device, code, message):
@@ -228,6 +230,16 @@ class TestRun:
         assert codes <= {0, 1, 2, 3} and {0, 1, 2} <= codes
         cache = noise._model_superops.cache_info()
         assert cache.currsize <= cache.maxsize
+
+    @pytest.mark.parametrize("shots", [2**63, 1_026_000_000_000_000_000])
+    def test_shots_past_int64_total_exit_1_before_writing(self, tmp_path, capsys, shots):
+        code = run_cli(
+            "run", "--experiment", "router-control0", "--shots", str(shots),
+            "--no-timestamps", "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert "settings exceed 2^63 - 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["full", "routed", "none"])
     def test_negative_seed_exit_1(self, report_path, capsys, mode):

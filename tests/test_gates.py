@@ -3,6 +3,7 @@ import pytest
 
 from qrouter.gates import (
     Circuit,
+    Instruction,
     apply_circuit,
     circuit_unitary,
     embed_gate,
@@ -10,6 +11,7 @@ from qrouter.gates import (
     named_router_circuit,
     router_circuit,
 )
+from qrouter.noise import ibmqx4_model, simulate_noisy
 from qrouter.qstate import (
     StateVector,
     basis_state,
@@ -74,6 +76,43 @@ class TestCircuit:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Circuit(1).add("h", 1)
+
+    def test_append_copies_every_kind(self):
+        c = Circuit(3, 2).add("h", 0).add("cx", 0, 2).barrier().measure(2, 1)
+        c.barrier(0, 2).add("t", 1).measure(0, 0)  # a barrier may span a measured qubit
+        copy = Circuit(3, 2)
+        for instr in c.instructions:
+            copy.append(instr)
+        assert copy == c
+        with pytest.raises(ValueError, match="qubit 2 was already measured"):
+            copy.append(Instruction("x", (2,)))
+
+
+SIMULATORS = {
+    "apply_circuit": lambda c: apply_circuit(c, basis_state(c.n_qubits, 0)),
+    "circuit_unitary": circuit_unitary,
+    "simulate_noisy": lambda c: simulate_noisy(c, ibmqx4_model()),
+}
+
+
+class TestGateWalk:
+    @pytest.mark.parametrize("simulate", SIMULATORS.values(), ids=list(SIMULATORS))
+    def test_barriers_are_skipped(self, simulate):
+        c = Circuit(2).add("h", 0).barrier().add("cx", 0, 1).barrier(1)
+        assert [i.name for i in c.unitary_gates()] == ["h", "cx"]
+        simulate(c)
+
+    @pytest.mark.parametrize("simulate", SIMULATORS.values(), ids=list(SIMULATORS))
+    @pytest.mark.parametrize(
+        "instr",
+        [Instruction("measure", (1,), (0,)), Instruction("foo", (0,))],
+        ids=["measure", "raw-non-gate"],
+    )
+    def test_non_gates_raise(self, simulate, instr):
+        c = Circuit(2, 1).add("h", 0).barrier()
+        c.instructions.append(instr)  # past the validating methods, as a raw instruction
+        with pytest.raises(ValueError, match=f"cannot simulate {instr.name!r} as a gate"):
+            simulate(c)
 
 
 class TestApplyCircuit:

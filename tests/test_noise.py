@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -62,6 +63,11 @@ class TestDeviceTable:
         with pytest.raises(ValueError):
             QubitParams(t1_us=0.0, t2_us=1.0)
 
+    @pytest.mark.parametrize("t1, t2", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_rejects_nan_times(self, t1, t2):
+        with pytest.raises(ValueError, match="T1 and T2 must be positive"):
+            QubitParams(t1_us=t1, t2_us=t2)
+
 
 class TestNoiseModel:
     def test_defaults_match_error_orders(self):
@@ -72,6 +78,20 @@ class TestNoiseModel:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             NoiseModel(qubits=IBMQX4_QUBITS, p1=1.5)
+
+    @pytest.mark.parametrize("field", ["dur_1q_ns", "dur_2q_ns"])
+    def test_rejects_nan_duration(self, field):
+        with pytest.raises(ValueError, match="gate durations must be nonnegative"):
+            NoiseModel(qubits=IBMQX4_QUBITS, **{field: np.nan})
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["t1_us", "t2_us", "p1", "dur_1q_ns"])
+    def test_json_rejects_non_finite_numbers(self, text, where):
+        # Python's json reads these literals, which RFC 8259 JSON does not have
+        doc = {"qubits": [{"t1_us": 10.0, "t2_us": 12.0}]}
+        (doc["qubits"][0] if where.startswith("t") else doc)[where] = float(text)
+        with pytest.raises(noise.DeviceFileError, match=f"'{where}' is not finite"):
+            noise_model_from_json(json.dumps(doc))
 
     def test_json_overrides(self):
         m = noise_model_from_json(
@@ -194,6 +214,10 @@ class TestKrausChannel:
         with pytest.raises(ValueError):
             KrausChannel([np.diag([0.5, 0.5])])
 
+    def test_rejects_nan_operator(self):
+        with pytest.raises(ValueError, match="sum K\\^dag K = I"):
+            KrausChannel([np.full((2, 2), np.nan)])
+
     @pytest.mark.parametrize(
         "ch",
         [
@@ -314,18 +338,23 @@ class TestSimulateNoisy:
 
 
 def per_kraus_reference(c, model):
-    """The pinned noise order, one validated ``apply_channel`` per stage."""
+    """The pinned noise order, one validated ``dense_channel`` (sum of K rho K^dagger
+    over dense lifted Kraus operators) per stage."""
+
+    def stage(rho, ch, qubits):
+        return DensityMatrix(rho.n_qubits, dense_channel(rho, ch, qubits))
+
     rho = to_density(basis_state(c.n_qubits, 0))
     for instr in c.gate_instructions():
         qubits = instr.qubits
         two = GATE_ARITY[instr.name] == 2
         dur = model.dur_2q_ns if two else model.dur_1q_ns
-        rho = apply_channel(rho, KrausChannel([GATE_MATRICES[instr.name]]), qubits)
-        rho = apply_channel(rho, depolarizing(model.p2 if two else model.p1, len(qubits)), qubits)
+        rho = stage(rho, KrausChannel([GATE_MATRICES[instr.name]]), qubits)
+        rho = stage(rho, depolarizing(model.p2 if two else model.p1, len(qubits)), qubits)
         for q in qubits:
             params = model.qubits[q]
-            rho = apply_channel(rho, amplitude_damping(dur, params.t1_us), (q,))
-            rho = apply_channel(rho, phase_damping(dur, params.t1_us, params.t2_us), (q,))
+            rho = stage(rho, amplitude_damping(dur, params.t1_us), (q,))
+            rho = stage(rho, phase_damping(dur, params.t1_us, params.t2_us), (q,))
     return rho
 
 

@@ -131,6 +131,10 @@ PARSE_ERRORS = [
      QasmSyntaxError, "register size must be an integer", 3, 8),
     ("register-size-zero", HEADER + "qreg q[0];",
      QasmSyntaxError, "register size must be positive", 3, 8),
+    ("register-size-non-ascii-digit", HEADER + "qreg q[\u0663];",
+     QasmSyntaxError, "unexpected character '\u0663'", 3, 8),
+    ("register-size-too-many-digits", HEADER + "qreg q[" + "1" * 5000 + "];",
+     QasmSyntaxError, "register size has too many digits", 3, 8),
     ("second-qreg", HEADER + "qreg q[1];\nqreg r[1];",
      DuplicateRegisterError, "only one qreg is supported", 4, 6),
     ("second-creg", Q + "creg d[1];",
@@ -151,6 +155,8 @@ PARSE_ERRORS = [
      QasmSyntaxError, "expected 'index', got ']'", 5, 5),
     ("index-real", Q + "h q[0.5];",
      QasmSyntaxError, "index must be an integer", 5, 5),
+    ("index-too-many-digits", Q + "h q[" + "0" * 5000 + "];",
+     QasmSyntaxError, "index has too many digits", 5, 5),
     ("index-close", Q + "h q[0;",
      QasmSyntaxError, "expected ']', got ';'", 5, 6),
     ("index-range", HEADER + "qreg q[1];\nh q[03];",

@@ -321,6 +321,21 @@ class TestOnePassSampler:
         with pytest.raises(ValueError, match="setting"):
             collect_dataset(rho, 10, 0, settings=["ZZ", setting])
 
+    def test_rejects_total_shots_past_int64(self):
+        # estimation sums int64 counts over the settings; past 2^63 - 1 the sum wraps
+        rho = to_density(basis_state(3, 0))
+        limit = 2**63 - 1
+        for shots, settings in [
+            (limit // 27 + 1, None),
+            (limit // 63 + 1, observables_for(3)),
+            (2**63, None),
+        ]:
+            with pytest.raises(ValueError, match="exceed 2\\^63 - 1"):
+                collect_dataset(rho, shots, 0, settings=settings)
+        handed = TomographyDataset(3, limit // 27 + 1, 0, {s: {"000": 1} for s in settings_for(3)})
+        with pytest.raises(ValueError, match="exceed 2\\^63 - 1"):
+            expectation_values(handed)
+
     def test_rejects_empty_settings(self):
         with pytest.raises(ValueError, match="at least one measurement setting"):
             collect_dataset(to_density(basis_state(1, 0)), 10, 0, settings=[])
@@ -482,6 +497,12 @@ class TestReconstruct:
                 rec = reconstruct(collect_dataset(rho, 8192, seed))
                 ok += fidelity(rec, rho) > 0.98
             assert ok >= 9, name
+
+    @pytest.mark.parametrize("name, rho", list(router_states()))
+    def test_largest_grid_budget_reconstructs(self, name, rho):
+        # the most shots the 27-setting grid takes without its int64 sums wrapping
+        rec = reconstruct(collect_dataset(rho, (2**63 - 1) // 27, 0))
+        assert fidelity(rec, rho) >= 0.98
 
     def test_literal_mode_reconstruction(self):
         rho = to_density(StateVector(1, PSI_S))
