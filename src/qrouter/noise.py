@@ -142,9 +142,9 @@ class KrausChannel:
 
 def amplitude_damping(t_ns: float, t1_us: float) -> KrausChannel:
     """Zero-temperature relaxation over ``t_ns`` with lifetime ``t1_us``."""
-    if t_ns < 0:
+    if not t_ns >= 0:  # NaN fails too
         raise ValueError("duration must be nonnegative")
-    if t1_us <= 0:
+    if not t1_us > 0:
         raise ValueError("T1 must be positive")
     gamma = 1.0 - np.exp(-(t_ns / 1000.0) / t1_us)
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
@@ -158,9 +158,9 @@ def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> KrausChannel:
     Dephasing rate is 1/T2 - 1/(2*T1); off-diagonals decay by exp(-t * rate).
     Unphysical T2 > 2*T1 rows clamp the rate at zero with a warning.
     """
-    if t_ns < 0:
+    if not t_ns >= 0:  # NaN fails too
         raise ValueError("duration must be nonnegative")
-    if t1_us <= 0 or t2_us <= 0:
+    if not (t1_us > 0 and t2_us > 0):
         raise ValueError("T1 and T2 must be positive")
     rate = 1.0 / t2_us - 1.0 / (2.0 * t1_us)
     if rate < 0:

@@ -186,7 +186,8 @@ def expectation_values(
     One integer counts matrix (settings x 2^n) times a +-1 parity matrix gives
     every (setting, observable) total; masked to the compatible settings and
     summed, each total is divided by (compatible settings x shots), so every
-    estimate is the mean over the settings that measure its observable.
+    estimate is the mean over the settings that measure its observable. Every
+    setting's counts must be nonnegative and sum to ``dataset.shots``.
     """
     n = dataset.n_qubits
     _check_total_shots(dataset.shots, len(dataset.counts))
@@ -204,6 +205,19 @@ def expectation_values(
         [[outcomes.get(label, 0) for label in labels] for outcomes in dataset.counts.values()],
         dtype=np.int64,
     ).reshape(len(settings), 2**n)
+    if counts.min(initial=0) < 0:
+        raise ValueError("outcome counts must be nonnegative")
+    # an int64 row sum can wrap round onto shots only from a true total past
+    # 2^64, which lifts the float total above twice the valid shots x settings
+    overflow = counts.sum(dtype=float) > 2.0 * dataset.shots * len(settings)
+    if overflow or (counts.sum(axis=1) != dataset.shots).any():
+        for setting, outcomes in dataset.counts.items():
+            total = sum(outcomes.values())
+            if total != dataset.shots:
+                raise ValueError(
+                    f"setting {setting!r} holds {total} counts, "
+                    f"but the dataset has {dataset.shots} shots"
+                )
     support = obs != ord("I")
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1 - 2 * ((bits @ support.T) % 2)

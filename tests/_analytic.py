@@ -119,3 +119,12 @@ def water_filling(m):
     vals /= vals.sum()
     out = (vecs * vals) @ vecs.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def tensordot_apply(tensor, u, qubits):
+    """Reference tensor kernel: ``np.tensordot`` of ``u``'s input axes with the
+    given tensor axes, then ``np.moveaxis`` of its output axes back to them."""
+    k = len(qubits)
+    ut = u.reshape((2,) * (2 * k))
+    out = np.tensordot(ut, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
+    return np.moveaxis(out, range(k), qubits)

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qrouter import gates, noise
 from qrouter.gates import (
+    ROUTER_EXPERIMENTS,
     Circuit,
     Instruction,
+    _apply_tensor,
     apply_circuit,
     circuit_unitary,
     embed_gate,
@@ -11,7 +16,8 @@ from qrouter.gates import (
     named_router_circuit,
     router_circuit,
 )
-from qrouter.noise import ibmqx4_model, simulate_noisy
+from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
+from qrouter.qasm import IBMQX4_COUPLING, apply_layout, transpile
 from qrouter.qstate import (
     StateVector,
     basis_state,
@@ -20,7 +26,14 @@ from qrouter.qstate import (
     to_density,
 )
 
-from ._analytic import PLUS, PSI_S, gate_matrix, prep_state, psi_f_amplitudes
+from ._analytic import (
+    PLUS,
+    PSI_S,
+    gate_matrix,
+    prep_state,
+    psi_f_amplitudes,
+    tensordot_apply,
+)
 
 
 def cswap_permutation():
@@ -183,6 +196,82 @@ class TestCircuitUnitary:
         psi = np.zeros(8)
         psi[0b001] = 1
         assert np.argmax(np.abs(u @ psi)) == 0b101
+
+
+def random_operator(rng, k):
+    d = 2**k
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+class TestTensorKernel:
+    """``_apply_tensor`` against the tensordot + moveaxis reference, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["no-batch", "batch"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_to_tensordot_reference(self, n, batch):
+        rng = np.random.default_rng([n, batch or 0])
+        shape = (2,) * n + ((batch,) if batch else ())
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for k in (1, 2, 4):
+            # every ordered placement, so unsorted ones such as (3, 1) are included
+            for qubits in itertools.permutations(range(n), k):
+                u = random_operator(rng, k)
+                got = _apply_tensor(tensor, u, qubits)
+                assert np.array_equal(got, tensordot_apply(tensor, u, qubits)), qubits
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_superoperator_placements_on_rho(self, n):
+        # a 16x16 superoperator on the (row, column) axes of two qubits of rho,
+        # past the six axes above, e.g. (3, 1, n + 3, n + 1)
+        rng = np.random.default_rng(n)
+        rho = rng.normal(size=(2,) * (2 * n)) + 1j * rng.normal(size=(2,) * (2 * n))
+        for a, b in itertools.permutations(range(n), 2):
+            qubits = (a, b, n + a, n + b)
+            sop = random_operator(rng, 4)
+            assert np.array_equal(
+                _apply_tensor(rho, sop, qubits), tensordot_apply(rho, sop, qubits)
+            ), qubits
+
+    @pytest.mark.parametrize("lead", [0, 1, 2])
+    def test_real_confusion_matrix(self, lead):
+        rng = np.random.default_rng(lead)
+        confusion = np.array([[0.98, 0.02], [0.02, 0.98]])
+        for n in range(1, 7):
+            probs = rng.random((3,) * lead + (2,) * n)
+            for axis in range(lead, lead + n):
+                got = _apply_tensor(probs, confusion, (axis,))
+                assert got.dtype == np.float64
+                assert np.array_equal(got, tensordot_apply(probs, confusion, (axis,)))
+
+    def test_simulators_equal_with_reference_kernel(self, monkeypatch):
+        circuits = []
+        for name in ROUTER_EXPERIMENTS:
+            c = named_router_circuit(name)
+            circuits += [c, transpile(apply_layout(c, (2, 0, 1), 5), IBMQX4_COUPLING)]
+        probs = np.random.default_rng(1).random((4, 32))
+        probs /= probs.sum(axis=1, keepdims=True)
+
+        def run_all():
+            out = []
+            for c in circuits:
+                out.append(apply_circuit(c, basis_state(c.n_qubits, 0)).amplitudes)
+                out.append(circuit_unitary(c))
+                out.append(simulate_noisy(c, ibmqx4_model()).matrix)
+            out.append(readout_flip(probs, 0.02))
+            return out
+
+        fast = run_all()
+        monkeypatch.setattr(gates, "_apply_tensor", tensordot_apply)
+        monkeypatch.setattr(noise, "_apply_tensor", tensordot_apply)
+        reference = run_all()
+        assert len(fast) == len(reference) == 19
+        for got, want in zip(fast, reference):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_permutation_cache_is_bounded(self):
+        assert gates._axis_orders.cache_info().maxsize is not None
+        perm, inverse = gates._axis_orders(4, (3, 1))
+        assert perm == (3, 1, 0, 2) and inverse == (2, 1, 3, 0)
 
 
 class TestFredkin:

@@ -155,6 +155,15 @@ class TestAmplitudeDamping:
         with pytest.raises(ValueError):
             amplitude_damping(10.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [((np.nan, 35.2), "duration must be nonnegative"), ((10.0, np.nan), "T1 must be positive")],
+        ids=["duration", "t1"],
+    )
+    def test_rejects_nan(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            amplitude_damping(*args)
+
 
 class TestPhaseDamping:
     def test_zero_duration_identity(self):
@@ -174,6 +183,19 @@ class TestPhaseDamping:
         out = apply_channel(to_density(StateVector(1, [1, 1] / np.sqrt(2))), ch, (0,))
         rate = 1.0 / t2 - 1.0 / (2.0 * t1)
         assert abs(out.matrix[0, 1].real - 0.5 * np.exp(-t_us * rate)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((np.nan, 35.2, 38.1), "duration must be nonnegative"),
+            ((100.0, np.nan, 38.1), "T1 and T2 must be positive"),
+            ((100.0, 35.2, np.nan), "T1 and T2 must be positive"),
+        ],
+        ids=["duration", "t1", "t2"],
+    )
+    def test_rejects_nan(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            phase_damping(*args)
 
     def test_unphysical_t2_clamps_with_warning(self):
         with pytest.warns(UserWarning):

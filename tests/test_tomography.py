@@ -231,6 +231,46 @@ class TestArrayEstimator:
             expectation(TomographyDataset(2, 10, 0, {"ZZ": {"0": 10}}), "ZZ")
 
     @pytest.mark.parametrize(
+        "ds, message",
+        [
+            (
+                TomographyDataset(3, 1, 0, {s: {"000": 2**62} for s in settings_for(3)}),
+                "setting 'XXX' holds 4611686018427387904 counts, but the dataset has 1 shots",
+            ),
+            (
+                TomographyDataset(1, 100, 0, {"X": {"0": 10}, "Y": {"0": 100}, "Z": {"1": 100}}),
+                "setting 'X' holds 10 counts, but the dataset has 100 shots",
+            ),
+            (
+                TomographyDataset(1, 100, 0, {"Z": {"0": 50, "1": 50}, "X": {"0": 50, "1": 51}}),
+                "setting 'X' holds 101 counts",
+            ),
+            (
+                # five counts of 2^62: an int64 row sum wraps round to exactly 2^62
+                TomographyDataset(3, 2**62, 0, {"ZZZ": {f"{i:03b}": 2**62 for i in range(5)}}),
+                "setting 'ZZZ' holds 23058430092136939520 counts",
+            ),
+            (
+                TomographyDataset(1, 100, 0, {"Z": {"0": -1, "1": 101}}),
+                "outcome counts must be nonnegative",
+            ),
+        ],
+        ids=["over-shots", "under-shots", "second-setting", "int64-wrap", "negative"],
+    )
+    def test_rejects_counts_not_summing_to_shots(self, ds, message):
+        with pytest.raises(ValueError, match=message):
+            expectation_values(ds)
+        with pytest.raises(ValueError, match=message):
+            reconstruct(ds)
+
+    def test_accepts_counts_summing_to_the_int64_limit(self):
+        # the row's float sum rounds up to 2^63 here, yet the dataset is valid
+        plus = DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
+        ds = collect_dataset(plus, 2**63 - 1, 0, settings=["Z"])
+        assert float(sum(ds.counts["Z"].values())) == 2.0**63
+        assert abs(expectation_values(ds, ["Z"])["Z"]) < 1e-6
+
+    @pytest.mark.parametrize(
         "probs",
         [
             [1.0, 0.0],
