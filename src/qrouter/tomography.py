@@ -52,8 +52,13 @@ def observables_for(n: int) -> list[str]:
 def _letters(strings, n: int, alphabet: str, what: str) -> np.ndarray:
     """Byte codes of equal-length strings over ``alphabet`` as a (len, n) array."""
     for x in strings:
-        if len(x) != n or not set(x) <= set(alphabet):
+        if not isinstance(x, str) or len(x) != n or not set(x) <= set(alphabet):
             raise ValueError(f"{what} {x!r} is not {n} letters of {alphabet}")
+    return _codes(strings, n)
+
+
+def _codes(strings, n: int) -> np.ndarray:
+    """``_letters`` without the check, for strings a constructor already checked."""
     return np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(len(strings), n)
 
 
@@ -92,12 +97,20 @@ def sample_counts(
     on the one setting, so its counts are setting index 0 of master ``seed``:
     one multinomial draw over the (readout-corrupted) Born distribution.
     """
-    return collect_dataset(rho, shots, seed, p_readout, [setting]).counts[setting]
+    return collect_dataset(rho, shots, seed, p_readout, [setting]).to_json()["settings"][setting]
 
 
-@dataclass
+@dataclass(eq=False)
 class TomographyDataset:
-    """Counts per measurement setting at a fixed shot budget.
+    """Outcome counts of each measurement setting at a fixed shot budget.
+
+    ``counts[i, j]`` is how often setting ``settings[i]`` gave outcome j, whose
+    n-bit string (qubit 0 first) is the binary expansion of j: an int64 array of
+    shape (S, 2^n). Construction checks every dataset once: distinct n-letter
+    IXYZ settings, shots x settings within int64, and nonnegative counts whose
+    every row sums exactly to ``shots``. Label dicts exist only in the counts
+    file, written by ``to_json`` and read, with each label and count checked,
+    by ``from_json``.
 
     ``seed`` is the master seed: ``collect_dataset`` draws setting index i
     from ``default_rng(SeedSequence([seed, i]))``, so a setting's counts
@@ -111,28 +124,77 @@ class TomographyDataset:
     n_qubits: int
     shots: int
     seed: int
-    counts: dict[str, dict[str, int]]
+    settings: list[str]
+    counts: np.ndarray
     rng_name: str = "numpy-pcg64-seedseq-multinomial"
 
+    def __post_init__(self):
+        n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
+        _letters(settings, n, "IXYZ", "setting")
+        if len(set(settings)) != len(settings):
+            raise ValueError("measurement settings must be distinct")
+        if shots < 1:
+            raise ValueError("shots must be positive")
+        _check_total_shots(shots, len(settings))
+        shape = (len(settings), 2**n)
+        if not isinstance(counts, np.ndarray) or counts.dtype != np.int64 or counts.shape != shape:
+            raise ValueError(f"counts must be an int64 array of shape {shape}")
+        if counts.min(initial=0) < 0:
+            raise ValueError("outcome counts must be nonnegative")
+        # partial sums of nonnegative int64 counts turn negative at the first wrap
+        sums = counts.cumsum(axis=1)
+        bad = np.flatnonzero((sums.min(axis=1, initial=0) < 0) | (sums[:, -1] != shots))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"setting {settings[i]!r} holds {sum(counts[i].tolist())} counts, "
+                f"but the dataset has {shots} shots"
+            )
+
     def to_json(self) -> dict:
+        labels = [format(j, f"0{self.n_qubits}b") for j in range(2**self.n_qubits)]
         return {
             "n_qubits": self.n_qubits,
             "shots": self.shots,
             "seed": self.seed,
             "rng": self.rng_name,
-            "settings": self.counts,
+            "settings": {
+                s: {label: c for label, c in zip(labels, row) if c}
+                for s, row in zip(self.settings, self.counts.tolist())
+            },
         }
 
     @classmethod
     def from_json(cls, data) -> "TomographyDataset":
+        """Inverse of ``to_json``; a malformed file raises ``ValueError``."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("a counts file holds one JSON object")
+        header = {}
+        for key in ("n_qubits", "shots", "seed"):
+            value = data.get(key)
+            if type(value) is not int:
+                raise ValueError(f"counts file {key!r} must be an integer, not {value!r}")
+            header[key] = value
+        table = data.get("settings")
+        if not isinstance(table, dict) or not all(isinstance(o, dict) for o in table.values()):
+            raise ValueError("counts file 'settings' must map each setting to its outcome counts")
+        n = header["n_qubits"]
+        if n < 1:
+            raise ValueError("counts file 'n_qubits' must be positive")
+        counts = np.zeros((len(table), 2**n), dtype=np.int64)
+        for row, outcomes in zip(counts, table.values()):
+            for label, c in outcomes.items():
+                if not isinstance(label, str) or len(label) != n or not set(label) <= {"0", "1"}:
+                    raise ValueError(f"outcome {label!r} is not a {n}-bit string")
+                if type(c) is not int or c >= 2**63:
+                    raise ValueError(f"outcome count {c!r} is not an integer in [0, 2^63)")
+                if c < 0:
+                    raise ValueError("outcome counts must be nonnegative")
+                row[int(label, 2)] = c
         return cls(
-            n_qubits=int(data["n_qubits"]),
-            shots=int(data["shots"]),
-            seed=int(data["seed"]),
-            counts={s: dict(c) for s, c in data["settings"].items()},
-            rng_name=data.get("rng", "numpy-pcg64"),
+            **header, settings=list(table), counts=counts, rng_name=data.get("rng", "numpy-pcg64")
         )
 
 
@@ -169,13 +231,11 @@ def collect_dataset(
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     probs = _setting_probs(rho, settings, p_readout)
-    labels = [format(j, f"0{n}b") for j in range(2**n)]
-    counts = {}
-    for i, (s, row) in enumerate(zip(settings, probs)):
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for i, row in enumerate(probs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        drawn = rng.multinomial(shots, row).tolist()
-        counts[s] = {label: c for label, c in zip(labels, drawn) if c}
-    return TomographyDataset(n, shots, seed, counts)
+        counts[i] = rng.multinomial(shots, row)
+    return TomographyDataset(n, shots, seed, settings, counts)
 
 
 def expectation_values(
@@ -186,38 +246,13 @@ def expectation_values(
     One integer counts matrix (settings x 2^n) times a +-1 parity matrix gives
     every (setting, observable) total; masked to the compatible settings and
     summed, each total is divided by (compatible settings x shots), so every
-    estimate is the mean over the settings that measure its observable. Every
-    setting's counts must be nonnegative and sum to ``dataset.shots``.
+    estimate is the mean over the settings that measure its observable.
     """
     n = dataset.n_qubits
-    _check_total_shots(dataset.shots, len(dataset.counts))
     if paulis is None:
         paulis = observables_for(n)
     obs = _letters(paulis, n, "IXYZ", "pauli")
-    settings = _letters(list(dataset.counts), n, "IXYZ", "setting")
-    labels = [format(i, f"0{n}b") for i in range(2**n)]
-    known = set(labels)
-    for outcomes in dataset.counts.values():
-        bad = outcomes.keys() - known
-        if bad:
-            raise ValueError(f"outcome {min(bad, key=repr)!r} is not a {n}-bit string")
-    counts = np.array(
-        [[outcomes.get(label, 0) for label in labels] for outcomes in dataset.counts.values()],
-        dtype=np.int64,
-    ).reshape(len(settings), 2**n)
-    if counts.min(initial=0) < 0:
-        raise ValueError("outcome counts must be nonnegative")
-    # an int64 row sum can wrap round onto shots only from a true total past
-    # 2^64, which lifts the float total above twice the valid shots x settings
-    overflow = counts.sum(dtype=float) > 2.0 * dataset.shots * len(settings)
-    if overflow or (counts.sum(axis=1) != dataset.shots).any():
-        for setting, outcomes in dataset.counts.items():
-            total = sum(outcomes.values())
-            if total != dataset.shots:
-                raise ValueError(
-                    f"setting {setting!r} holds {total} counts, "
-                    f"but the dataset has {dataset.shots} shots"
-                )
+    settings = _codes(dataset.settings, n)
     support = obs != ord("I")
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1 - 2 * ((bits @ support.T) % 2)
@@ -226,7 +261,7 @@ def expectation_values(
     if not k.all():
         pauli = paulis[int(np.argmin(k))]
         raise ValueError(f"no measurement setting compatible with {pauli!r}")
-    values = ((counts @ signs) * compatible).sum(axis=0) / (k * dataset.shots)
+    values = ((dataset.counts @ signs) * compatible).sum(axis=0) / (k * dataset.shots)
     return dict(zip(paulis, values.tolist()))
 
 

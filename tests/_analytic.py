@@ -4,7 +4,7 @@ import numpy as np
 
 from qrouter.gates import GATE_MATRICES, Circuit, apply_circuit, resolve_prep
 from qrouter.qstate import basis_state, pauli_matrix
-from qrouter.tomography import observables_for
+from qrouter.tomography import TomographyDataset, observables_for
 
 C8 = np.cos(np.pi / 8)
 S8 = np.sin(np.pi / 8)
@@ -48,7 +48,7 @@ def loop_expectation(dataset, pauli):
     strings, then the mean over those settings in dataset order."""
     support = [i for i, letter in enumerate(pauli) if letter != "I"]
     values = []
-    for setting, counts in dataset.counts.items():
+    for setting, counts in dataset.to_json()["settings"].items():
         if not all(setting[i] == pauli[i] for i in support):
             continue
         total = 0
@@ -59,6 +59,14 @@ def loop_expectation(dataset, pauli):
     if not values:
         raise ValueError(f"no measurement setting compatible with {pauli!r}")
     return float(np.mean(values))
+
+
+def counts_dataset(n_qubits, shots, settings):
+    """A hand-made dataset, built from counts-file fields: ``settings`` maps
+    each setting to its outcome-label counts, as a counts file does."""
+    return TomographyDataset.from_json(
+        {"n_qubits": n_qubits, "shots": shots, "seed": 0, "settings": settings}
+    )
 
 
 def multinomial_counts(probs, shots, seed, index):

@@ -9,6 +9,7 @@ from qrouter.cli import main
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
 from qrouter.qstate import StateVector, basis_state, density_from_json, equal_up_to_global_phase
+from qrouter.tomography import TomographyDataset, reconstruct
 
 from ._analytic import PLUS, PSI_S
 
@@ -311,6 +312,39 @@ class TestRun:
             "run", "--qasm", str(qasm_file), "--transpile", "ibmqx4",
             "--layout", "0,1,2,3,4", "--tomography", "none", "--out", report_path,
         ) == 3
+
+
+class TestCountsFile:
+    """The counts file is the dataset: loading it back reconstructs exactly the
+    state the report holds, and no edit of it escapes as anything but ValueError."""
+
+    @pytest.mark.parametrize("tomography", ["full", "routed"])
+    @pytest.mark.parametrize("settings", ["grid", "per-observable"])
+    def test_reload_reconstructs_the_report_state(self, report_path, tomography, settings):
+        mode = ["--settings-per-observable"] if settings == "per-observable" else []
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--noise", "ibmqx4",
+            "--transpile", "ibmqx4", "--tomography", tomography, *mode,
+            "--seed", "4", "--no-timestamps", "--out", report_path,
+        ) == 0
+        report = read_json(report_path)
+        rebuilt = reconstruct(TomographyDataset.from_json(read_json(report["counts_file"]))).matrix
+        assert np.array_equal(rebuilt, density_from_json(report["reconstructed"]).matrix)
+
+    def test_fuzzed_counts_files_load_or_raise_value_error(self, report_path):
+        assert run_cli(
+            "run", "--experiment", "router-control1", "--shots", "64", "--seed", "2",
+            "--no-timestamps", "--out", report_path,
+        ) == 0
+        doc = read_json(read_json(report_path)["counts_file"])
+        outcomes = set()
+        for variant in fuzzed(doc, np.random.default_rng(29), 300):
+            try:
+                TomographyDataset.from_json(variant)
+                outcomes.add("loaded")
+            except ValueError:
+                outcomes.add("rejected")
+        assert outcomes == {"loaded", "rejected"}
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from ._analytic import (
     PLUS,
     PSI_S,
     basis_probs,
+    counts_dataset,
     exact_expectations,
     loop_expectation,
     loop_inversion,
@@ -109,22 +111,23 @@ class TestDataset:
         # setting i's counts depend on (seed, i, its distribution) alone
         rho = random_state(np.random.default_rng(5), 2)
         settings = settings_for(2)
-        ds = collect_dataset(rho, 500, 7, settings=settings)
+        ds = collect_dataset(rho, 500, 7, settings=settings).to_json()["settings"]
         for i, s in enumerate(settings):
-            assert ds.counts[s] == multinomial_counts(basis_probs(rho, s), 500, 7, i)
+            assert ds[s] == multinomial_counts(basis_probs(rho, s), 500, 7, i)
         for j in range(len(settings)):
             changed = list(settings)
             changed[j] = "II"  # another distribution at index j
-            other = collect_dataset(rho, 500, 7, settings=changed)
-            assert other.counts["II"] == multinomial_counts(basis_probs(rho, "II"), 500, 7, j)
-            assert all(other.counts[s] == ds.counts[s] for s in settings if s != settings[j])
+            other = collect_dataset(rho, 500, 7, settings=changed).to_json()["settings"]
+            assert other["II"] == multinomial_counts(basis_probs(rho, "II"), 500, 7, j)
+            assert all(other[s] == ds[s] for s in settings if s != settings[j])
             head = collect_dataset(rho, 500, 7, settings=settings[: j + 1])
-            assert head.counts == {s: ds.counts[s] for s in settings[: j + 1]}
+            assert head.to_json()["settings"] == {s: ds[s] for s in settings[: j + 1]}
 
     def test_json_round_trip(self):
         ds = collect_dataset(to_density(basis_state(1, 0)), 100, 3, p_readout=0.02)
         again = TomographyDataset.from_json(ds.to_json())
-        assert again == ds
+        assert again.to_json() == ds.to_json()
+        assert again.settings == ds.settings and np.array_equal(again.counts, ds.counts)
 
     def test_json_schema_keys(self):
         data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
@@ -136,14 +139,84 @@ class TestDataset:
         del data["rng"]
         assert TomographyDataset.from_json(data).rng_name == "numpy-pcg64"
 
+    def test_rejects_duplicate_settings(self):
+        # the counts file keys by setting, so a second draw of one would be lost
+        rho = to_density(basis_state(2, 0))
+        with pytest.raises(ValueError, match="measurement settings must be distinct"):
+            collect_dataset(rho, 10, 0, settings=["ZZ", "XX", "ZZ"])
+        counts = np.array([[10, 0, 0, 0]] * 2, dtype=np.int64)
+        with pytest.raises(ValueError, match="measurement settings must be distinct"):
+            TomographyDataset(2, 10, 0, ["ZZ", "ZZ"], counts)
+
+    @pytest.mark.parametrize(
+        "n, shots, settings, counts, message",
+        [
+            (1, 100, ["Z"], np.array([[60.9, 40.9]]), r"int64 array of shape \(1, 2\)"),
+            (1, 100, ["Z"], [[60, 40]], "int64 array"),
+            (1, 100, ["Z"], np.array([[50, 50, 0, 0]], dtype=np.int64), "int64 array"),
+            (1, 100, ["Z"], np.array([[-1, 101]], dtype=np.int64), "must be nonnegative"),
+            (
+                # five counts of 2^62: an int64 row sum wraps round to exactly 2^62
+                3, 2**62, ["ZZZ"], np.array([[2**62] * 5 + [0] * 3], dtype=np.int64),
+                "setting 'ZZZ' holds 23058430092136939520 counts",
+            ),
+            (1, 0, ["Z"], np.zeros((1, 2), dtype=np.int64), "shots must be positive"),
+        ],
+        ids=["float", "list", "shape", "negative", "int64-wrap", "zero-shots"],
+    )
+    def test_constructor_checks_the_counts_array(self, n, shots, settings, counts, message):
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset(n, shots, 0, settings, counts)
+
+
+def counts_file(outcomes=None, **fields):
+    """A one-qubit counts file with the one setting 'X'."""
+    settings = {"X": outcomes or {"0": 50, "1": 50}}
+    return {"n_qubits": 1, "shots": 100, "seed": 0, "settings": settings, **fields}
+
+
+class TestCountsFileBoundary:
+    """``from_json`` rejects what a counts file can hold but a dataset cannot,
+    with ``ValueError``, before any estimate is made."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (counts_file({"0": 60.9, "1": 40.9}), "outcome count 60.9 is not an integer"),
+            (counts_file({"0": "50", "1": 50}), "outcome count '50' is not an integer"),
+            (counts_file({"0": True, "1": 99}), "outcome count True is not an integer"),
+            (counts_file({"0": None, "1": 100}), "outcome count None is not an integer"),
+            (counts_file({"0": -1, "1": 101}), "outcome counts must be nonnegative"),
+            (counts_file({"0": 2**63}), f"outcome count {2**63} is not an integer"),
+            (
+                counts_file(n_qubits=2, settings={"ZZ": {"0": 100}}),
+                "outcome '0' is not a 2-bit string",
+            ),
+            ({k: v for k, v in counts_file().items() if k != "settings"}, "'settings' must map"),
+            (counts_file(settings=[["X", {"0": 100}]]), "'settings' must map"),
+            (counts_file(settings={"X": [100]}), "'settings' must map"),
+            (counts_file(shots="100"), "'shots' must be an integer"),
+            ([counts_file()], "one JSON object"),
+        ],
+        ids=[
+            "float", "string", "bool", "null", "negative", "2^63", "short-label", "no-settings", "settings-list", "outcomes-list", "string-shots",
+            "not-an-object",
+        ],
+    )
+    def test_rejects_malformed_file(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset.from_json(doc)
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset.from_json(json.dumps(doc))
+
 
 class TestExpectation:
     def test_all_zero_counts_give_plus_one(self):
-        ds = TomographyDataset(1, 100, 0, {"Z": {"0": 100}})
+        ds = counts_dataset(1, 100, {"Z": {"0": 100}})
         assert expectation(ds, "Z") == 1.0
 
     def test_uniform_counts_give_zero(self):
-        ds = TomographyDataset(1, 100, 0, {"Z": {"0": 50, "1": 50}})
+        ds = counts_dataset(1, 100, {"Z": {"0": 50, "1": 50}})
         assert expectation(ds, "Z") == 0.0
 
     def test_signal_state_z_expectation(self):
@@ -154,16 +227,14 @@ class TestExpectation:
         assert abs(est - np.cos(np.pi / 4)) < 4 / np.sqrt(8192)
 
     def test_averages_over_compatible_settings(self):
-        ds = TomographyDataset(
-            2, 100, 0, {"ZX": {"00": 100}, "ZZ": {"00": 50, "01": 50}}
-        )
+        ds = counts_dataset(2, 100, {"ZX": {"00": 100}, "ZZ": {"00": 50, "01": 50}})
         # ZI is compatible with both settings; both give +1 on qubit 0
         assert expectation(ds, "ZI") == 1.0
         # IZ only via ZZ: half parity-even, half parity-odd
         assert expectation(ds, "IZ") == 0.0
 
     def test_no_compatible_setting(self):
-        ds = TomographyDataset(1, 10, 0, {"Z": {"0": 10}})
+        ds = counts_dataset(1, 10, {"Z": {"0": 10}})
         with pytest.raises(ValueError):
             expectation(ds, "X")
 
@@ -212,7 +283,7 @@ class TestArrayEstimator:
         assert np.array_equal(rec.matrix, ref.matrix)
 
     def test_no_compatible_setting_unchanged(self):
-        ds = TomographyDataset(2, 10, 0, {"ZX": {"00": 10}, "IZ": {"01": 4, "11": 6}})
+        ds = counts_dataset(2, 10, {"ZX": {"00": 10}, "IZ": {"01": 4, "11": 6}})
         for pauli in ("XI", "YZ", "IY"):
             message = f"no measurement setting compatible with '{pauli}'"
             with pytest.raises(ValueError, match=message):
@@ -226,48 +297,43 @@ class TestArrayEstimator:
 
     def test_rejects_malformed_dataset(self):
         with pytest.raises(ValueError):
-            expectation(TomographyDataset(2, 10, 0, {"Z": {"00": 10}}), "ZZ")
+            counts_dataset(2, 10, {"Z": {"00": 10}})
         with pytest.raises(ValueError):
-            expectation(TomographyDataset(2, 10, 0, {"ZZ": {"0": 10}}), "ZZ")
+            counts_dataset(2, 10, {"ZZ": {"0": 10}})
 
     @pytest.mark.parametrize(
-        "ds, message",
+        "n, shots, settings, message",
         [
             (
-                TomographyDataset(3, 1, 0, {s: {"000": 2**62} for s in settings_for(3)}),
+                3, 1, {s: {"000": 2**62} for s in settings_for(3)},
                 "setting 'XXX' holds 4611686018427387904 counts, but the dataset has 1 shots",
             ),
             (
-                TomographyDataset(1, 100, 0, {"X": {"0": 10}, "Y": {"0": 100}, "Z": {"1": 100}}),
+                1, 100, {"X": {"0": 10}, "Y": {"0": 100}, "Z": {"1": 100}},
                 "setting 'X' holds 10 counts, but the dataset has 100 shots",
             ),
             (
-                TomographyDataset(1, 100, 0, {"Z": {"0": 50, "1": 50}, "X": {"0": 50, "1": 51}}),
+                1, 100, {"Z": {"0": 50, "1": 50}, "X": {"0": 50, "1": 51}},
                 "setting 'X' holds 101 counts",
             ),
             (
                 # five counts of 2^62: an int64 row sum wraps round to exactly 2^62
-                TomographyDataset(3, 2**62, 0, {"ZZZ": {f"{i:03b}": 2**62 for i in range(5)}}),
+                3, 2**62, {"ZZZ": {f"{i:03b}": 2**62 for i in range(5)}},
                 "setting 'ZZZ' holds 23058430092136939520 counts",
             ),
-            (
-                TomographyDataset(1, 100, 0, {"Z": {"0": -1, "1": 101}}),
-                "outcome counts must be nonnegative",
-            ),
+            (1, 100, {"Z": {"0": -1, "1": 101}}, "outcome counts must be nonnegative"),
         ],
         ids=["over-shots", "under-shots", "second-setting", "int64-wrap", "negative"],
     )
-    def test_rejects_counts_not_summing_to_shots(self, ds, message):
+    def test_rejects_counts_not_summing_to_shots(self, n, shots, settings, message):
         with pytest.raises(ValueError, match=message):
-            expectation_values(ds)
-        with pytest.raises(ValueError, match=message):
-            reconstruct(ds)
+            counts_dataset(n, shots, settings)
 
     def test_accepts_counts_summing_to_the_int64_limit(self):
         # the row's float sum rounds up to 2^63 here, yet the dataset is valid
         plus = DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
         ds = collect_dataset(plus, 2**63 - 1, 0, settings=["Z"])
-        assert float(sum(ds.counts["Z"].values())) == 2.0**63
+        assert float(sum(ds.to_json()["settings"]["Z"].values())) == 2.0**63
         assert abs(expectation_values(ds, ["Z"])["Z"]) < 1e-6
 
     @pytest.mark.parametrize(
@@ -321,11 +387,12 @@ class TestOnePassSampler:
                 for shots in (1, 997, 8192):
                     seed = 1000 * n + shots
                     ds = collect_dataset(rho, shots, seed, p_readout, settings)
-                    assert list(ds.counts) == settings
+                    labelled = ds.to_json()["settings"]
+                    assert ds.settings == list(labelled) == settings
                     for i, s in enumerate(settings):
                         ref = readout_flip(basis_probs(rho, s), p_readout)
-                        assert ds.counts[s] == multinomial_counts(ref, shots, seed, i)
-                        assert all(ref[int(k, 2)] > 0 for k in ds.counts[s])
+                        assert labelled[s] == multinomial_counts(ref, shots, seed, i)
+                        assert all(ref[int(k, 2)] > 0 for k in labelled[s])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_probabilities_equal_reference(self, n):
@@ -372,9 +439,9 @@ class TestOnePassSampler:
         ]:
             with pytest.raises(ValueError, match="exceed 2\\^63 - 1"):
                 collect_dataset(rho, shots, 0, settings=settings)
-        handed = TomographyDataset(3, limit // 27 + 1, 0, {s: {"000": 1} for s in settings_for(3)})
+        handed = {s: {"000": 1} for s in settings_for(3)}
         with pytest.raises(ValueError, match="exceed 2\\^63 - 1"):
-            expectation_values(handed)
+            counts_dataset(3, limit // 27 + 1, handed)
 
     def test_rejects_empty_settings(self):
         with pytest.raises(ValueError, match="at least one measurement setting"):
@@ -398,7 +465,7 @@ class TestSamplerStatistics:
         rho = DensityMatrix(3, np.eye(8, dtype=complex) / 8)
         seen = set()
         for seed in range(100):
-            for counts in collect_dataset(rho, 1000, seed).counts.values():
+            for counts in collect_dataset(rho, 1000, seed).to_json()["settings"].values():
                 seen.add(tuple(sorted(counts.items())))
         assert len(seen) == 100 * 27
 
@@ -409,10 +476,7 @@ class TestSamplerStatistics:
         probs = np.array([basis_probs(rho, s) for s in settings])
         total = np.zeros(probs.shape)
         for seed in range(seeds):
-            ds = collect_dataset(rho, shots, seed)
-            for row, s in zip(total, settings):
-                for outcome, c in ds.counts[s].items():
-                    row[int(outcome, 2)] += c
+            total += collect_dataset(rho, shots, seed).counts
         mean = total / seeds
         sigma = np.sqrt(shots * probs * (1 - probs) / seeds)
         assert np.all(np.abs(mean - shots * probs) <= 5 * sigma + 1e-9)
@@ -423,7 +487,7 @@ class TestSamplerStatistics:
                 probs = {s: basis_probs(rho, s) for s in settings}
                 for seed in range(20):
                     ds = collect_dataset(rho, 997, seed, settings=settings)
-                    for s, counts in ds.counts.items():
+                    for s, counts in ds.to_json()["settings"].items():
                         assert sum(counts.values()) == 997
                         assert all(probs[s][int(k, 2)] > 0 for k in counts), s
 
