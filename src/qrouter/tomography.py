@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,9 @@ _ROTATIONS = np.array(
         np.eye(2, dtype=complex),
     ]
 )
+# the single-qubit Pauli basis I, X, Y, Z as one (4, 2, 2) array, for linear_inversion
+_PAULI_BASIS = np.array([pauli_matrix(letter) for letter in "IXYZ"])
+_PAULI_BASIS.setflags(write=False)
 
 
 def settings_for(n: int) -> list[str]:
@@ -39,14 +43,17 @@ def settings_for(n: int) -> list[str]:
 
 
 def observables_for(n: int) -> list[str]:
-    """All 4^n - 1 non-identity Pauli strings."""
+    """All 4^n - 1 non-identity Pauli strings, in IXYZ-lexicographic order."""
+    return list(_observables(n))
+
+
+@lru_cache(maxsize=8)
+def _observables(n: int) -> tuple[str, ...]:
+    """``observables_for`` as a shared tuple; a product over IXYZ whose first
+    string is the all-I one, which is dropped."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    return [
-        "".join(p)
-        for p in itertools.product("IXYZ", repeat=n)
-        if any(l != "I" for l in p)
-    ]
+    return tuple("".join(p) for p in itertools.product("IXYZ", repeat=n))[1:]
 
 
 def _letters(strings, n: int, alphabet: str, what: str) -> np.ndarray:
@@ -112,13 +119,17 @@ class TomographyDataset:
     file, written by ``to_json`` and read, with each label and count checked,
     by ``from_json``.
 
-    ``seed`` is the master seed: ``collect_dataset`` draws setting index i
-    from ``default_rng(SeedSequence([seed, i]))``, so a setting's counts
-    depend on (seed, index, distribution) alone, never on how the other
-    settings were sampled, and distinct (seed, index) pairs get independent
-    streams. ``rng_name`` names that derivation so counts files are
-    reproducible bit-for-bit; a file without one predates it (``seed ^ i``
-    streams and sorted uniform draws) and loads as ``"numpy-pcg64"``.
+    ``seed`` is the master seed: ``collect_dataset`` keys one Philox
+    counter-based generator from ``SeedSequence(seed)`` and draws setting
+    index i from the block of 2^128 counters that starts at ``[0, 0, i, 0]``,
+    so a setting's counts depend on (seed, index, distribution) alone, never
+    on how the other settings were sampled, and distinct (seed, index) pairs
+    get disjoint streams. ``rng_name`` names that derivation so counts files
+    are reproducible bit-for-bit. Files of the earlier contracts load with
+    their own name and estimate alike: ``"numpy-pcg64-seedseq-multinomial"``
+    drew setting i from ``default_rng(SeedSequence([seed, i]))``, and a file
+    without a name predates both (``seed ^ i`` streams and sorted uniform
+    draws) and loads as ``"numpy-pcg64"``.
     """
 
     n_qubits: int
@@ -126,7 +137,7 @@ class TomographyDataset:
     seed: int
     settings: list[str]
     counts: np.ndarray
-    rng_name: str = "numpy-pcg64-seedseq-multinomial"
+    rng_name: str = "numpy-philox-counter-multinomial"
 
     def __post_init__(self):
         n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
@@ -215,9 +226,13 @@ def collect_dataset(
 
     The basis rotations of all S settings form one (S, 2^n, 2^n) stack, and
     the Born probabilities with optional readout flips one (S, 2^n) array.
-    Setting i's counts are then one ``multinomial(shots, probs[i])`` draw
-    from ``default_rng(SeedSequence([seed, i]))``: the exact distribution of
-    ``shots`` i.i.d. shots, at a cost that does not grow with ``shots``.
+    Setting i's counts are then one ``multinomial(shots, probs[i])`` draw:
+    the exact distribution of ``shots`` i.i.d. shots, at a cost that does not
+    grow with ``shots``. All draws share one ``Generator`` over one Philox
+    keyed from ``SeedSequence(seed)`` (Salmon et al., SC'11); before draw i
+    the bit generator is reset to counter ``[0, 0, i, 0]`` with an empty
+    buffer, which is what a fresh ``Philox(key, counter=[0, 0, i, 0])``
+    starts from, without building one per setting.
     """
     n = rho.n_qubits
     if settings is None:
@@ -228,12 +243,20 @@ def collect_dataset(
     if shots < 1:
         raise ValueError("shots must be positive")
     _check_total_shots(shots, len(settings))
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    # from_json reads back only an int seed: refuse a bool, store a NumPy integer as an int
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    seed = int(seed)
     probs = _setting_probs(rho, settings, p_readout)
+    bits = np.random.Philox(np.random.SeedSequence(seed))
+    rng = np.random.Generator(bits)
+    # taken before any draw, so its buffer is empty; only counter word 2 changes
+    state = bits.state
+    counter = state["state"]["counter"]
     counts = np.empty(probs.shape, dtype=np.int64)
     for i, row in enumerate(probs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        counter[2] = i
+        bits.state = state
         counts[i] = rng.multinomial(shots, row)
     return TomographyDataset(n, shots, seed, settings, counts)
 
@@ -246,23 +269,42 @@ def expectation_values(
     One integer counts matrix (settings x 2^n) times a +-1 parity matrix gives
     every (setting, observable) total; masked to the compatible settings and
     summed, each total is divided by (compatible settings x shots), so every
-    estimate is the mean over the settings that measure its observable.
+    estimate is the mean over the settings that measure its observable. The
+    parity matrix, the mask and the per-observable setting counts depend on
+    the shape alone (n, settings, paulis) and are built once per shape.
     """
     n = dataset.n_qubits
     if paulis is None:
-        paulis = observables_for(n)
-    obs = _letters(paulis, n, "IXYZ", "pauli")
-    settings = _codes(dataset.settings, n)
+        paulis = _observables(n)
+    else:
+        paulis = tuple(paulis)
+        # checked before the cache hashes them, so a malformed entry raises ValueError
+        _letters(paulis, n, "IXYZ", "pauli")
+    signs, compatible, k = _estimator_tables(n, tuple(dataset.settings), paulis)
+    values = ((dataset.counts @ signs) * compatible).sum(axis=0) / (k * dataset.shots)
+    return dict(zip(paulis, values.tolist()))
+
+
+@lru_cache(maxsize=4)
+def _estimator_tables(
+    n: int, settings: tuple[str, ...], paulis: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (signs, compatible, k) of ``expectation_values`` for checked
+    settings and paulis. A pauli no setting measures raises ``ValueError``,
+    which the cache does not keep, so every call for that shape raises it."""
+    obs = _codes(paulis, n)
+    codes = _codes(settings, n)
     support = obs != ord("I")
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1 - 2 * ((bits @ support.T) % 2)
-    compatible = np.all((settings[:, None, :] == obs[None, :, :]) | ~support[None], axis=2)
+    compatible = np.all((codes[:, None, :] == obs[None, :, :]) | ~support[None], axis=2)
     k = compatible.sum(axis=0)
     if not k.all():
         pauli = paulis[int(np.argmin(k))]
         raise ValueError(f"no measurement setting compatible with {pauli!r}")
-    values = ((dataset.counts @ signs) * compatible).sum(axis=0) / (k * dataset.shots)
-    return dict(zip(paulis, values.tolist()))
+    for table in (signs, compatible, k):
+        table.setflags(write=False)
+    return signs, compatible, k
 
 
 def expectation(dataset: TomographyDataset, pauli: str) -> float:
@@ -277,16 +319,22 @@ def expectation(dataset: TomographyDataset, pauli: str) -> float:
 def linear_inversion(expectations: dict[str, float], n: int) -> np.ndarray:
     """rho_hat = 2^-n (I + sum_P <P> P); Hermitian and unit-trace, possibly non-PSD.
 
-    The sum over the 4^n - 1 observables is one contraction of the
-    expectation vector with the stack of their Pauli matrices.
+    With <I...I> = 1 put first, the expectations in ``observables_for`` order
+    are a (4,)*n coefficient tensor indexed by each qubit's IXYZ letter. Its
+    axes are contracted with the (4, 2, 2) single-qubit Pauli basis one at a
+    time, qubit 0 first, which leaves the axes (i0, j0, ..., i(n-1), j(n-1));
+    one transpose orders them as the matrix's row and column bits. No
+    (4^n - 1, 2^n, 2^n) stack of Pauli matrices is built.
     """
-    paulis = observables_for(n)
     try:
-        e = np.array([expectations[p] for p in paulis], dtype=float)
+        t = np.array([1.0, *map(expectations.__getitem__, _observables(n))], dtype=float)
     except KeyError as err:
         raise ValueError(f"missing expectation for {err.args[0]!r}") from None
-    stack = np.array([pauli_matrix(p) for p in paulis])
-    return (np.eye(2**n) + np.tensordot(e, stack, axes=1)) / 2**n
+    basis = _PAULI_BASIS.reshape(4, 4)
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ basis
+    axes = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return t.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n) / 2**n
 
 
 def project_to_physical(m: np.ndarray) -> DensityMatrix:

@@ -71,9 +71,11 @@ def counts_dataset(n_qubits, shots, settings):
 
 def multinomial_counts(probs, shots, seed, index):
     """Reference sampler: setting ``index`` of master ``seed`` is one multinomial
-    draw of ``shots`` from its own ``SeedSequence([seed, index])`` stream."""
+    draw of ``shots`` from a fresh Philox with the key ``SeedSequence(seed)``
+    gives, started at counter ``[0, 0, index, 0]``."""
     n = int(np.log2(len(probs)))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    key = np.random.Philox(np.random.SeedSequence(seed)).state["state"]["key"]
+    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, index, 0]))
     counts = rng.multinomial(shots, probs)
     return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0}
 

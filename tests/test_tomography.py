@@ -9,6 +9,8 @@ from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
 from qrouter.qstate import DensityMatrix, StateVector, basis_state, to_density
 from qrouter.tomography import (
     TomographyDataset,
+    _estimator_tables,
+    _observables,
     _setting_probs,
     collect_dataset,
     expectation,
@@ -132,12 +134,22 @@ class TestDataset:
     def test_json_schema_keys(self):
         data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
         assert set(data) >= {"shots", "seed", "settings", "rng"}
-        assert data["rng"] == "numpy-pcg64-seedseq-multinomial"
+        assert data["rng"] == "numpy-philox-counter-multinomial"
 
     def test_file_without_rng_loads_as_legacy(self):
         data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
         del data["rng"]
         assert TomographyDataset.from_json(data).rng_name == "numpy-pcg64"
+
+    def test_v2_counts_file_keeps_its_name_and_reconstructs(self):
+        # a counts file that names contract v2 loads under that name and estimates from its counts
+        rho = to_density(apply_circuit(named_router_circuit("router-control0"), basis_state(3, 0)))
+        data = collect_dataset(rho, 2048, 9).to_json()
+        data["rng"] = "numpy-pcg64-seedseq-multinomial"
+        again = TomographyDataset.from_json(json.dumps(data))
+        assert again.rng_name == "numpy-pcg64-seedseq-multinomial"
+        assert again.to_json() == data
+        assert np.array_equal(reconstruct(again).matrix, reconstruct(collect_dataset(rho, 2048, 9)).matrix)
 
     def test_rejects_duplicate_settings(self):
         # the counts file keys by setting, so a second draw of one would be lost
@@ -373,7 +385,8 @@ class TestArrayEstimator:
 class TestOnePassSampler:
     """``collect_dataset`` against the per-setting reference: the
     kron-then-einsum probabilities within 4^n ulps of 1, and exactly the
-    counts of one multinomial draw from ``SeedSequence([seed, i])``."""
+    counts of one multinomial draw from Philox counter block ``[0, 0, i, 0]``
+    under the key of ``SeedSequence(seed)``."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["mixed", "basis"])
@@ -447,13 +460,94 @@ class TestOnePassSampler:
         with pytest.raises(ValueError, match="at least one measurement setting"):
             collect_dataset(to_density(basis_state(1, 0)), 10, 0, settings=[])
 
-    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", True, False])
     def test_rejects_bad_seed(self, seed):
         rho = to_density(basis_state(1, 0))
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             collect_dataset(rho, 10, seed)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             sample_counts(rho, "Z", 10, seed)
+
+
+class TestStreamContract:
+    """Sampling contract v3: setting i of master seed s is one multinomial draw
+    from counter block [0, 0, i, 0] of the Philox keyed by ``SeedSequence(s)``.
+    Distinct rows over seeds and settings are checked by
+    ``TestSamplerStatistics::test_every_seed_and_setting_has_its_own_stream``,
+    independence of the other settings by
+    ``TestDataset::test_collection_order_independent``."""
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 + 1])
+    def test_master_seeds_past_int64(self, seed):
+        rho = DensityMatrix(3, np.eye(8, dtype=complex) / 8)
+        ds = collect_dataset(rho, 1000, seed)
+        labelled = ds.to_json()["settings"]
+        for i, s in enumerate(ds.settings):
+            assert labelled[s] == multinomial_counts(basis_probs(rho, s), 1000, seed, i)
+        assert len({tuple(row) for row in ds.counts.tolist()}) == 27
+        assert TomographyDataset.from_json(json.dumps(ds.to_json())).seed == seed
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**63)])
+    def test_numpy_integer_seed_is_written_as_an_int(self, seed):
+        rho = to_density(basis_state(1, 0))
+        ds = collect_dataset(rho, 100, seed)
+        assert type(ds.seed) is int and ds.seed == seed
+        again = TomographyDataset.from_json(json.dumps(ds.to_json()))
+        assert again.to_json() == collect_dataset(rho, 100, int(seed)).to_json()
+
+
+class TestEstimatorTables:
+    """The per-shape tables behind ``observables_for`` and ``expectation_values``
+    are bounded, read-only, and never change what a caller sees."""
+
+    def test_observables_for_returns_a_fresh_list(self):
+        first = observables_for(2)
+        first.append("ZZZ")
+        first[0] = "XX"
+        again = observables_for(2)
+        assert again is not first
+        assert again[0] == "IX" and len(again) == 15
+
+    def test_tables_are_read_only(self):
+        ds = collect_dataset(to_density(basis_state(2, 0)), 100, 0)
+        expectation_values(ds)
+        for table in _estimator_tables(2, tuple(ds.settings), _observables(2)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_caches_are_bounded(self):
+        assert _observables.cache_info().maxsize == 8
+        assert _estimator_tables.cache_info().maxsize == 4
+        rho = to_density(basis_state(2, 0))
+        for j in range(1, 9):
+            expectation_values(collect_dataset(rho, 10, 0, settings=settings_for(2)[:j]), ["IX"])
+        assert _estimator_tables.cache_info().currsize == 4
+
+    @pytest.mark.parametrize(
+        "paulis", [[["X"]], [("X",)], [1], ["Q"], ["XX"], [None], [b"X"]],
+        ids=["list", "tuple", "int", "letter", "length", "none", "bytes"],
+    )
+    def test_malformed_paulis_raise_value_error(self, paulis):
+        ds = collect_dataset(to_density(basis_state(1, 0)), 10, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not 1 letters of IXYZ"):
+                expectation_values(ds, paulis)
+
+    def test_no_compatible_setting_raises_on_every_call(self):
+        ds = counts_dataset(1, 10, {"Z": {"0": 10}})
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no measurement setting compatible with 'X'"):
+                expectation_values(ds, ["Z", "X"])
+        assert expectation_values(ds, ["Z"]) == {"Z": 1.0}
+
+    def test_values_equal_with_and_without_the_cache(self):
+        for _, ds in estimator_datasets():
+            _estimator_tables.cache_clear()
+            cold = expectation_values(ds)
+            warm = expectation_values(ds)
+            assert list(cold.items()) == list(warm.items())
+            assert expectation_values(ds, observables_for(ds.n_qubits)) == cold
 
 
 class TestSamplerStatistics:
@@ -513,10 +607,24 @@ class TestLinearInversion:
     def test_matches_per_pauli_loop(self):
         rng = np.random.default_rng(17)
         for trial in range(30):
-            n = 1 + trial % 3
+            n = 1 + trial % 5
             exps = dict(zip(observables_for(n), rng.uniform(-1, 1, 4**n - 1)))
             m = linear_inversion(exps, n)
             assert np.max(np.abs(m - loop_inversion(exps, n))) <= 1e-12
+
+
+    def test_no_pauli_stack(self):
+        n = 5
+        exps = dict(zip(observables_for(n), np.random.default_rng(4).uniform(-1, 1, 4**n - 1)))
+        linear_inversion(exps, n)
+        tracemalloc.start()
+        try:
+            linear_inversion(exps, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (1023, 32, 32) complex stack of Pauli matrices alone would be 16.8 MB
+        assert peak < 1_000_000
 
 
 class TestProjection:
