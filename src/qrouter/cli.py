@@ -13,8 +13,9 @@ matrix exits 2 in ``emit-figure`` and is a failed check (1) in ``verify``.
 tomography, the negativity and the control entropy) from ``reconstructed`` and
 ``ideal_state``; a stored value that differs by more than 1e-9 is a failed check,
 and an ``ideal_state`` that is not a normalised state of matching size exits 2.
-``run`` rejects (exit 1) an executed register wider than 12 qubits and full
-tomography of more than 6, before any state is formed.
+``run`` rejects (exit 1) an executed register wider than 12 qubits, full
+tomography of more than 6, and a counts file that is the report file, before
+any state is formed. The counts file is compact JSON on one line.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ def run_experiment(args) -> dict:
         raise SpecError(
             f"tomography of {circuit.n_qubits} qubits; at most {MAX_TOMOGRAPHY_QUBITS} are run"
         )
+    counts_file = None
+    if args.tomography != "none":
+        counts_file = args.counts_out or _sibling(args.out, ".counts.json")
+        if Path(counts_file).resolve() == Path(args.out).resolve():
+            raise SpecError("the counts file and the report must be different files")
 
     exec_circuit = circuit
     layout = None
@@ -144,8 +150,8 @@ def run_experiment(args) -> dict:
             raise SpecError("routed-qubit tomography applies only to router-control0/control1")
         q = _ROUTED_QUBIT[experiment]
         state = partial_trace(rho, [q])
-    reconstructed, counts_file = rho, None
-    if args.tomography != "none":
+    reconstructed = rho
+    if counts_file is not None:
         settings = (
             tomography.observables_for(state.n_qubits)
             if args.settings_per_observable
@@ -153,9 +159,8 @@ def run_experiment(args) -> dict:
         )
         dataset = tomography.collect_dataset(state, shots, seed, settings=settings)
         reconstructed = tomography.reconstruct(dataset)
-        counts_file = args.counts_out or _sibling(args.out, ".counts.json")
         with open(counts_file, "w") as f:
-            f.write(json.dumps(dataset.to_json(), indent=2, sort_keys=True))
+            f.write(json.dumps(dataset.to_json(), sort_keys=True))
 
     report = {
         "spec": {

@@ -1,8 +1,17 @@
-"""Closed-form reference states shared by the test modules."""
+"""Closed-form reference states and reference implementations shared by the test modules."""
+
+import re
 
 import numpy as np
 
-from qrouter.gates import GATE_MATRICES, Circuit, apply_circuit, resolve_prep
+from qrouter.gates import GATE_ARITY, GATE_MATRICES, Circuit, apply_circuit, resolve_prep
+from qrouter.qasm import (
+    DuplicateRegisterError,
+    IndexOutOfRangeError,
+    MissingHeaderError,
+    QasmSyntaxError,
+    UnknownGateError,
+)
 from qrouter.qstate import basis_state, pauli_matrix
 from qrouter.tomography import TomographyDataset, observables_for
 
@@ -138,3 +147,145 @@ def tensordot_apply(tensor, u, qubits):
     ut = u.reshape((2,) * (2 * k))
     out = np.tensordot(ut, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
     return np.moveaxis(out, range(k), qubits)
+
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>//[^\n]*)
+      | (?P<num>[0-9]+(\.[0-9]+)?)
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<str>"[^"\n]*")
+      | (?P<arrow>->)
+      | (?P<sym>[\[\];,])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def _position(src: str, off: int) -> tuple[int, int]:
+    """1-based (line, col) of ``off``; end of input is column 1 of the last line."""
+    line = src.count("\n", 0, off) + 1
+    return line, (off - src.rfind("\n", 0, off) if off < len(src) else 1)
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens, closed by an ``end`` token at ``len(src)``."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise QasmSyntaxError(f"unexpected character {m.group()!r}", *_position(src, m.start()))
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "end of input", len(src)))
+    return tokens
+
+
+def reference_parse(src: str) -> Circuit:
+    """Reference QASM parser: one ``(kind, text, offset)`` tuple per token, then
+    one ``take`` call per token; raises positioned QasmError on failure."""
+    tokens = _tokenize(src)
+    if tokens[0][:2] != ("id", "OPENQASM"):
+        raise MissingHeaderError(
+            "program must start with 'OPENQASM 2.0;'", *_position(src, tokens[0][2])
+        )
+    i = 1
+
+    def take(what: str, kind: str | None = None) -> tuple[str, int]:
+        """Next token's text and offset; it must be of ``kind``, else have the text ``what``."""
+        nonlocal i
+        k, text, off = tokens[i]
+        if (k != kind) if kind else (text != what):
+            raise QasmSyntaxError(f"expected {what!r}, got {text!r}", *_position(src, off))
+        i += 1
+        return text, off
+
+    def bracketed(what: str) -> tuple[int, int]:
+        """``[n]`` with an integer literal n: its value and offset."""
+        take("[")
+        text, off = take(what, "num")
+        if "." in text:
+            raise QasmSyntaxError(f"{what} must be an integer", *_position(src, off))
+        take("]")
+        try:
+            return int(text), off
+        except ValueError:  # past the interpreter's integer-string digit limit
+            raise QasmSyntaxError(f"{what} has too many digits", *_position(src, off)) from None
+
+    regs: dict[str, tuple[str, int]] = {}  # "qreg"/"creg" -> (name, size)
+
+    def operand(kw: str) -> int:
+        role = "quantum" if kw == "qreg" else "classical"
+        name, off = take(f"{role} register operand", "id")
+        if kw not in regs:
+            raise QasmSyntaxError(f"no {role} register declared", *_position(src, off))
+        reg, size = regs[kw]
+        if name != reg:
+            raise QasmSyntaxError(f"unknown register {name!r}", *_position(src, off))
+        index, off = bracketed("index")
+        if index >= size:
+            raise IndexOutOfRangeError(
+                f"index {index} out of range for {reg}[{size}]", *_position(src, off)
+            )
+        return index
+
+    ver, off = take("version number", "num")
+    if ver != "2.0":
+        raise QasmSyntaxError(f"unsupported OPENQASM version {ver}", *_position(src, off))
+    take(";")
+    circuit = Circuit(0)
+    while tokens[i][0] != "end":
+        kind, kw, off = tokens[i]
+        i += 1
+        if kind != "id":
+            raise QasmSyntaxError(f"expected a statement, got {kw!r}", *_position(src, off))
+        if kw == "OPENQASM":
+            raise QasmSyntaxError("duplicate OPENQASM header", *_position(src, off))
+        if kw == "include":
+            take("include filename", "str")
+            take(";")
+            continue
+        if kw in ("qreg", "creg"):
+            name, name_off = take("register name", "id")
+            size, size_off = bracketed("register size")
+            take(";")
+            if size < 1:
+                raise QasmSyntaxError("register size must be positive", *_position(src, size_off))
+            if kw in regs:
+                raise DuplicateRegisterError(
+                    f"only one {kw} is supported", *_position(src, name_off)
+                )
+            regs[kw] = (name, size)
+            setattr(circuit, "n_qubits" if kw == "qreg" else "n_clbits", size)
+            continue
+        if kw in GATE_MATRICES:
+            qubits = [operand("qreg")]
+            for _ in range(GATE_ARITY[kw] - 1):
+                take(",")
+                qubits.append(operand("qreg"))
+            take(";")
+            if len(set(qubits)) != len(qubits):
+                raise IndexOutOfRangeError(f"repeated operand q[{qubits[0]}]", *_position(src, off))
+            append, args = circuit.add, (kw, *qubits)
+        elif kw == "measure":
+            q = operand("qreg")
+            take("->")
+            append, args = circuit.measure, (q, operand("creg"))
+            take(";")
+        elif kw == "barrier":
+            args = []
+            if tokens[i][0] == "id":
+                args.append(operand("qreg"))
+                while tokens[i][1] == ",":
+                    i += 1
+                    args.append(operand("qreg"))
+            take(";")
+            append = circuit.barrier
+        else:
+            raise UnknownGateError(f"unknown gate or statement {kw!r}", *_position(src, off))
+        try:
+            append(*args)
+        except ValueError as e:  # a qubit already measured, or a repeated barrier operand
+            raise QasmSyntaxError(str(e), *_position(src, off)) from None
+    return circuit

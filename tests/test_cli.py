@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qrouter import cli, noise
+from qrouter import cli, noise, tomography
 from qrouter.cli import main
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
@@ -111,6 +111,38 @@ class TestRun:
         assert counts["shots"] == 128 and len(counts["settings"]) == 27
         for setting_counts in counts["settings"].values():
             assert sum(setting_counts.values()) == 128
+
+    def test_counts_file_is_one_compact_line(self, tmp_path, monkeypatch):
+        made, collect_dataset = [], tomography.collect_dataset
+
+        def collect(*args, **kwargs):
+            made.append(collect_dataset(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli.tomography, "collect_dataset", collect)
+        out = str(tmp_path / "r.json")
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--shots", "128",
+            "--seed", "3", "--no-timestamps", "--out", out,
+        ) == 0
+        with open(read_json(out)["counts_file"]) as f:
+            text = f.read()
+        assert "\n" not in text
+        assert json.loads(text) == made[0].to_json()
+
+    @pytest.mark.parametrize("counts", ["r.json", "./r.json", "sub/../r.json", "{tmp}/r.json"])
+    def test_counts_out_equal_to_out_exit_1_before_any_state(
+        self, tmp_path, capsys, monkeypatch, counts
+    ):
+        monkeypatch.setattr(cli, "apply_circuit", None)  # any simulation would raise
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--no-timestamps",
+            "--out", "r.json", "--counts-out", counts.format(tmp=tmp_path),
+        ) == 1
+        assert "counts file and the report must be different" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_qasm_input(self, tmp_path, report_path):
         qasm_file = tmp_path / "router.qasm"

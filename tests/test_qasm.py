@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from qrouter.qasm import (
     transpile,
 )
 
+from ._analytic import reference_parse
 from .test_gates import max_dev_up_to_phase
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -84,6 +87,19 @@ class TestParse:
             parse(HEADER + "qreg q[1]\nh q[0];")
         assert e.value.line >= 3
 
+    def test_include_filename_with_semicolon(self):
+        c = parse(HEADER + 'include "a;b.inc";\nqreg q[1];\nh q[0];')
+        assert [(i.name, i.qubits) for i in c.instructions] == [("h", (0,))]
+
+    def test_megabyte_of_blank_and_comment_lines(self):
+        gap = ("  \t\r\n// " + "comment; h q[0] " * 4 + "\n\n") * 3000  # about 220 KB
+        c = Circuit(2).add("h", 0).add("cx", 0, 1).add("x", 1)
+        src = gap.join(serialize(c).splitlines(keepends=True))
+        assert len(src) > 1_000_000
+        start = time.perf_counter()
+        assert parse(src) == c
+        assert time.perf_counter() - start < 10.0
+
 
 Q = HEADER + "qreg q[2];\ncreg c[2];\n"
 
@@ -93,6 +109,8 @@ PARSE_ERRORS = [
      QasmSyntaxError, "unexpected character '@'", 4, 9),
     ("bad-char-after-tab-comment", HEADER + "// note\n\tqreg q[1]; $",
      QasmSyntaxError, "unexpected character '$'", 4, 13),
+    ("bad-char-after-syntax-error", HEADER + "qreg q[1]\nh q[0]; @",
+     QasmSyntaxError, "unexpected character '@'", 4, 9),
     ("no-header", "qreg q[1];",
      MissingHeaderError, "program must start with 'OPENQASM 2.0;'", 1, 1),
     ("empty", "",
@@ -189,6 +207,9 @@ PARSE_ERRORS = [
      QasmSyntaxError, "repeated qubit operand in (0, 1, 0)", 5, 1),
     ("unknown-gate", Q + "h q[0];\n  rz q[0];",
      UnknownGateError, "unknown gate or statement 'rz'", 6, 3),
+    ("crlf-lines",
+     'OPENQASM 2.0;\r\ninclude "qelib1.inc";\r\nqreg q[2];\r\nh q[0];\r\ncx q[1],\r\n  q[2];\r\n',
+     IndexOutOfRangeError, "index 2 out of range for q[2]", 6, 5),
 ]
 
 
@@ -205,6 +226,8 @@ def test_parse_error_table(src, cls, message, line, col):
         f"line {line}, col {col}: {message}", line, col
     )
 
+
+GATES1 = ["h", "x", "s", "sdg", "t", "tdg"]
 
 # separators that split statements across lines and carry comments
 SEPARATORS = [" ", "\t", "\n", "  \n\t", " // note; q[0]\n", "\n// h q[9];\n\n", "\r\n "]
@@ -227,23 +250,28 @@ def spaced_program(c, rng):
     return "".join(f"{sep}{tok}" for sep, tok in zip(seps, tokens)) + str(rng.choice(SEPARATORS))
 
 
+def seeded_circuit(rng):
+    """A circuit of 1-4 qubits with gates, barriers and, when it has a creg, measurements."""
+    n = int(rng.integers(1, 5))
+    c = Circuit(n, int(rng.integers(0, 3)) and n)
+    for _ in range(int(rng.integers(0, 12))):
+        r = rng.random()
+        if r < 0.1:
+            c.barrier(*[int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]])
+        elif n >= 2 and r < 0.4:
+            q = rng.permutation(n)[:2]
+            c.add("cx", int(q[0]), int(q[1]))
+        else:
+            c.add(str(rng.choice(GATES1)), int(rng.integers(n)))
+    for q in rng.permutation(n)[: int(rng.integers(0, n + 1))] if c.n_clbits else []:
+        c.measure(int(q), int(rng.integers(c.n_clbits)))
+    return c
+
+
 def test_seeded_multiline_programs_parse_to_their_circuits():
     rng = np.random.default_rng(11)
-    gates1 = ["h", "x", "s", "sdg", "t", "tdg"]
     for _ in range(40):
-        n = int(rng.integers(1, 5))
-        c = Circuit(n, int(rng.integers(0, 3)) and n)
-        for _ in range(int(rng.integers(0, 12))):
-            r = rng.random()
-            if r < 0.1:
-                c.barrier(*[int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]])
-            elif n >= 2 and r < 0.4:
-                q = rng.permutation(n)[:2]
-                c.add("cx", int(q[0]), int(q[1]))
-            else:
-                c.add(str(rng.choice(gates1)), int(rng.integers(n)))
-        for q in rng.permutation(n)[: int(rng.integers(0, n + 1))] if c.n_clbits else []:
-            c.measure(int(q), int(rng.integers(c.n_clbits)))
+        c = seeded_circuit(rng)
         got = parse(spaced_program(c, rng))
         assert [(i.name, i.qubits, i.clbits) for i in got.instructions] == [
             (i.name, i.qubits, i.clbits) for i in c.instructions
@@ -372,30 +400,114 @@ class TestApplyLayout:
             apply_layout(Circuit(2).add("h", 0), (0, 0), 5)
 
 
+FUZZ_VOCAB = [
+    "OPENQASM", "2.0", "include", '"qelib1.inc"', "qreg", "creg", "q", "c",
+    "h", "x", "s", "sdg", "t", "tdg", "cx", "measure", "barrier", "->",
+    "[", "]", ";", ",", "0", "1", "5", "//", "\n", " ", "q[0]", "q[1]",
+]
+
+
+def fuzz_sources():
+    """1000 seeded sources: vocabulary soups, random bytes and character-mutated programs."""
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        kind = rng.random()
+        if kind < 0.4:
+            yield "".join(
+                str(rng.choice(FUZZ_VOCAB)) for _ in range(int(rng.integers(0, 60)))
+            )
+        elif kind < 0.7:
+            yield bytes(rng.integers(0, 256, size=int(rng.integers(0, 200)))).decode("latin-1")
+        else:
+            base = list(HEADER + "qreg q[3]; creg c[3]; h q[0]; cx q[0], q[1];")
+            for _ in range(int(rng.integers(1, 8))):
+                base[int(rng.integers(len(base)))] = chr(int(rng.integers(32, 127)))
+            yield "".join(base)
+
+
 class TestFuzz:
     def test_parser_never_crashes(self):
-        rng = np.random.default_rng(7)
-        vocab = [
-            "OPENQASM", "2.0", "include", '"qelib1.inc"', "qreg", "creg", "q", "c",
-            "h", "x", "s", "sdg", "t", "tdg", "cx", "measure", "barrier", "->",
-            "[", "]", ";", ",", "0", "1", "5", "//", "\n", " ", "q[0]", "q[1]",
-        ]
-        for _ in range(1000):
-            kind = rng.random()
-            if kind < 0.4:
-                src = "".join(
-                    str(rng.choice(vocab)) for _ in range(int(rng.integers(0, 60)))
-                )
-            elif kind < 0.7:
-                src = bytes(rng.integers(0, 256, size=int(rng.integers(0, 200)))).decode(
-                    "latin-1"
-                )
-            else:
-                base = list(HEADER + "qreg q[3]; creg c[3]; h q[0]; cx q[0], q[1];")
-                for _ in range(int(rng.integers(1, 8))):
-                    base[int(rng.integers(len(base)))] = chr(int(rng.integers(32, 127)))
-                src = "".join(base)
+        for src in fuzz_sources():
             try:
                 parse(src)
             except QasmError:
                 pass
+
+
+# pieces a mutation inserts: tokens, statements, separators and stray characters
+MUTATION_PIECES = [
+    ";", ",", "[", "]", "->", " ", "\t", "\n", "\r\n", "// x;\n", "q", "c", "r", "0", "2",
+    "9", "1.5", '"', '"a;b"', "-", "@", "OPENQASM 2.0;", "qreg q[2];", "creg c[2];",
+    "measure", "barrier", "barrier;", "h", "cx", "include",
+]
+
+
+def mutated(text, rng):
+    """``text`` with one to three seeded deletions, insertions or character swaps."""
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(len(text) + 1))
+        r = rng.random()
+        if r < 0.35:
+            text = text[:at] + text[at + int(rng.integers(1, 6)):]
+        elif r < 0.7:
+            text = text[:at] + str(rng.choice(MUTATION_PIECES)) + text[at:]
+        else:
+            text = text[:at] + chr(int(rng.integers(32, 127))) + text[at + 1:]
+    return text
+
+
+def parse_outcome(parser, src):
+    """The registers and instructions ``parser`` builds from ``src``, or the
+    class, message, line and column of the QasmError it raises."""
+    try:
+        c = parser(src)
+    except QasmError as e:
+        return type(e), str(e), e.line, e.col
+    return c.n_qubits, c.n_clbits, c.instructions
+
+
+class TestAgainstReferenceParser:
+    """``parse`` builds the circuit the token-by-token reference parser builds,
+    or raises the same error at the same place."""
+
+    @staticmethod
+    def assert_same(sources):
+        kinds = set()
+        for src in sources:
+            got = parse_outcome(parse, src)
+            assert got == parse_outcome(reference_parse, src), repr(src)
+            kinds.add(got[0] if isinstance(got[0], type) else "circuit")
+        return kinds
+
+    def test_fuzz_corpus(self):
+        kinds = self.assert_same(fuzz_sources())
+        assert {"circuit", QasmSyntaxError, MissingHeaderError} <= kinds
+
+    def test_spaced_programs(self):
+        rng = np.random.default_rng(12)
+        kinds = self.assert_same(spaced_program(seeded_circuit(rng), rng) for _ in range(200))
+        assert kinds == {"circuit"}
+
+    def test_mutated_canonical_programs(self):
+        rng = np.random.default_rng(13)
+        kinds = self.assert_same(mutated(serialize(seeded_circuit(rng)), rng) for _ in range(3000))
+        assert kinds == {
+            "circuit", QasmSyntaxError, MissingHeaderError, UnknownGateError,
+            IndexOutOfRangeError, DuplicateRegisterError,
+        }
+
+    def test_serialized_and_transpiled_random_circuits(self):
+        rng = np.random.default_rng(14)
+        pairs = sorted(IBMQX4_COUPLING.edges)
+        for _ in range(100):
+            c = Circuit(5)
+            for _ in range(int(rng.integers(1, 41))):
+                if rng.random() < 0.4:
+                    ctl, tgt = pairs[int(rng.integers(len(pairs)))]
+                    c.add("cx", *((ctl, tgt) if rng.random() < 0.5 else (tgt, ctl)))
+                else:
+                    c.add(str(rng.choice(GATES1)), int(rng.integers(5)))
+            for circuit in (c, transpile(c, IBMQX4_COUPLING)):
+                text = serialize(circuit)
+                assert parse(text) == circuit
+                assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
