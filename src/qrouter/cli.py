@@ -14,8 +14,9 @@ tomography, the negativity and the control entropy) from ``reconstructed`` and
 ``ideal_state``; a stored value that differs by more than 1e-9 is a failed check,
 and an ``ideal_state`` that is not a normalised state of matching size exits 2.
 ``run`` rejects (exit 1) an executed register wider than 12 qubits, full
-tomography of more than 6, and a counts file that is the report file, before
-any state is formed. The counts file is compact JSON on one line.
+tomography of more than 6, routed tomography of an experiment with no routed
+qubit, and a counts file that is the report file, before any state is formed.
+The counts file is compact JSON on one line.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def run_experiment(args) -> dict:
         raise SpecError(
             f"tomography of {circuit.n_qubits} qubits; at most {MAX_TOMOGRAPHY_QUBITS} are run"
         )
+    if args.tomography == "routed" and experiment not in _ROUTED_QUBIT:
+        raise SpecError("routed-qubit tomography applies only to router-control0/control1")
     counts_file = None
     if args.tomography != "none":
         counts_file = args.counts_out or _sibling(args.out, ".counts.json")
@@ -132,22 +135,19 @@ def run_experiment(args) -> dict:
 
     ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
     ideal_dm = to_density(ideal)
+    # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
     if model is not None:
-        rho = noise_mod.simulate_noisy(exec_circuit, model)
+        rho = noise_mod.simulate_noisy(exec_circuit, model, keep=layout)
     elif layout is not None:
-        rho = to_density(
-            apply_circuit(exec_circuit, basis_state(exec_circuit.n_qubits, 0))
+        rho = partial_trace(
+            to_density(apply_circuit(exec_circuit, basis_state(exec_circuit.n_qubits, 0))),
+            layout,
         )
     else:
         rho = ideal_dm
-    if layout is not None:
-        # discard idle device qubits; logical qubit i sits on layout[i]
-        rho = partial_trace(rho, layout)
 
     state, q = rho, None
     if args.tomography == "routed":
-        if experiment not in _ROUTED_QUBIT:
-            raise SpecError("routed-qubit tomography applies only to router-control0/control1")
         q = _ROUTED_QUBIT[experiment]
         state = partial_trace(rho, [q])
     reconstructed = rho

@@ -6,15 +6,24 @@ each touched qubit using that qubit's T1/T2. At the error magnitudes modeled
 here the ordering is below any test tolerance, but it is pinned so runs are
 reproducible.
 
-The simulator folds that sequence into one 4^k x 4^k superoperator per
-distinct (gate, qubits): the product, in the pinned order, of K (x) K* summed
-over each stage's Kraus operators (Nielsen & Chuang section 8.2). Superoperators
-depend only on the model, so each is built once per process and kept in a
-bounded per-model cache; the T2 > 2*T1 clamping warnings raised while building
-one are raised again on every simulation that uses it. A superoperator acts on
-rho, held as a (2,)*2n tensor, with one call of the kernel ``gates`` uses for
-state vectors (on the row and column axes of the gate's qubits); the result is
-validated as a ``DensityMatrix`` once per simulation, not after every step.
+The simulator folds that sequence into one superoperator per gate, the
+product, in the pinned order, of K (x) K* summed over each stage's Kraus
+operators (Nielsen & Chuang section 8.2), and applies gates in fused blocks:
+each CNOT absorbs the 1-qubit gates pending on its two qubits, and the 1-qubit
+gates left at the end form one block per qubit. A block is one 4^k x 4^k
+superoperator (k = 1 or 2), the product of its gates' superoperators. Blocks
+depend only on the model, so each is built when first used and kept in a
+bounded per-model cache under its gate sequence: a one-gate block from the
+gate's channels, a longer one from its gates' one-gate entries, so each gate
+is built once. The T2 > 2*T1 clamping warnings raised while building a gate
+are raised again on every simulation that uses a block containing it.
+Only the qubits that some gate touches, or that the caller keeps, are
+simulated: an untouched qubit stays |0>, so it is never formed. A block acts
+on rho, held as a (2,)*2r tensor over those r qubits, with one call of the
+kernel ``gates`` uses for state vectors (on the row and column axes of the
+block's qubits); touched qubits that are not kept are traced out at the end,
+and the result is validated as a ``DensityMatrix`` once per simulation, not
+after every step.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GATE_MATRICES, Circuit, _apply_tensor
-from .qstate import DensityMatrix, pauli_matrix
+from .qstate import DensityMatrix, _check_qubit_subset, _reduced_matrix, pauli_matrix
 
 
 @dataclass(frozen=True)
@@ -265,47 +274,95 @@ def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.n
     return damp[0] @ depol @ _superop((GATE_MATRICES[name],))
 
 
-def _noisy_gate(name: str, qubits: tuple[int, ...], model: NoiseModel):
-    """``_gate_superop`` (read-only) with the warnings its build raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sop = _gate_superop(name, qubits, model)
+def _block_superop(block: tuple, gate_superops) -> np.ndarray:
+    """The product, in order, of a block's gate superoperators, on the qubits of
+    its last gate. Indices run over (row qubits, column qubits)."""
+    qubits = block[-1][1]
+    k, d = len(qubits), 4 ** len(qubits)
+    t = np.eye(d, dtype=complex).reshape((2,) * (2 * k) + (d,))
+    for (_, gate_qubits), sop in zip(block, gate_superops):
+        local = tuple(qubits.index(q) for q in gate_qubits)
+        t = _apply_tensor(t, sop, local + tuple(k + i for i in local))
+    return t.reshape(d, d)
+
+
+def _noisy_block(model: NoiseModel, block: tuple):
+    """A block's superoperator (read-only) with the clamping warnings its gates
+    raise. One gate is built from its channels; a longer block is composed from
+    its gates' one-gate entries of the same cache, so each gate is built once."""
+    if len(block) == 1:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sop = _gate_superop(*block[0], model)
+        notes = tuple(w.message for w in caught)
+    else:
+        entries = [_model_superops(model)((gate,)) for gate in block]
+        sop = _block_superop(block, [e[0] for e in entries])
+        notes = tuple(note for e in entries for note in e[1])
     sop.flags.writeable = False
-    return sop, tuple(w.message for w in caught)
+    return sop, notes
+
+
+_BLOCKS_PER_MODEL = 128  # the transpiled routers use 23 entries (9 blocks); one is at most 4 KB
 
 
 @functools.lru_cache(maxsize=16)
-def _model_superops(model: NoiseModel) -> dict:
-    """``_noisy_gate`` results of one model by (gate, qubits), filled as circuits
-    need them; at most one entry per distinct gate placement the model runs."""
-    return {}
+def _model_superops(model: NoiseModel):
+    """``_noisy_block`` of one model, built as circuits need each block (and its
+    gates) and kept for the ``_BLOCKS_PER_MODEL`` entries used last."""
+    return functools.lru_cache(maxsize=_BLOCKS_PER_MODEL)(functools.partial(_noisy_block, model))
 
 
-def simulate_noisy(c: Circuit, model: NoiseModel) -> DensityMatrix:
-    """Density-matrix run of ``c`` from |0...0> under ``model``.
+def _fused_blocks(gates):
+    """Group gates into blocks: a CNOT absorbs the 1-qubit gates pending on its
+    qubits, and the gates still pending at the end form one block per qubit. A
+    block is a tuple of (gate, qubits) in circuit order; it acts on the qubits
+    of its last gate."""
+    pending: dict[int, list] = {}
+    for instr in gates:
+        qubits = instr.qubits
+        if len(qubits) == 1:
+            pending.setdefault(qubits[0], []).append((instr.name, qubits))
+        else:
+            head = pending.pop(qubits[0], []) + pending.pop(qubits[1], [])
+            yield (*head, (instr.name, qubits))
+    for run in pending.values():
+        yield tuple(run)
 
-    The model must calibrate at least as many qubits as the circuit uses.
-    Barriers are ignored; measurement belongs to the tomography layer.
+
+def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
+    """Density-matrix run of ``c`` from |0...0> under ``model``, reduced to ``keep``.
+
+    As in ``partial_trace``, new qubit i is circuit qubit ``keep[i]``; the
+    default keeps every qubit in order. Only the qubits that a gate touches or
+    ``keep`` names are simulated: an untouched qubit gets no gate and no noise,
+    so it stays |0> and is never formed. The model must calibrate at least as
+    many qubits as the circuit has. Barriers are ignored; measurement belongs
+    to the tomography layer.
     """
     n = c.n_qubits
     if len(model.qubits) < n:
         raise ValueError(
             f"model calibrates {len(model.qubits)} qubits, circuit needs {n}"
         )
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
+    keep = list(range(n)) if keep is None else list(keep)
+    _check_qubit_subset(keep, n, "keep set")
+    blocks = list(_fused_blocks(c.unitary_gates()))
+    register = sorted({q for block in blocks for q in block[-1][1]}.union(keep))
+    pos = {q: i for i, q in enumerate(register)}
+    r = len(register)
+    rho = np.zeros((2,) * (2 * r), dtype=complex)
+    rho[(0,) * (2 * r)] = 1.0
 
     superops = _model_superops(model)
     clamped = {}
-    for instr in c.unitary_gates():
-        key = (instr.name, instr.qubits)
-        entry = superops.get(key)
-        if entry is None:
-            entry = superops[key] = _noisy_gate(instr.name, instr.qubits, model)
-        sop, notes = entry
+    for block in blocks:
+        sop, notes = superops(block)
         for note in notes:
             clamped[str(note)] = note
-        rho = _apply_superop(rho, sop, instr.qubits)
+        rho = _apply_superop(rho, sop, tuple(pos[q] for q in block[-1][1]))
     for note in clamped.values():
         warnings.warn(note, stacklevel=2)
-    return DensityMatrix(n, rho.reshape(2**n, 2**n))
+    # summed in the order partial_trace sums a validated (C-ordered) matrix
+    rho = np.ascontiguousarray(rho)
+    return DensityMatrix(len(keep), _reduced_matrix(rho, [pos[q] for q in keep]))

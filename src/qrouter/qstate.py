@@ -132,15 +132,19 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     New qubit i is old qubit ``keep[i]``, so a sorted ``keep`` retains
     ascending index order and an unsorted one also permutes the qubits.
     """
-    n = rho.n_qubits
     keep = list(keep)
-    _check_qubit_subset(keep, n, "keep set")
-    t = rho.matrix.reshape((2,) * (2 * n))
+    _check_qubit_subset(keep, rho.n_qubits, "keep set")
+    t = rho.matrix.reshape((2,) * (2 * rho.n_qubits))
+    return DensityMatrix(len(keep), _reduced_matrix(t, keep))
+
+
+def _reduced_matrix(t: np.ndarray, keep: list[int]) -> np.ndarray:
+    """``partial_trace``'s matrix, unvalidated, of rho held as a (2,)*2n tensor."""
+    n = t.ndim // 2
     # a traced qubit's column axis shares its row axis's label, so einsum sums it
     subs = list(range(n)) + [n + q if q in keep else q for q in range(n)]
     reduced = np.einsum(t, subs, keep + [n + q for q in keep])
-    k = len(keep)
-    return DensityMatrix(k, reduced.reshape(2**k, 2**k))
+    return reduced.reshape(2 ** len(keep), 2 ** len(keep))
 
 
 def permute_qubits(rho: DensityMatrix, order) -> DensityMatrix:

@@ -144,6 +144,32 @@ class TestRun:
         assert "counts file and the report must be different" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("device", [[], ["--noise", "ibmqx4", "--transpile", "ibmqx4"]],
+                             ids=["ideal", "device"])
+    @pytest.mark.parametrize("source", ["experiment", "qasm"])
+    def test_routed_without_routed_qubit_exit_1_before_any_state(
+        self, tmp_path, report_path, capsys, monkeypatch, source, device
+    ):
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was formed")
+
+        monkeypatch.setattr(cli, "apply_circuit", no_state)
+        monkeypatch.setattr(noise, "simulate_noisy", no_state)
+        if source == "qasm":
+            qasm_file = tmp_path / "router.qasm"
+            qasm_file.write_text(serialize(named_router_circuit("router-control0")))
+            circuit = ["--qasm", str(qasm_file)]
+        else:
+            circuit = ["--experiment", "router-superposition"]
+        assert run_cli(
+            "run", *circuit, *device, "--tomography", "routed", "--no-timestamps",
+            "--out", report_path,
+        ) == 1
+        err = capsys.readouterr().err
+        assert "routed-qubit tomography applies only to router-control0/control1" in err
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == (["router.qasm"] if source == "qasm" else [])
+
     def test_qasm_input(self, tmp_path, report_path):
         qasm_file = tmp_path / "router.qasm"
         qasm_file.write_text(serialize(named_router_circuit("router-superposition")))

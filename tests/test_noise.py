@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -28,8 +29,15 @@ from qrouter.noise import (
     readout_flip,
     simulate_noisy,
 )
-from qrouter.qasm import IBMQX4_COUPLING, apply_layout, transpile
-from qrouter.qstate import DensityMatrix, StateVector, basis_state, negativity, to_density
+from qrouter.qasm import IBMQX4_COUPLING, UnroutableCnotError, apply_layout, transpile
+from qrouter.qstate import (
+    DensityMatrix,
+    StateVector,
+    basis_state,
+    negativity,
+    partial_trace,
+    to_density,
+)
 from qrouter.tomography import fidelity
 
 
@@ -355,8 +363,26 @@ class TestSimulateNoisy:
             simulate_noisy(c, ibmqx4_model())
 
     def test_rejects_too_many_qubits(self):
-        with pytest.raises(ValueError):
+        message = "model calibrates 5 qubits, circuit needs 6"
+        with pytest.raises(ValueError, match=message):
             simulate_noisy(Circuit(6).add("h", 5), ibmqx4_model())
+        # the check is on the circuit's width, not on the qubits simulated
+        for keep in (None, [0]):
+            with pytest.raises(ValueError, match=message):
+                simulate_noisy(Circuit(6).add("h", 0), ibmqx4_model(), keep)
+
+    @pytest.mark.parametrize("keep", [[0, 0], [], [5], [-1], [2, 0, 2]])
+    def test_keep_checked_as_partial_trace_checks_it(self, keep):
+        c = transpile(
+            apply_layout(named_router_circuit("router-control1"), (2, 0, 1), 5),
+            IBMQX4_COUPLING,
+        )
+        with pytest.raises(ValueError) as expected:
+            partial_trace(to_density(basis_state(5, 0)), keep)
+        with pytest.raises(ValueError) as got:
+            simulate_noisy(c, ibmqx4_model(), keep)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("keep set ")
 
 
 def per_kraus_reference(c, model):
@@ -443,10 +469,19 @@ class TestFusedSimulator:
             with pytest.warns(UserWarning, match="clamping dephasing rate"):
                 runs.append(simulate_noisy(c, model).matrix)
         assert np.array_equal(*runs)
-        # a circuit that never touches the unphysical qubit does not warn
+        # a trailing block on the unphysical qubit warns on every call too, also
+        # when that qubit is traced out
+        c.add("t", 0)
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="clamping dephasing rate"):
+                rho = simulate_noisy(c, model, keep=[1])
+        assert rho.n_qubits == 1
+        # a circuit that never touches the unphysical qubit does not warn, even
+        # when it keeps that qubit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate_noisy(Circuit(2).add("x", 1), model)
+            simulate_noisy(Circuit(2).add("x", 1), model, keep=[0, 1])
 
     def test_models_share_no_superoperators(self):
         models = [ibmqx4_model(), SECOND_MODEL, ibmqx4_model(p1=2e-3), ibmqx4_model()]
@@ -464,13 +499,44 @@ class TestFusedSimulator:
             simulate_noisy(c, zero_model(p1=i * 1e-4))
             simulate_noisy(c, zero_model(p1=i * 1e-4))
             assert noise._model_superops.cache_info().currsize <= limit
-        # one entry per distinct gate placement, however often it runs
+        # one entry per distinct block and per gate in it, however often it runs:
+        # the block (h 0, cx 0 1) is composed from the entries (h 0) and (cx 0 1)
         model = zero_model(p1=0.0)
         for _ in range(3):
             simulate_noisy(c, model)
-        assert len(noise._model_superops(model)) == 2
+        assert noise._model_superops(model).cache_info().currsize == 3
+        # a trailing one-gate block is its gate's entry
+        simulate_noisy(Circuit(2).add("h", 0).add("cx", 0, 1).add("t", 1), model)
+        assert noise._model_superops(model).cache_info().currsize == 4
 
-    def test_one_contraction_per_gate_and_one_validation(self, monkeypatch):
+    def test_block_cache_is_bounded_per_model(self):
+        model = zero_model(p1=7.7e-4)
+        blocks = noise._model_superops(model)
+        blocks.cache_clear()
+        per_model = blocks.cache_info().maxsize
+        # 8 one-qubit gates ahead of each CNOT spell its index in h/x: all blocks differ
+        c = Circuit(2)
+        for i in range(per_model + 20):
+            for bit in range(8):
+                c.add("x" if i >> bit & 1 else "h", 0)
+            c.add("cx", 0, 1)
+        rho = simulate_noisy(c, model)
+        assert blocks.cache_info().currsize == per_model
+        # every block once, and each of its three gates (h 0, x 0, cx 0 1) once
+        assert blocks.cache_info().misses == per_model + 20 + 3
+        assert np.array_equal(simulate_noisy(c, model).matrix, rho.matrix)
+        assert blocks.cache_info().currsize == per_model
+
+    def test_one_contraction_per_block_and_one_validation(self, monkeypatch):
+        c = transpile(
+            apply_layout(named_router_circuit("router-superposition"), (2, 0, 1), 5),
+            IBMQX4_COUPLING,
+        )
+        c.barrier()
+        c.add("t", 2).add("h", 0).add("s", 2)  # two trailing blocks: (t, s) on 2, h on 0
+        model = ibmqx4_model()
+        keep = (2, 0, 1)
+        simulate_noisy(c, model, keep)  # fills the block cache: no build below
         contractions = []
         built = []
         apply_tensor = noise._apply_tensor
@@ -485,13 +551,84 @@ class TestFusedSimulator:
 
         monkeypatch.setattr(noise, "_apply_tensor", counting_apply)
         monkeypatch.setattr(noise, "DensityMatrix", counting_density)
-        c = transpile(
-            apply_layout(named_router_circuit("router-superposition"), (2, 0, 1), 5),
-            IBMQX4_COUPLING,
-        )
-        c.barrier()
-        simulate_noisy(c, ibmqx4_model())
-        gates = c.gate_instructions()
-        assert len(contractions) == len(gates)
-        assert contractions == [i.qubits + tuple(5 + q for q in i.qubits) for i in gates]
+        rho = simulate_noisy(c, model, keep)
+        # a CNOT takes in the 1-qubit gates pending on its qubits; the rest are
+        # one block per qubit, in the order their first gate came. The circuit
+        # touches qubits 0-2 only, so they are the simulated register.
+        blocks, pending = [], {}
+        for instr in c.gate_instructions():
+            if len(instr.qubits) == 2:
+                for q in instr.qubits:
+                    pending.pop(q, None)
+                blocks.append(instr.qubits)
+            else:
+                pending.setdefault(instr.qubits[0], None)
+        blocks += [(q,) for q in pending]
+        assert blocks[-2:] == [(2,), (0,)]
+        assert sorted({q for i in c.gate_instructions() for q in i.qubits}) == [0, 1, 2]
+        assert contractions == [b + tuple(3 + q for q in b) for b in blocks]
+        assert len(contractions) < len(c.gate_instructions())
         assert len(built) == 1
+        assert built[0][0] == 3 and rho.n_qubits == 3
+
+
+class TestKeep:
+    """``simulate_noisy(c, m, keep)`` simulates only the touched and kept qubits
+    and equals ``partial_trace(simulate_noisy(c, m), keep)``, bit for bit
+    wherever the simulated register is wider than a block."""
+
+    @pytest.mark.parametrize("model", [ibmqx4_model(), SECOND_MODEL], ids=["ibmqx4", "second"])
+    def test_keep_equals_partial_trace_of_every_router_layout(self, model):
+        runs = 0
+        for name in ROUTER_EXPERIMENTS:
+            for layout in itertools.permutations(range(5), 3):
+                try:
+                    c = transpile(
+                        apply_layout(named_router_circuit(name), layout, 5), IBMQX4_COUPLING
+                    )
+                except UnroutableCnotError:
+                    continue
+                rho = simulate_noisy(c, model, keep=layout)
+                assert rho.n_qubits == 3
+                reference = partial_trace(simulate_noisy(c, model), layout)
+                assert np.array_equal(rho.matrix, reference.matrix), (name, layout)
+                runs += 1
+        assert runs == 36  # 12 layouts of ibmqx4 keep every router CNOT on an edge
+
+    def test_keep_equals_partial_trace_of_random_circuits(self):
+        rng = np.random.default_rng(1414)
+        kept_idle = traced_touched = exact = 0
+        for i in range(30):
+            model = (ibmqx4_model(), SECOND_MODEL)[i % 2]
+            k = int(rng.integers(2, 6))
+            c = random_circuit(rng, k, int(rng.integers(1, 30)))
+            c = apply_layout(c, [int(q) for q in rng.permutation(5)[:k]], 5)
+            keep = [int(q) for q in rng.permutation(5)[: rng.integers(1, 6)]]
+            touched = {q for i in c.gate_instructions() for q in i.qubits}
+            kept_idle += bool(set(keep) - touched)
+            traced_touched += bool(touched - set(keep))
+            rho = simulate_noisy(c, model, keep)
+            reference = partial_trace(simulate_noisy(c, model), keep)
+            if len(touched | set(keep)) > 2:
+                assert np.array_equal(rho.matrix, reference.matrix), keep
+                exact += 1
+            else:
+                # a register no wider than a block is a matrix-vector product,
+                # which BLAS sums in another order than a matrix-matrix product
+                tol = 16 * np.finfo(float).eps
+                assert np.max(np.abs(rho.matrix - reference.matrix)) <= tol, keep
+        assert kept_idle >= 5 and traced_touched >= 5 and exact >= 25
+
+    def test_idle_qubit_is_never_formed(self, monkeypatch):
+        shapes = []
+        apply_tensor = noise._apply_tensor
+
+        def recording_apply(tensor, u, axes):
+            shapes.append(tensor.shape)
+            return apply_tensor(tensor, u, axes)
+
+        c = Circuit(5).add("h", 3).add("cx", 3, 1)
+        simulate_noisy(c, ibmqx4_model(), keep=[1])  # fills the block cache
+        monkeypatch.setattr(noise, "_apply_tensor", recording_apply)
+        rho = simulate_noisy(c, ibmqx4_model(), keep=[1])
+        assert shapes == [(2,) * 4] and rho.n_qubits == 1
