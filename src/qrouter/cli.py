@@ -5,10 +5,13 @@ Subcommands:
   emit-figure  dump the real or imaginary part of a reconstructed matrix as CSV
   verify       re-check a report against the router acceptance conditions
 
-Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error (a malformed
-device file, coupling map or report included), 3 unroutable circuit, and for
-``verify`` 1 when any check fails. An invalid ``reconstructed`` density
-matrix exits 2 in ``emit-figure`` and is a failed check (1) in ``verify``.
+Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error, 3 unroutable
+circuit, and for ``verify`` 1 when any check fails. A malformed device file,
+coupling map or report exits 2: a coupling map of no qubits, a device-file
+number that is not finite, and any value that should be a number and is not one
+(``true``, ``false``, a numeric string, or where a float is meant an int past
+float range) included. An invalid ``reconstructed`` density matrix exits 2 in
+``emit-figure`` and is a failed check (1) in ``verify``.
 ``verify`` recomputes the fidelity (and, unless the report is of routed
 tomography, the negativity and the control entropy) from ``reconstructed`` and
 ``ideal_state``; a stored value that differs by more than 1e-9 is a failed check,
@@ -37,7 +40,8 @@ from .gates import ROUTER_EXPERIMENTS, apply_circuit, named_router_circuit
 from .qstate import (
     DensityMatrix,
     StateVector,
-    _is_number,
+    _read_complex,
+    _read_number,
     basis_state,
     density_from_json,
     density_to_json,
@@ -46,12 +50,12 @@ from .qstate import (
     to_density,
     von_neumann_entropy,
 )
+from .tomography import MAX_TOMOGRAPHY_QUBITS
 
 DEFAULT_SHOTS = 8192
 DEFAULT_LAYOUT = (2, 0, 1)  # keeps every router CNOT edge-adjacent on ibmqx4
 RECOMPUTE_TOL = 1e-9  # stored vs recomputed report numbers in ``verify``
 MAX_QUBITS = 12  # widest executed register: its density matrix is 4^12 complex = 268 MB
-MAX_TOMOGRAPHY_QUBITS = 6  # literal-mode rotation stack: (4^6 - 1) * 4^6 complex = 268 MB
 
 
 class SpecError(Exception):
@@ -225,27 +229,13 @@ def _load_report(path: str) -> dict:
     return report
 
 
-def _report_number(report: dict, key: str) -> float:
-    if key not in report:
-        raise ReportError(f"report has no {key!r}")
-    try:
-        return float(report[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ReportError(f"report {key!r} is not a number: {report[key]!r}") from None
-
-
 def _report_ideal(report: dict) -> DensityMatrix:
     """The report's 'ideal_state' amplitude pairs as a density matrix."""
-    amps = report.get("ideal_state")
-    if not isinstance(amps, list) or not all(
-        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in amps
-    ):
-        raise ReportError("report 'ideal_state' must be a list of [re, im] number pairs")
+    amps = _read_complex(report.get("ideal_state"), "report 'ideal_state'", ReportError)
     try:
-        psi = StateVector(len(amps).bit_length() - 1, [complex(re, im) for re, im in amps])
-    except (ValueError, OverflowError) as e:
+        return to_density(StateVector(len(amps).bit_length() - 1, amps))
+    except ValueError as e:
         raise ReportError(f"report 'ideal_state': {e}") from None
-    return to_density(psi)
 
 
 def emit_figure(args) -> None:
@@ -266,7 +256,7 @@ def emit_figure(args) -> None:
 def verify(args) -> int:
     report = _load_report(args.report)
     keys = ("fidelity", "negativity", "entropy_control_bits")
-    stored = {key: _report_number(report, key) for key in keys}
+    stored = {key: _read_number(report, key, "report", ReportError) for key in keys}
     fid, neg = stored["fidelity"], stored["negativity"]
     spec = report.get("spec", {})
     if not isinstance(spec, dict):

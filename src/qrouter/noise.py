@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GATE_MATRICES, Circuit, _apply_tensor
-from .qstate import DensityMatrix, _check_qubit_subset, _reduced_matrix, pauli_matrix
+from .qstate import DensityMatrix, _check_qubit_subset, _read_number, _reduced_matrix, pauli_matrix
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,9 @@ class DeviceFileError(ValueError):
 
 
 def _number(obj: dict, key: str, where: str) -> float:
-    if key not in obj:
-        raise DeviceFileError(f"{where} has no {key!r}")
-    try:
-        value = float(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise DeviceFileError(f"{where}: {key!r} is not a number: {obj[key]!r}") from None
+    value = _read_number(obj, key, where, DeviceFileError)
     if not np.isfinite(value):  # Python's json reads NaN and Infinity; RFC 8259 has neither
-        raise DeviceFileError(f"{where}: {key!r} is not finite: {obj[key]!r}")
+        raise DeviceFileError(f"{where} {key!r} is not finite: {value!r}")
     return value
 
 

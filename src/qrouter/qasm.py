@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .gates import GATE_ARITY, GATE_MATRICES, Circuit, Instruction
+from .qstate import _is_int
 
 
 class QasmError(Exception):
@@ -334,25 +335,22 @@ class CouplingMapError(ValueError):
     """A coupling-map file that does not have the expected structure."""
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def coupling_map_from_json(data) -> CouplingMap:
     """Load ``{"n_qubits": n, "edges": [[c, t], ...]}`` (dict or JSON text)."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise CouplingMapError("coupling map must be a JSON object")
-    if not _is_int(data.get("n_qubits")):
-        raise CouplingMapError("coupling map needs an integer 'n_qubits'")
+    n = data.get("n_qubits")
+    if not (_is_int(n) and n >= 1):
+        raise CouplingMapError(f"coupling map needs a positive integer 'n_qubits', not {n!r}")
     edges = data.get("edges")
     if not isinstance(edges, (list, tuple)):
         raise CouplingMapError("coupling map needs an 'edges' list")
     for i, edge in enumerate(edges):
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(map(_is_int, edge))):
             raise CouplingMapError(f"coupling map edges[{i}] is not a pair of integers: {edge!r}")
-    return CouplingMap(data["n_qubits"], frozenset(tuple(e) for e in edges))
+    return CouplingMap(n, frozenset(tuple(e) for e in edges))
 
 
 def get_coupling_map(name_or_path: str) -> CouplingMap:

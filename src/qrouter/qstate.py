@@ -7,6 +7,7 @@ bit of a basis-state index, so basis index 0b110 on three qubits reads
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -199,8 +200,32 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return {"n_qubits": rho.n_qubits, "entries": entries}
 
 
+# The one rule for numbers read from files: a JSON int or float, never a bool,
+# and where a float is meant (``_is_number``) an int must be within float range.
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
+
+
+def _read_number(obj: dict, key: str, where: str, error) -> float:
+    """``obj[key]`` as a float; a missing key or a non-number raises ``error``, the caller's."""
+    if key not in obj:
+        raise error(f"{where} has no {key!r}")
+    if not _is_number(obj[key]):
+        raise error(f"{where} {key!r} is not a number: {obj[key]!r}")
+    return float(obj[key])
+
+
+def _read_complex(pairs, what: str, error) -> np.ndarray:
+    """A list of [re, im] number pairs as a complex array; anything else raises ``error``."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in pairs
+    ):
+        raise error(f"{what} must be a list of [re, im] number pairs")
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def density_from_json(data) -> DensityMatrix:
@@ -210,15 +235,9 @@ def density_from_json(data) -> DensityMatrix:
         raise ValueError("density matrix must be a JSON object with an 'entries' list")
     n, dim = data.get("n_qubits"), len(entries)
     # checked against the row count before 2**n can grow without bound
-    if not (_is_number(n) and isinstance(n, int) and 0 <= n < dim.bit_length() and dim == 2**n):
+    if not (_is_int(n) and 0 <= n < dim.bit_length() and dim == 2**n):
         raise ValueError(f"density matrix 'n_qubits' {n!r} does not match {dim} rows")
-    pairs = [z for row in entries if isinstance(row, list) and len(row) == dim for z in row]
-    if len(pairs) != dim * dim or not all(
-        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in pairs
-    ):
+    if not all(isinstance(row, list) and len(row) == dim for row in entries):
         raise ValueError("density matrix 'entries' must be rows of [re, im] number pairs")
-    try:
-        m = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except OverflowError:
-        raise ValueError("density matrix entry is out of range") from None
+    m = _read_complex([z for row in entries for z in row], "density matrix 'entries'", ValueError)
     return DensityMatrix(n, m.reshape(dim, dim))

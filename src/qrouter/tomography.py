@@ -18,7 +18,9 @@ import numpy as np
 
 from .gates import GATE_MATRICES
 from .noise import readout_flip
-from .qstate import DensityMatrix, pauli_matrix
+from .qstate import DensityMatrix, _is_int, pauli_matrix
+
+MAX_TOMOGRAPHY_QUBITS = 6  # literal-mode rotation stack: (4^6 - 1) * 4^6 complex = 268 MB
 
 # rotation into the Z basis for each setting letter, in the order of _ALPHABET
 _ALPHABET = np.frombuffer(b"IXYZ", dtype=np.uint8)
@@ -141,6 +143,8 @@ class TomographyDataset:
 
     def __post_init__(self):
         n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
+        if not settings:
+            raise ValueError("need at least one measurement setting")
         _letters(settings, n, "IXYZ", "setting")
         if len(set(settings)) != len(settings):
             raise ValueError("measurement settings must be distinct")
@@ -185,24 +189,23 @@ class TomographyDataset:
         header = {}
         for key in ("n_qubits", "shots", "seed"):
             value = data.get(key)
-            if type(value) is not int:
+            if not _is_int(value):
                 raise ValueError(f"counts file {key!r} must be an integer, not {value!r}")
             header[key] = value
         table = data.get("settings")
         if not isinstance(table, dict) or not all(isinstance(o, dict) for o in table.values()):
             raise ValueError("counts file 'settings' must map each setting to its outcome counts")
         n = header["n_qubits"]
-        if n < 1:
-            raise ValueError("counts file 'n_qubits' must be positive")
+        if not 1 <= n <= MAX_TOMOGRAPHY_QUBITS:
+            raise ValueError(f"counts file 'n_qubits' {n} is not in 1..{MAX_TOMOGRAPHY_QUBITS}")
         counts = np.zeros((len(table), 2**n), dtype=np.int64)
         for row, outcomes in zip(counts, table.values()):
             for label, c in outcomes.items():
                 if not isinstance(label, str) or len(label) != n or not set(label) <= {"0", "1"}:
                     raise ValueError(f"outcome {label!r} is not a {n}-bit string")
-                if type(c) is not int or c >= 2**63:
-                    raise ValueError(f"outcome count {c!r} is not an integer in [0, 2^63)")
-                if c < 0:
-                    raise ValueError("outcome counts must be nonnegative")
+                # a negative count that fits is refused by the constructor
+                if not _is_int(c) or not -(2**63) <= c < 2**63:
+                    raise ValueError(f"outcome count {c!r} is not an integer in int64 range")
                 row[int(label, 2)] = c
         return cls(
             **header, settings=list(table), counts=counts, rng_name=data.get("rng", "numpy-pcg64")
@@ -238,8 +241,6 @@ def collect_dataset(
     if settings is None:
         settings = settings_for(n)
     settings = list(settings)
-    if not settings:
-        raise ValueError("need at least one measurement setting")
     if shots < 1:
         raise ValueError("shots must be positive")
     _check_total_shots(shots, len(settings))
@@ -309,10 +310,6 @@ def _estimator_tables(
 
 def expectation(dataset: TomographyDataset, pauli: str) -> float:
     """Estimate <P> from counts, averaged over every compatible setting."""
-    if len(pauli) != dataset.n_qubits:
-        raise ValueError(f"pauli {pauli!r} does not match {dataset.n_qubits} qubits")
-    if set(pauli) <= {"I"}:
-        return 1.0
     return expectation_values(dataset, [pauli])[pauli]
 
 

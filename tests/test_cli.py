@@ -252,6 +252,8 @@ class TestRun:
             ({"n_qubits": 5, "edges": [[2, 0.5]]}, 2, "edges[0]"),
             ({"n_qubits": 5, "edges": [[1, 1]]}, 1, "self-edge"),
             ({"n_qubits": 5, "edges": [[1, 7]]}, 1, "outside register"),
+            ({"n_qubits": 0, "edges": []}, 2, "'n_qubits'"),
+            ({"n_qubits": -2, "edges": []}, 2, "'n_qubits'"),
         ],
     )
     def test_coupling_map_file_errors(self, tmp_path, report_path, capsys, cmap, code, message):
@@ -691,3 +693,116 @@ def test_fuzzed_reports_exit_cleanly(tmp_path, report_path):
         codes.add(run_cli("emit-figure", "--report", report_path, "--part", "imag",
                           "--out", csv_path))
     assert codes <= {0, 1, 2, 3} and {0, 1, 2} <= codes
+
+
+DEVICE = {
+    "qubits": [{"t1_us": 35.2, "t2_us": 38.1}, {"t1_us": 57.5, "t2_us": 40.5},
+               {"t1_us": 36.6, "t2_us": 54.8}],
+    "p1": 1e-3, "p2": 1e-2, "p_readout": 0.02, "dur_1q_ns": 100.0, "dur_2q_ns": 400.0,
+}
+CMAP = {"n_qubits": 5, "edges": [[1, 0], [2, 0], [2, 1]]}
+COUNTS = {"n_qubits": 1, "shots": 100, "seed": 0, "settings": {"X": {"0": 50, "1": 50}}}
+NOT_NUMBERS = (True, False, "40")
+NOT_FLOATS = NOT_NUMBERS + (10**400,)
+
+
+def replaced(doc, path, value):
+    """Copy of ``doc`` with the value at ``path`` (a tuple of keys) replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def device_file(tmp_path, capsys, path, value):
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps(replaced(DEVICE, path, value)))
+    code = run_cli(
+        "run", "--experiment", "router-control0", "--noise", str(dev),
+        "--tomography", "none", "--no-timestamps", "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert f"{path[-1]!r} is not a number" in capsys.readouterr().err
+
+
+def coupling_map_file(tmp_path, capsys, path, value):
+    cmap = tmp_path / "map.json"
+    cmap.write_text(json.dumps(replaced(CMAP, path, value)))
+    code = run_cli(
+        "run", "--experiment", "router-control0", "--transpile", str(cmap),
+        "--tomography", "none", "--no-timestamps", "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert ("'n_qubits'" if path == ("n_qubits",) else "edges[0]") in capsys.readouterr().err
+
+
+def counts_file(tmp_path, capsys, path, value):
+    message = f"{path[0]!r} must be an integer" if len(path) == 1 else "is not an integer"
+    doc = replaced(COUNTS, path, value)
+    for data in (doc, json.dumps(doc)):
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset.from_json(data)
+
+
+def edited_report(tmp_path, path, value):
+    report = str(tmp_path / "report.json")
+    run_cli(
+        "run", "--experiment", "router-control0", "--tomography", "none",
+        "--no-timestamps", "--out", report,
+    )
+    doc = replaced(read_json(report), path, value)
+    with open(report, "w") as f:
+        json.dump(doc, f)
+    return report
+
+
+def report_file(tmp_path, capsys, path, value):
+    report = edited_report(tmp_path, path, value)
+    assert run_cli("verify", "--report", report) == 2
+    err = capsys.readouterr().err
+    assert (f"{path[0]!r} is not a number" if len(path) == 1 else "[re, im]") in err
+
+
+def reconstructed_entry(tmp_path, capsys, path, value):
+    report = edited_report(tmp_path, path, value)
+    csv_path = tmp_path / "fig.csv"
+    assert run_cli("emit-figure", "--report", report, "--part", "real",
+                   "--out", str(csv_path)) == 2
+    assert "[re, im]" in capsys.readouterr().err
+    assert not csv_path.exists()
+    assert run_cli("verify", "--report", report) == 1
+    assert "FAIL density-matrix invariants" in capsys.readouterr().out
+
+
+NUMBER_READERS = [
+    *((device_file, ("qubits", 1, key), NOT_FLOATS) for key in ("t1_us", "t2_us")),
+    *((device_file, (key,), NOT_FLOATS)
+      for key in ("p1", "p2", "p_readout", "dur_1q_ns", "dur_2q_ns")),
+    (coupling_map_file, ("n_qubits",), NOT_NUMBERS),
+    (coupling_map_file, ("edges", 0, 0), NOT_NUMBERS),
+    *((counts_file, (key,), NOT_NUMBERS) for key in ("n_qubits", "shots", "seed")),
+    (counts_file, ("settings", "X", "1"), NOT_NUMBERS),
+    *((report_file, (key,), NOT_FLOATS)
+      for key in ("fidelity", "negativity", "entropy_control_bits")),
+    (report_file, ("ideal_state", 0, 0), NOT_FLOATS),
+    (report_file, ("ideal_state", 3, 1), NOT_FLOATS),
+    (reconstructed_entry, ("reconstructed", "entries", 0, 0, 0), NOT_FLOATS),
+    (reconstructed_entry, ("reconstructed", "entries", 2, 5, 1), NOT_FLOATS),
+]
+
+
+def number_cases():
+    for reader, path, values in NUMBER_READERS:
+        for value in values:
+            shown = "10^400" if value == 10**400 else repr(value)
+            name = f"{reader.__name__}-{'.'.join(map(str, path))}-{shown}"
+            yield pytest.param(reader, path, value, id=name)
+
+
+@pytest.mark.parametrize("reader, path, value", list(number_cases()))
+def test_every_reader_refuses_what_is_not_a_number(tmp_path, capsys, reader, path, value):
+    """A bool or a numeric string where a file holds a number, or an int past
+    float range where it holds a float, is refused by every reader alike."""
+    reader(tmp_path, capsys, path, value)

@@ -173,8 +173,9 @@ class TestDataset:
                 "setting 'ZZZ' holds 23058430092136939520 counts",
             ),
             (1, 0, ["Z"], np.zeros((1, 2), dtype=np.int64), "shots must be positive"),
+            (1, 100, [], np.zeros((0, 2), dtype=np.int64), "at least one measurement setting"),
         ],
-        ids=["float", "list", "shape", "negative", "int64-wrap", "zero-shots"],
+        ids=["float", "list", "shape", "negative", "int64-wrap", "zero-shots", "no-settings"],
     )
     def test_constructor_checks_the_counts_array(self, n, shots, settings, counts, message):
         with pytest.raises(ValueError, match=message):
@@ -209,10 +210,15 @@ class TestCountsFileBoundary:
             (counts_file(settings={"X": [100]}), "'settings' must map"),
             (counts_file(shots="100"), "'shots' must be an integer"),
             ([counts_file()], "one JSON object"),
+            # checked before a (settings, 2^n) counts array is allocated
+            (counts_file(n_qubits=40), r"'n_qubits' 40 is not in 1\.\.6"),
+            (counts_file(n_qubits=7), r"'n_qubits' 7 is not in 1\.\.6"),
+            (counts_file(n_qubits=0), r"'n_qubits' 0 is not in 1\.\.6"),
+            (counts_file(settings={}), "need at least one measurement setting"),
         ],
         ids=[
             "float", "string", "bool", "null", "negative", "2^63", "short-label", "no-settings", "settings-list", "outcomes-list", "string-shots",
-            "not-an-object",
+            "not-an-object", "40-qubits", "7-qubits", "0-qubits", "empty-settings",
         ],
     )
     def test_rejects_malformed_file(self, doc, message):
@@ -249,6 +255,17 @@ class TestExpectation:
         ds = counts_dataset(1, 10, {"Z": {"0": 10}})
         with pytest.raises(ValueError):
             expectation(ds, "X")
+
+    def test_identity_is_exactly_one_through_the_estimator(self):
+        ds = counts_dataset(2, 10, {"XZ": {"00": 3, "11": 7}})
+        assert expectation(ds, "II") == 1.0
+        assert expectation_values(ds, ["II", "XZ"]) == {"II": 1.0, "XZ": 1.0}
+
+    @pytest.mark.parametrize("pauli", ["Z", "ZZZ", "ZA", 7])
+    def test_malformed_pauli_is_a_value_error(self, pauli):
+        ds = counts_dataset(2, 10, {"ZZ": {"00": 10}})
+        with pytest.raises(ValueError, match="is not 2 letters of IXYZ"):
+            expectation(ds, pauli)
 
     def test_bounded(self):
         ds = collect_dataset(to_density(StateVector(1, PSI_S)), 300, 2)
