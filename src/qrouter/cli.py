@@ -7,10 +7,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error, 3 unroutable
 circuit, and for ``verify`` 1 when any check fails. A malformed device file,
-coupling map or report exits 2: a coupling map of no qubits, a device-file
-number that is not finite, and any value that should be a number and is not one
-(``true``, ``false``, a numeric string, or where a float is meant an int past
-float range) included. An invalid ``reconstructed`` density matrix exits 2 in
+coupling map or report exits 2: a coupling map of no qubits, and any value
+that should be a number and is not one (``true``, ``false``, a numeric string,
+or where a float is meant ``NaN``, ``Infinity`` or an int past float range)
+included. An invalid ``reconstructed`` density matrix exits 2 in
 ``emit-figure`` and is a failed check (1) in ``verify``.
 ``verify`` recomputes the fidelity (and, unless the report is of routed
 tomography, the negativity and the control entropy) from ``reconstructed`` and

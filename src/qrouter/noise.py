@@ -94,13 +94,6 @@ class DeviceFileError(ValueError):
     """A device file that does not have the expected structure."""
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    value = _read_number(obj, key, where, DeviceFileError)
-    if not np.isfinite(value):  # Python's json reads NaN and Infinity; RFC 8259 has neither
-        raise DeviceFileError(f"{where} {key!r} is not finite: {value!r}")
-    return value
-
-
 def noise_model_from_json(data) -> NoiseModel:
     """Load a device file; unspecified fields fall back to the preset defaults."""
     if isinstance(data, str):
@@ -115,9 +108,10 @@ def noise_model_from_json(data) -> NoiseModel:
         where = f"device file qubits[{i}]"
         if not isinstance(row, dict):
             raise DeviceFileError(f"{where} must be an object")
-        qubits.append(QubitParams(_number(row, "t1_us", where), _number(row, "t2_us", where)))
+        t1, t2 = (_read_number(row, key, where, DeviceFileError) for key in ("t1_us", "t2_us"))
+        qubits.append(QubitParams(t1, t2))
     kwargs = {
-        key: _number(data, key, "device file")
+        key: _read_number(data, key, "device file", DeviceFileError)
         for key in ("p1", "p2", "p_readout", "dur_1q_ns", "dur_2q_ns")
         if key in data
     }

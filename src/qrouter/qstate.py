@@ -3,10 +3,22 @@
 Convention used everywhere in this package: qubit 0 is the most significant
 bit of a basis-state index, so basis index 0b110 on three qubits reads
 |q0 q1 q2> = |110>.
+
+States are validated where they enter from outside the program's own
+arithmetic: every ``StateVector``, every ``DensityMatrix`` read from a file
+(``density_from_json``), the noisy simulator's result and the tomography
+projection pass the full check (finite, Hermitian, unit trace, PSD up to a
+small slack, the last one an eigensolve). Two results are trusted instead,
+because they keep the invariants of a state that was already checked: the
+outer product of a checked ``StateVector`` (``to_density``, which still checks
+the trace, since a norm within 1e-9 of 1 allows a trace 2e-9 from it) and the
+partial trace of a checked ``DensityMatrix``. A state's square root, which
+``fidelity`` needs, is computed once per state and kept with it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import lru_cache
 
@@ -68,7 +80,7 @@ class DensityMatrix:
     shot-noise-projected reconstructions sit exactly at the boundary.
     """
 
-    __slots__ = ("n_qubits", "matrix")
+    __slots__ = ("n_qubits", "matrix", "_sqrt")
 
     def __init__(self, n_qubits: int, matrix):
         m = np.asarray(matrix, dtype=complex)
@@ -85,9 +97,21 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < -PSD_SLACK:
             raise ValueError(f"matrix is not PSD: min eigenvalue {lo}")
+        self._set(n_qubits, m)
+
+    def _set(self, n_qubits: int, m: np.ndarray) -> None:
         self.n_qubits = n_qubits
         self.matrix = m
         self.matrix.setflags(write=False)
+        self._sqrt = None  # the PSD square root, filled by ``tomography.fidelity``
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, m: np.ndarray) -> "DensityMatrix":
+        """A state built from a checked one by an operation that keeps every
+        invariant, so ``__init__``'s checks are skipped; never for outside input."""
+        rho = cls.__new__(cls)
+        rho._set(n_qubits, m)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -112,8 +136,16 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
 
 
 def to_density(psi: StateVector) -> DensityMatrix:
-    """Outer product |psi><psi|."""
-    return DensityMatrix(psi.n_qubits, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    """Outer product |psi><psi|.
+
+    Hermitian and PSD by construction; only the trace, |psi|^2, is checked,
+    because ``StateVector`` lets the norm be up to 1e-9 off.
+    """
+    m = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > ATOL:
+        raise ValueError(f"trace is {tr}, expected 1")
+    return DensityMatrix._trusted(psi.n_qubits, m)
 
 
 def _check_qubit_subset(qubits, n: int, what: str):
@@ -131,12 +163,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the ``keep`` qubits, in the order given.
 
     New qubit i is old qubit ``keep[i]``, so a sorted ``keep`` retains
-    ascending index order and an unsorted one also permutes the qubits.
+    ascending index order and an unsorted one also permutes the qubits. A
+    partial trace keeps Hermiticity, the trace and positivity, so the reduced
+    state of a checked state is not checked again.
     """
     keep = list(keep)
     _check_qubit_subset(keep, rho.n_qubits, "keep set")
     t = rho.matrix.reshape((2,) * (2 * rho.n_qubits))
-    return DensityMatrix(len(keep), _reduced_matrix(t, keep))
+    return DensityMatrix._trusted(len(keep), _reduced_matrix(t, keep))
 
 
 def _reduced_matrix(t: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -201,22 +235,28 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 
 # The one rule for numbers read from files: a JSON int or float, never a bool,
-# and where a float is meant (``_is_number``) an int must be within float range.
+# and where a float is meant (``_is_number``) a finite one, so an int must be
+# within float range. Python's json reads NaN and Infinity; RFC 8259 has neither.
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _read_number(obj: dict, key: str, where: str, error) -> float:
-    """``obj[key]`` as a float; a missing key or a non-number raises ``error``, the caller's."""
+    """``obj[key]`` as a finite float; a missing key or a non-number raises ``error``,
+    the caller's."""
     if key not in obj:
         raise error(f"{where} has no {key!r}")
-    if not _is_number(obj[key]):
-        raise error(f"{where} {key!r} is not a number: {obj[key]!r}")
-    return float(obj[key])
+    value = obj[key]
+    if not _is_number(value):
+        problem = "is not finite" if isinstance(value, float) else "is not a number"
+        raise error(f"{where} {key!r} {problem}: {value!r}")
+    return float(value)
 
 
 def _read_complex(pairs, what: str, error) -> np.ndarray:

@@ -20,7 +20,9 @@ from .gates import GATE_MATRICES
 from .noise import readout_flip
 from .qstate import DensityMatrix, _is_int, pauli_matrix
 
-MAX_TOMOGRAPHY_QUBITS = 6  # literal-mode rotation stack: (4^6 - 1) * 4^6 complex = 268 MB
+# the literal-mode rotation stack, which ``_rotation_stack`` keeps for the last
+# settings list: (4^6 - 1) * 4^6 complex = 268 MB, twice that while sampling
+MAX_TOMOGRAPHY_QUBITS = 6
 
 # rotation into the Z basis for each setting letter, in the order of _ALPHABET
 _ALPHABET = np.frombuffer(b"IXYZ", dtype=np.uint8)
@@ -71,22 +73,60 @@ def _codes(strings, n: int) -> np.ndarray:
     return np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(len(strings), n)
 
 
-def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) -> np.ndarray:
-    """Outcome distribution of each setting as an (S, 2^n) array, rows in order.
+def _checked(table, n: int, settings) -> np.ndarray:
+    """``table(n, tuple(settings))``; an unhashable setting, which the cache
+    cannot key, is refused by the check the table would run."""
+    settings = tuple(settings)
+    try:
+        return table(n, settings)
+    except TypeError:
+        _letters(settings, n, "IXYZ", "setting")
+        raise
 
-    The Born probabilities of every rotated basis come from one batched
-    contraction, are clipped at 0 and normalised per row, then pass through
-    ``readout_flip`` as one stack when ``p_readout`` is nonzero.
-    """
-    n = rho.n_qubits
+
+@lru_cache(maxsize=4, typed=True)
+def _setting_letters(n: int, settings: tuple[str, ...]) -> np.ndarray:
+    """Each setting's ``_ROTATIONS`` rows as a read-only (S, n) array, once the
+    settings are checked: at least one, each n letters of IXYZ, all distinct.
+    A failed check raises ``ValueError``, which the cache does not keep."""
+    if not settings:
+        raise ValueError("need at least one measurement setting")
     # "IXYZ" is in byte order, so searchsorted maps each letter to its _ROTATIONS row
     letters = np.searchsorted(_ALPHABET, _letters(settings, n, "IXYZ", "setting"))
+    if len(set(settings)) != len(settings):
+        raise ValueError("measurement settings must be distinct")
+    letters.setflags(write=False)
+    return letters
+
+
+# ``qrouter run`` samples one settings list, and at MAX_TOMOGRAPHY_QUBITS a
+# stack holds 268 MB, so only the last one is kept; its conjugate is formed per
+# call (about 2 us for 27 settings), since keeping it too would hold 537 MB
+@lru_cache(maxsize=1, typed=True)
+def _rotation_stack(n: int, settings: tuple[str, ...]) -> np.ndarray:
+    """Read-only (S, 2^n, 2^n) basis rotations of checked settings: row s is
+    the kron of setting s's single-qubit rotations."""
+    letters = _setting_letters(n, settings)
     r = _ROTATIONS[letters[:, 0]]
     for q in range(1, n):
         # np.kron of each setting's rotations (the same products), batched
         b = _ROTATIONS[letters[:, q]]
         d = 2 * r.shape[1]
         r = (r[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, d, d)
+    r.setflags(write=False)
+    return r
+
+
+def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) -> np.ndarray:
+    """Outcome distribution of each setting as an (S, 2^n) array, rows in order.
+
+    The Born probabilities of every rotated basis come from one batched
+    contraction, are clipped at 0 and normalised per row, then pass through
+    ``readout_flip`` as one stack when ``p_readout`` is nonzero. The three-operand
+    ``einsum`` keeps the exact zeros of basis outcomes that a pure state never
+    gives, and those zeros decide its multinomial draws.
+    """
+    r = _checked(_rotation_stack, rho.n_qubits, settings)
     probs = np.einsum("sij,jk,sik->si", r, rho.matrix, r.conj()).real
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -107,6 +147,10 @@ def sample_counts(
     one multinomial draw over the (readout-corrupted) Born distribution.
     """
     return collect_dataset(rho, shots, seed, p_readout, [setting]).to_json()["settings"][setting]
+
+
+# the sampling contracts ``TomographyDataset`` describes, newest first
+_RNG_NAMES = ("numpy-philox-counter-multinomial", "numpy-pcg64-seedseq-multinomial", "numpy-pcg64")
 
 
 @dataclass(eq=False)
@@ -131,7 +175,8 @@ class TomographyDataset:
     their own name and estimate alike: ``"numpy-pcg64-seedseq-multinomial"``
     drew setting i from ``default_rng(SeedSequence([seed, i]))``, and a file
     without a name predates both (``seed ^ i`` streams and sorted uniform
-    draws) and loads as ``"numpy-pcg64"``.
+    draws) and loads as ``"numpy-pcg64"``. ``from_json`` refuses any other
+    ``rng``.
     """
 
     n_qubits: int
@@ -143,11 +188,7 @@ class TomographyDataset:
 
     def __post_init__(self):
         n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
-        if not settings:
-            raise ValueError("need at least one measurement setting")
-        _letters(settings, n, "IXYZ", "setting")
-        if len(set(settings)) != len(settings):
-            raise ValueError("measurement settings must be distinct")
+        _checked(_setting_letters, n, settings)
         if shots < 1:
             raise ValueError("shots must be positive")
         _check_total_shots(shots, len(settings))
@@ -192,6 +233,9 @@ class TomographyDataset:
             if not _is_int(value):
                 raise ValueError(f"counts file {key!r} must be an integer, not {value!r}")
             header[key] = value
+        rng_name = data.get("rng", "numpy-pcg64")
+        if rng_name not in _RNG_NAMES:
+            raise ValueError(f"counts file 'rng' {rng_name!r} names no sampling contract")
         table = data.get("settings")
         if not isinstance(table, dict) or not all(isinstance(o, dict) for o in table.values()):
             raise ValueError("counts file 'settings' must map each setting to its outcome counts")
@@ -207,9 +251,7 @@ class TomographyDataset:
                 if not _is_int(c) or not -(2**63) <= c < 2**63:
                     raise ValueError(f"outcome count {c!r} is not an integer in int64 range")
                 row[int(label, 2)] = c
-        return cls(
-            **header, settings=list(table), counts=counts, rng_name=data.get("rng", "numpy-pcg64")
-        )
+        return cls(**header, settings=list(table), counts=counts, rng_name=rng_name)
 
 
 def _check_total_shots(shots: int, n_settings: int) -> None:
@@ -378,12 +420,17 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("states have different dimensions")
-
-    def sqrtm(m):
-        w, v = np.linalg.eigh(m)
-        return (v * np.sqrt(np.clip(w.real, 0.0, None))) @ v.conj().T
-
     # nuclear norm of sqrt(rho) sqrt(sigma); better conditioned than
     # eigendecomposing the sandwiched product when either state is pure
-    sv = np.linalg.svd(sqrtm(rho.matrix) @ sqrtm(sigma.matrix), compute_uv=False)
+    sv = np.linalg.svd(_sqrtm(rho) @ _sqrtm(sigma), compute_uv=False)
     return float(min(1.0, sv.sum()))
+
+
+def _sqrtm(rho: DensityMatrix) -> np.ndarray:
+    """The PSD square root of ``rho``, computed on first use and kept with the state."""
+    if rho._sqrt is None:
+        w, v = np.linalg.eigh(rho.matrix)
+        root = (v * np.sqrt(np.clip(w.real, 0.0, None))) @ v.conj().T
+        root.setflags(write=False)
+        rho._sqrt = root
+    return rho._sqrt

@@ -97,13 +97,19 @@ _ROTATIONS = {
 }
 
 
+def setting_rotation(setting):
+    """Reference basis rotation of one setting: ``np.kron`` of its letters' rotations,
+    qubit 0 leftmost."""
+    r = _ROTATIONS[setting[0]]
+    for letter in setting[1:]:
+        r = np.kron(r, _ROTATIONS[letter])
+    return r
+
+
 def basis_probs(rho, setting):
     """Reference Born probabilities of one setting: the kron of its rotations, then
     one einsum, clipped at 0 and normalised."""
-    r = _ROTATIONS[setting[0]]
-    for letter in setting[1:]:
-        b = _ROTATIONS[letter]
-        r = (r[:, None, :, None] * b[None, :, None, :]).reshape(2 * len(r), 2 * len(r))
+    r = setting_rotation(setting)
     probs = np.real(np.einsum("ij,jk,ik->i", r, rho.matrix, r.conj()))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()

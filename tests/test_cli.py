@@ -702,8 +702,13 @@ DEVICE = {
 }
 CMAP = {"n_qubits": 5, "edges": [[1, 0], [2, 0], [2, 1]]}
 COUNTS = {"n_qubits": 1, "shots": 100, "seed": 0, "settings": {"X": {"0": 50, "1": 50}}}
-NOT_NUMBERS = (True, False, "40")
+NOT_NUMBERS = (True, False, "40", float("nan"), float("inf"), float("-inf"))
 NOT_FLOATS = NOT_NUMBERS + (10**400,)
+
+
+def refused(key, value):
+    """How a reader words its refusal of ``value`` where a float is meant."""
+    return f"{key!r} is not finite" if isinstance(value, float) else f"{key!r} is not a number"
 
 
 def replaced(doc, path, value):
@@ -724,7 +729,7 @@ def device_file(tmp_path, capsys, path, value):
         "--tomography", "none", "--no-timestamps", "--out", str(tmp_path / "r.json"),
     )
     assert code == 2
-    assert f"{path[-1]!r} is not a number" in capsys.readouterr().err
+    assert refused(path[-1], value) in capsys.readouterr().err
 
 
 def coupling_map_file(tmp_path, capsys, path, value):
@@ -762,7 +767,7 @@ def report_file(tmp_path, capsys, path, value):
     report = edited_report(tmp_path, path, value)
     assert run_cli("verify", "--report", report) == 2
     err = capsys.readouterr().err
-    assert (f"{path[0]!r} is not a number" if len(path) == 1 else "[re, im]") in err
+    assert (refused(path[0], value) if len(path) == 1 else "[re, im]") in err
 
 
 def reconstructed_entry(tmp_path, capsys, path, value):
@@ -803,6 +808,7 @@ def number_cases():
 
 @pytest.mark.parametrize("reader, path, value", list(number_cases()))
 def test_every_reader_refuses_what_is_not_a_number(tmp_path, capsys, reader, path, value):
-    """A bool or a numeric string where a file holds a number, or an int past
-    float range where it holds a float, is refused by every reader alike."""
+    """A bool, a numeric string, NaN or an infinity where a file holds a number,
+    or an int past float range where it holds a float, is refused by every
+    reader alike."""
     reader(tmp_path, capsys, path, value)

@@ -220,6 +220,47 @@ class TestPartialTrace:
             partial_trace(to_density(bell()), [5])
 
 
+class TestTrustedResults:
+    """``to_density`` and ``partial_trace`` do not run ``DensityMatrix``'s checks;
+    what they return passes them all the same."""
+
+    @staticmethod
+    def random_states(rng, n):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        yield to_density(StateVector(n, amps / np.linalg.norm(amps)))
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        m = a @ a.conj().T
+        yield DensityMatrix(n, m / np.trace(m))
+
+    @staticmethod
+    def assert_checked(rho):
+        again = DensityMatrix(rho.n_qubits, rho.matrix)
+        assert np.array_equal(again.matrix, rho.matrix)
+        assert not rho.matrix.flags.writeable
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+    def test_to_density_passes_validation(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(5):
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            self.assert_checked(to_density(StateVector(n, amps / np.linalg.norm(amps))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_partial_trace_passes_validation(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(3):
+            for rho in self.random_states(rng, n):
+                for k in range(1, n + 1):
+                    keep = [int(q) for q in rng.permutation(n)[:k]]
+                    self.assert_checked(partial_trace(rho, keep))
+                    self.assert_checked(partial_trace(rho, sorted(keep)))
+
+    def test_to_density_still_checks_the_trace(self):
+        psi = StateVector(1, [1 + 0.9e-9, 0])  # within StateVector's 1e-9 norm tolerance
+        with pytest.raises(ValueError, match=r"trace is 1\.0000000018"):
+            to_density(psi)
+
+
 class TestPermuteQubits:
     def test_reorders_basis_state(self):
         rho = to_density(basis_state(3, 0b100))

@@ -11,6 +11,8 @@ from qrouter.tomography import (
     TomographyDataset,
     _estimator_tables,
     _observables,
+    _rotation_stack,
+    _setting_letters,
     _setting_probs,
     collect_dataset,
     expectation,
@@ -34,6 +36,7 @@ from ._analytic import (
     loop_expectation,
     loop_inversion,
     multinomial_counts,
+    setting_rotation,
     water_filling,
 )
 
@@ -215,10 +218,14 @@ class TestCountsFileBoundary:
             (counts_file(n_qubits=7), r"'n_qubits' 7 is not in 1\.\.6"),
             (counts_file(n_qubits=0), r"'n_qubits' 0 is not in 1\.\.6"),
             (counts_file(settings={}), "need at least one measurement setting"),
+            (counts_file(rng=[5]), r"'rng' \[5\] names no sampling contract"),
+            (counts_file(rng="numpy-mt19937"), "'rng' 'numpy-mt19937' names no sampling contract"),
+            (counts_file(rng=None), "'rng' None names no sampling contract"),
         ],
         ids=[
             "float", "string", "bool", "null", "negative", "2^63", "short-label", "no-settings", "settings-list", "outcomes-list", "string-shots",
             "not-an-object", "40-qubits", "7-qubits", "0-qubits", "empty-settings",
+            "rng-list", "rng-unnamed", "rng-null",
         ],
     )
     def test_rejects_malformed_file(self, doc, message):
@@ -226,6 +233,17 @@ class TestCountsFileBoundary:
             TomographyDataset.from_json(doc)
         with pytest.raises(ValueError, match=message):
             TomographyDataset.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "rng",
+        ["numpy-philox-counter-multinomial", "numpy-pcg64-seedseq-multinomial", "numpy-pcg64"],
+    )
+    def test_loads_each_named_sampling_contract(self, rng):
+        doc = counts_file(rng=rng)
+        for data in (doc, json.dumps(doc)):
+            ds = TomographyDataset.from_json(data)
+            assert ds.rng_name == rng
+            assert ds.to_json() == doc
 
 
 class TestExpectation:
@@ -567,6 +585,70 @@ class TestEstimatorTables:
             assert expectation_values(ds, observables_for(ds.n_qubits)) == cold
 
 
+class TestSettingsTable:
+    """One check and one rotation stack per settings list, shared by the
+    sampler and the dataset constructor."""
+
+    @pytest.mark.parametrize(
+        "settings", [settings_for(3), observables_for(3)], ids=["grid", "literal"]
+    )
+    def test_stack_equals_kron_reference_bit_for_bit(self, settings):
+        r = _rotation_stack(3, tuple(settings))
+        ref = np.array([setting_rotation(s) for s in settings])
+        assert r.shape == ref.shape == (len(settings), 8, 8)
+        assert r.dtype == ref.dtype and r.tobytes() == ref.tobytes()
+
+    def test_tables_are_read_only(self):
+        settings = tuple(observables_for(2))
+        for table in (_setting_letters(2, settings), _rotation_stack(2, settings)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_checked_and_built_once_per_settings_list(self):
+        rho = to_density(basis_state(3, 0))
+        settings = ["XYZ", "ZZI", "IIX"]
+        _setting_letters.cache_clear()
+        _rotation_stack.cache_clear()
+        for seed in range(3):
+            collect_dataset(rho, 100, seed, settings=settings)
+        letters, stack = _setting_letters.cache_info(), _rotation_stack.cache_info()
+        # checked once, for the first stack; each of the three datasets finds the check
+        assert (letters.misses, letters.hits) == (1, 3)
+        assert (stack.misses, stack.hits) == (1, 2)
+
+    def test_caches_are_bounded(self):
+        assert _setting_letters.cache_info().maxsize == 4
+        assert _rotation_stack.cache_info().maxsize == 1
+        rho = to_density(basis_state(2, 0))
+        for j in range(1, 7):
+            collect_dataset(rho, 10, 0, settings=settings_for(2)[:j])
+        assert _setting_letters.cache_info().currsize == 4
+        assert _rotation_stack.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ([], "need at least one measurement setting"),
+            (["ZZ", "XX", "ZZ"], "measurement settings must be distinct"),
+            (["ZQ"], "setting 'ZQ' is not 2 letters of IXYZ"),
+            (["ZZZ"], "setting 'ZZZ' is not 2 letters of IXYZ"),
+            ([b"ZZ"], "setting b'ZZ' is not 2 letters of IXYZ"),
+            ([["Z", "Z"]], r"setting \['Z', 'Z'\] is not 2 letters of IXYZ"),
+        ],
+        ids=["empty", "duplicate", "letter", "length", "bytes", "unhashable"],
+    )
+    def test_malformed_settings_raise_on_every_call(self, settings, message):
+        rho = to_density(basis_state(2, 0))
+        counts = np.full((len(settings), 4), 0, dtype=np.int64)
+        counts[:, 0] = 10
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                collect_dataset(rho, 10, 0, settings=settings)
+            with pytest.raises(ValueError, match=message):
+                TomographyDataset(2, 10, 0, settings, counts)
+
+
 class TestSamplerStatistics:
     """Properties of the draws themselves, independent of how they are derived."""
 
@@ -778,6 +860,22 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(to_density(basis_state(1, 0)), to_density(basis_state(2, 0)))
+
+    def test_square_root_is_computed_once_and_kept_with_the_state(self):
+        rng = np.random.default_rng(8)
+        rho = random_state(rng, 3)
+        name, sigma = next(router_states())
+        psi = apply_circuit(named_router_circuit(name), basis_state(3, 0)).amplitudes
+        assert rho._sqrt is None and sigma._sqrt is None
+        first = fidelity(rho, sigma)
+        root = rho._sqrt
+        assert not root.flags.writeable
+        assert np.max(np.abs(root @ root - rho.matrix)) <= 1e-12
+        assert fidelity(rho, sigma) == first and rho._sqrt is root
+        # states with no root kept give the same number, as does the pure closed form
+        assert fidelity(DensityMatrix(3, rho.matrix), DensityMatrix(3, sigma.matrix)) == first
+        # the root of a pure sigma carries the root of its rounding-level eigenvalues, ~1e-8
+        assert abs(first - np.sqrt(np.vdot(psi, rho.matrix @ psi).real)) <= 1e-7
 
 
 class TestPauliMatrix:
