@@ -18,7 +18,9 @@ tomography, the negativity and the control entropy) from ``reconstructed`` and
 and an ``ideal_state`` that is not a normalised state of matching size exits 2.
 ``run`` rejects (exit 1) an executed register wider than 12 qubits, full
 tomography of more than 6, routed tomography of an experiment with no routed
-qubit, and a counts file that is the report file, before any state is formed.
+qubit, a counts file that is the report file, a circuit wider than its coupling
+map, a ``--layout`` that is not a list of integers, and a circuit of more qubits
+than ``DEFAULT_LAYOUT`` places with no ``--layout``, before any state is formed.
 The counts file is compact JSON on one line.
 """
 
@@ -124,15 +126,10 @@ def run_experiment(args) -> dict:
         counts_file = args.counts_out or _sibling(args.out, ".counts.json")
         if Path(counts_file).resolve() == Path(args.out).resolve():
             raise SpecError("the counts file and the report must be different files")
+    layout = None if cmap is None else _layout(args.layout, circuit.n_qubits, cmap.n_qubits)
 
     exec_circuit = circuit
-    layout = None
     if cmap is not None:
-        layout = (
-            tuple(int(x) for x in args.layout.split(","))
-            if args.layout
-            else DEFAULT_LAYOUT[: circuit.n_qubits]
-        )
         exec_circuit = qasm.transpile(
             qasm.apply_layout(circuit, layout, cmap.n_qubits), cmap
         )
@@ -190,6 +187,24 @@ def run_experiment(args) -> dict:
     with open(args.out, "w") as f:
         f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
+
+
+def _layout(arg: str | None, n: int, device: int) -> tuple[int, ...]:
+    """The physical qubit of each of ``n`` logical qubits on a ``device``-qubit map:
+    ``--layout``'s integers, or ``DEFAULT_LAYOUT``'s first ``n``."""
+    if n > device:
+        raise SpecError(f"circuit has {n} qubits but the coupling map only {device}")
+    if not arg:
+        if n > len(DEFAULT_LAYOUT):
+            raise SpecError(
+                f"the default layout places only {len(DEFAULT_LAYOUT)} qubits; "
+                f"give --layout for a {n}-qubit circuit"
+            )
+        return DEFAULT_LAYOUT[:n]
+    try:
+        return tuple(int(x) for x in arg.split(","))
+    except ValueError:
+        raise SpecError(f"--layout must be a comma-separated list of integers: {arg!r}") from None
 
 
 def _scores(rho: DensityMatrix, ideal: DensityMatrix, routed_qubit, executed=None) -> dict:

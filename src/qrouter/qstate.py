@@ -27,20 +27,21 @@ import numpy as np
 ATOL = 1e-9
 PSD_SLACK = 1e-7
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-}
+# The one Pauli letter order: letter _PAULI_LETTERS[i] is the matrix _PAULI_BASIS[i],
+# and a Pauli string, a measurement setting or a table row indexes the basis this way.
+_PAULI_LETTERS = "IXYZ"
+_PAULI_BASIS = np.array(
+    [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])], dtype=complex
+)
+_PAULI_BASIS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
 def pauli_matrix(pauli: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, qubit 0 leftmost."""
-    m = _PAULI_1Q[pauli[0]]
+    m = _PAULI_BASIS[_PAULI_LETTERS.index(pauli[0])]
     for letter in pauli[1:]:
-        m = np.kron(m, _PAULI_1Q[letter])
+        m = np.kron(m, _PAULI_BASIS[_PAULI_LETTERS.index(letter)])
     m.setflags(write=False)
     return m
 

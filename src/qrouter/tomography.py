@@ -18,25 +18,18 @@ import numpy as np
 
 from .gates import GATE_MATRICES
 from .noise import readout_flip
-from .qstate import DensityMatrix, _is_int, pauli_matrix
+from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
+from .qstate import pauli_matrix  # noqa: F401 -- also imported from this module
 
 # the literal-mode rotation stack, which ``_rotation_stack`` keeps for the last
 # settings list: (4^6 - 1) * 4^6 complex = 268 MB, twice that while sampling
 MAX_TOMOGRAPHY_QUBITS = 6
 
-# rotation into the Z basis for each setting letter, in the order of _ALPHABET
-_ALPHABET = np.frombuffer(b"IXYZ", dtype=np.uint8)
-_ROTATIONS = np.array(
-    [
-        np.eye(2, dtype=complex),
-        GATE_MATRICES["h"],
-        GATE_MATRICES["h"] @ GATE_MATRICES["sdg"],  # circuit order: sdg, then h
-        np.eye(2, dtype=complex),
-    ]
-)
-# the single-qubit Pauli basis I, X, Y, Z as one (4, 2, 2) array, for linear_inversion
-_PAULI_BASIS = np.array([pauli_matrix(letter) for letter in "IXYZ"])
-_PAULI_BASIS.setflags(write=False)
+# rotation into the Z basis for each setting letter, one row per basis letter; I measures Z
+_TO_Z = {"X": GATE_MATRICES["h"], "Y": GATE_MATRICES["h"] @ GATE_MATRICES["sdg"]}  # sdg, then h
+_ROTATIONS = np.array([_TO_Z.get(letter, np.eye(2, dtype=complex)) for letter in _PAULI_LETTERS])
+# a letter becomes the character whose code is its basis row, one byte when encoded
+_ROW_CHARS = str.maketrans({letter: chr(i) for i, letter in enumerate(_PAULI_LETTERS)})
 
 
 def settings_for(n: int) -> list[str]:
@@ -57,20 +50,17 @@ def _observables(n: int) -> tuple[str, ...]:
     string is the all-I one, which is dropped."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    return tuple("".join(p) for p in itertools.product("IXYZ", repeat=n))[1:]
+    return tuple("".join(p) for p in itertools.product(_PAULI_LETTERS, repeat=n))[1:]
 
 
-def _letters(strings, n: int, alphabet: str, what: str) -> np.ndarray:
-    """Byte codes of equal-length strings over ``alphabet`` as a (len, n) array."""
+def _letters(strings, n: int, what: str) -> np.ndarray:
+    """The ``_PAULI_BASIS`` row of each letter of n-letter Pauli strings, as a
+    read-only (len, n) array; any other entry raises ``ValueError``."""
     for x in strings:
-        if not isinstance(x, str) or len(x) != n or not set(x) <= set(alphabet):
-            raise ValueError(f"{what} {x!r} is not {n} letters of {alphabet}")
-    return _codes(strings, n)
-
-
-def _codes(strings, n: int) -> np.ndarray:
-    """``_letters`` without the check, for strings a constructor already checked."""
-    return np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(len(strings), n)
+        if not isinstance(x, str) or len(x) != n or not set(x) <= set(_PAULI_LETTERS):
+            raise ValueError(f"{what} {x!r} is not {n} letters of {_PAULI_LETTERS}")
+    rows = "".join(strings).translate(_ROW_CHARS).encode()
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(strings), n)
 
 
 def _checked(table, n: int, settings) -> np.ndarray:
@@ -80,22 +70,20 @@ def _checked(table, n: int, settings) -> np.ndarray:
     try:
         return table(n, settings)
     except TypeError:
-        _letters(settings, n, "IXYZ", "setting")
+        _letters(settings, n, "setting")
         raise
 
 
 @lru_cache(maxsize=4, typed=True)
 def _setting_letters(n: int, settings: tuple[str, ...]) -> np.ndarray:
-    """Each setting's ``_ROTATIONS`` rows as a read-only (S, n) array, once the
-    settings are checked: at least one, each n letters of IXYZ, all distinct.
-    A failed check raises ``ValueError``, which the cache does not keep."""
+    """Each setting's ``_letters`` rows (read-only, (S, n)), once the settings
+    are checked: at least one, each n letters of IXYZ, all distinct. A failed
+    check raises ``ValueError``, which the cache does not keep."""
     if not settings:
         raise ValueError("need at least one measurement setting")
-    # "IXYZ" is in byte order, so searchsorted maps each letter to its _ROTATIONS row
-    letters = np.searchsorted(_ALPHABET, _letters(settings, n, "IXYZ", "setting"))
+    letters = _letters(settings, n, "setting")
     if len(set(settings)) != len(settings):
         raise ValueError("measurement settings must be distinct")
-    letters.setflags(write=False)
     return letters
 
 
@@ -322,7 +310,7 @@ def expectation_values(
     else:
         paulis = tuple(paulis)
         # checked before the cache hashes them, so a malformed entry raises ValueError
-        _letters(paulis, n, "IXYZ", "pauli")
+        _letters(paulis, n, "pauli")
     signs, compatible, k = _estimator_tables(n, tuple(dataset.settings), paulis)
     values = ((dataset.counts @ signs) * compatible).sum(axis=0) / (k * dataset.shots)
     return dict(zip(paulis, values.tolist()))
@@ -335,12 +323,19 @@ def _estimator_tables(
     """Read-only (signs, compatible, k) of ``expectation_values`` for checked
     settings and paulis. A pauli no setting measures raises ``ValueError``,
     which the cache does not keep, so every call for that shape raises it."""
-    obs = _codes(paulis, n)
-    codes = _codes(settings, n)
-    support = obs != ord("I")
+    rows = _setting_letters(n, settings)
+    obs = _letters(paulis, n, "pauli")
+    support = obs != 0  # basis row 0 is I
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1 - 2 * ((bits @ support.T) % 2)
-    compatible = np.all((codes[:, None, :] == obs[None, :, :]) | ~support[None], axis=2)
+    # a setting measures a pauli when it has the pauli's letter on every qubit of its
+    # support; ANDed one qubit at a time, so no (S, P, n) array is formed
+    compatible = np.ones((len(settings), len(paulis)), dtype=bool)
+    match = np.empty_like(compatible)
+    for q in range(n):
+        np.equal(rows[:, q, None], obs[:, q], out=match)
+        match |= ~support[:, q]
+        compatible &= match
     k = compatible.sum(axis=0)
     if not k.all():
         pauli = paulis[int(np.argmin(k))]

@@ -70,6 +70,22 @@ def loop_expectation(dataset, pauli):
     return float(np.mean(values))
 
 
+def loop_estimator_tables(n, settings, paulis):
+    """Reference (signs, compatible, k) of the array estimator, one entry at a time:
+    the parity of each outcome on each pauli's support, and for each (setting,
+    pauli) whether the setting has the pauli's letter on every qubit of it."""
+    signs = [
+        [(-1) ** sum(bit == "1" for bit, p in zip(format(j, f"0{n}b"), pauli) if p != "I")
+         for pauli in paulis]
+        for j in range(2**n)
+    ]
+    compatible = [
+        [all(p in ("I", s) for s, p in zip(setting, pauli)) for pauli in paulis]
+        for setting in settings
+    ]
+    return np.array(signs), np.array(compatible), np.sum(compatible, axis=0)
+
+
 def counts_dataset(n_qubits, shots, settings):
     """A hand-made dataset, built from counts-file fields: ``settings`` maps
     each setting to its outcome-label counts, as a counts file does."""

@@ -1,4 +1,5 @@
 import copy
+import datetime
 import json
 
 import numpy as np
@@ -8,7 +9,13 @@ from qrouter import cli, noise, tomography
 from qrouter.cli import main
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
-from qrouter.qstate import StateVector, basis_state, density_from_json, equal_up_to_global_phase
+from qrouter.qstate import (
+    StateVector,
+    basis_state,
+    density_from_json,
+    equal_up_to_global_phase,
+    von_neumann_entropy,
+)
 from qrouter.tomography import TomographyDataset, reconstruct
 
 from ._analytic import PLUS, PSI_S
@@ -100,6 +107,38 @@ class TestRun:
         assert run_cli(*args, "--out", p1) == 0
         assert run_cli(*args, "--out", p2) == 0
         assert open(p1).read().replace("a.counts", "b.counts") == open(p2).read()
+
+    def test_timestamp_is_the_only_addition(self, report_path):
+        argv = ["run", "--experiment", "router-control0", "--seed", "4", "--out", report_path]
+        assert run_cli(*argv, "--no-timestamps") == 0
+        plain = read_json(report_path)
+        assert "timestamps" not in plain
+        assert run_cli(*argv) == 0
+        stamped = read_json(report_path)
+        stamps = stamped.pop("timestamps")
+        assert list(stamps) == ["finished"]
+        finished = datetime.datetime.fromisoformat(stamps["finished"])
+        assert finished.utcoffset() == datetime.timedelta(0)
+        now = datetime.datetime.now(datetime.timezone.utc)
+        assert datetime.timedelta(0) <= now - finished < datetime.timedelta(minutes=5)
+        assert stamped == plain
+
+    @pytest.mark.parametrize("mode", ["full", "none"])
+    def test_one_qubit_qasm_runs_and_verifies(self, tmp_path, report_path, capsys, mode):
+        qasm_file = tmp_path / "one.qasm"
+        qasm_file.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n")
+        assert run_cli(
+            "run", "--qasm", str(qasm_file), "--tomography", mode, "--shots", "256",
+            "--no-timestamps", "--out", report_path,
+        ) == 0
+        report = read_json(report_path)
+        rho = density_from_json(report["reconstructed"])
+        assert rho.n_qubits == 1
+        # one qubit has no cut: no negativity, and the entropy is the whole state's
+        assert report["negativity"] == 0.0
+        assert report["entropy_control_bits"] == von_neumann_entropy(rho)
+        assert run_cli("verify", "--report", report_path) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_counts_file_schema(self, tmp_path):
         out = str(tmp_path / "r.json")
@@ -212,6 +251,44 @@ class TestRun:
             "routed", "--out", report_path,
         ) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--experiment", "router-control0", "--shots", "0"], "shots must be positive"),
+            (["--experiment", "router-foo"], "unknown experiment 'router-foo'; choose from"),
+            (["--qasm", "{tmp}/measure.qasm"],
+             "experiment circuits must not contain measure instructions"),
+            (["--qasm", "{tmp}/q4.qasm", "--transpile", "ibmqx4"],
+             "the default layout places only 3 qubits; give --layout for a 4-qubit circuit"),
+            (["--qasm", "{tmp}/q5.qasm", "--transpile", "ibmqx4"],
+             "the default layout places only 3 qubits; give --layout for a 5-qubit circuit"),
+            (["--experiment", "router-control0", "--transpile", "ibmqx4", "--layout", "a,b,c"],
+             "--layout must be a comma-separated list of integers: 'a,b,c'"),
+        ],
+        ids=["no-shots", "unknown-experiment", "measure", "default-layout-4q",
+             "default-layout-5q", "layout-not-integers"],
+    )
+    def test_spec_error_exit_1_before_any_state(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was formed")
+
+        monkeypatch.setattr(cli, "apply_circuit", no_state)
+        monkeypatch.setattr(noise, "simulate_noisy", no_state)
+        inputs = {
+            "measure.qasm": "OPENQASM 2.0;\nqreg q[3];\ncreg c[1];\nmeasure q[0] -> c[0];\n",
+            "q4.qasm": "OPENQASM 2.0;\nqreg q[4];\nh q[0];\ncx q[0], q[3];\n",
+            "q5.qasm": "OPENQASM 2.0;\nqreg q[5];\nh q[4];\n",
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        out = str(tmp_path / "r.json")
+        assert run_cli("run", *argv, "--no-timestamps", "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
     def test_parse_error_exit_2(self, tmp_path, report_path):
         bad = tmp_path / "bad.qasm"
         bad.write_text("qreg q[1];")
@@ -254,6 +331,7 @@ class TestRun:
             ({"n_qubits": 5, "edges": [[1, 7]]}, 1, "outside register"),
             ({"n_qubits": 0, "edges": []}, 2, "'n_qubits'"),
             ({"n_qubits": -2, "edges": []}, 2, "'n_qubits'"),
+            ({"n_qubits": 2, "edges": [[1, 0]]}, 1, "circuit has 3 qubits but the coupling map"),
         ],
     )
     def test_coupling_map_file_errors(self, tmp_path, report_path, capsys, cmap, code, message):

@@ -90,6 +90,20 @@ class TestCircuit:
         with pytest.raises(ValueError):
             Circuit(1).add("h", 1)
 
+    @pytest.mark.parametrize("sizes", [(-1,), (2, -1), (-3, -3)])
+    def test_rejects_negative_register_size(self, sizes):
+        with pytest.raises(ValueError, match="register sizes must be nonnegative"):
+            Circuit(*sizes)
+
+    def test_rejects_unknown_gate(self):
+        with pytest.raises(ValueError, match="unknown gate 'rz'"):
+            Circuit(1).add("rz", 0)
+
+    @pytest.mark.parametrize("gate, qubits", [("h", (0, 1)), ("cx", (0,)), ("cx", (0, 1, 2))])
+    def test_rejects_wrong_number_of_qubits(self, gate, qubits):
+        with pytest.raises(ValueError, match=f"{gate} expects .* qubits, got {len(qubits)}"):
+            Circuit(3).add(gate, *qubits)
+
     def test_append_copies_every_kind(self):
         c = Circuit(3, 2).add("h", 0).add("cx", 0, 2).barrier().measure(2, 1)
         c.barrier(0, 2).add("t", 1).measure(0, 0)  # a barrier may span a measured qubit
@@ -133,6 +147,11 @@ class TestApplyCircuit:
         psi = basis_state(2, 1)
         out = apply_circuit(Circuit(2), psi)
         assert np.allclose(out.amplitudes, psi.amplitudes)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_state_of_another_width(self, width):
+        with pytest.raises(ValueError, match=f"circuit has 2 qubits, state has {width}"):
+            apply_circuit(Circuit(2).add("h", 0), basis_state(width, 0))
 
     def test_control_prep(self):
         # H, S, T, S on |0>
@@ -305,6 +324,10 @@ class TestFredkin:
 
 
 class TestRouterCircuit:
+    def test_rejects_unknown_experiment(self):
+        with pytest.raises(ValueError, match="unknown router experiment 'router-foo'"):
+            named_router_circuit("router-foo")
+
     def test_superposition_final_state(self):
         out = apply_circuit(
             named_router_circuit("router-superposition"), basis_state(3, 0)

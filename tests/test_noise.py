@@ -240,6 +240,10 @@ class TestDepolarizing:
 
 
 class TestKrausChannel:
+    def test_rejects_no_operators(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            KrausChannel([])
+
     def test_rejects_incomplete_set(self):
         with pytest.raises(ValueError):
             KrausChannel([np.diag([0.5, 0.5])])
@@ -294,6 +298,11 @@ class TestReadoutFlip:
     def test_rejects_invalid_distribution(self):
         with pytest.raises(ValueError):
             readout_flip([0.5, 0.2], 0.1)
+
+    @pytest.mark.parametrize("p_readout", [1.5, -0.1])
+    def test_rejects_probability_outside_unit_interval(self, p_readout):
+        with pytest.raises(ValueError, match=f"probability {p_readout} outside"):
+            readout_flip([0.5, 0.5], p_readout)
 
     @pytest.mark.parametrize("probs", [[], np.zeros((3, 0)), [0.2, 0.3, 0.5]])
     def test_rejects_length_not_a_power_of_two(self, probs):

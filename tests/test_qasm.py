@@ -43,6 +43,15 @@ class TestParse:
         assert names == ["h", "barrier", "measure"]
         assert c.instructions[-1].clbits == (1,)
 
+    def test_creg_before_qreg(self):
+        src = "creg c[2];\nqreg q[3];\nh q[0];\ncx q[0], q[2];\nmeasure q[2] -> c[1];\n"
+        c = parse(HEADER + src)
+        assert (c.n_qubits, c.n_clbits) == (3, 2)
+        assert [(i.name, i.qubits, i.clbits) for i in c.instructions] == [
+            ("h", (0,), ()), ("cx", (0, 2), ()), ("measure", (2,), (1,))
+        ]
+        assert parse(serialize(c)) == c
+
     def test_comments_ignored(self):
         c = parse(HEADER + "// whole line\nqreg q[1]; h q[0]; // trailing\n")
         assert len(c.instructions) == 1

@@ -104,6 +104,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(1, [[1.5, 0], [0, -0.5]])
 
+    @pytest.mark.parametrize("matrix", [np.eye(4) / 4, np.full(2, 0.5), [[0.5, 0, 0], [0, 0.5, 0]]])
+    def test_rejects_wrong_shape(self, matrix):
+        with pytest.raises(ValueError, match="expected 2x2 matrix"):
+            DensityMatrix(1, matrix)
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            DensityMatrix(1, [[1, np.nan], [np.nan, 0]])
+
     def test_json_round_trip(self):
         rho = to_density(StateVector(3, psi_f_amplitudes()))
         again = density_from_json(density_to_json(rho))

@@ -33,6 +33,7 @@ from ._analytic import (
     basis_probs,
     counts_dataset,
     exact_expectations,
+    loop_estimator_tables,
     loop_expectation,
     loop_inversion,
     multinomial_counts,
@@ -73,6 +74,8 @@ class TestSettings:
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             settings_for(0)
+        with pytest.raises(ValueError, match="need at least one qubit"):
+            observables_for(0)
 
 
 class TestSampleCounts:
@@ -575,6 +578,43 @@ class TestEstimatorTables:
             with pytest.raises(ValueError, match="no measurement setting compatible with 'X'"):
                 expectation_values(ds, ["Z", "X"])
         assert expectation_values(ds, ["Z"]) == {"Z": 1.0}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_equal_loop_reference(self, n):
+        obs = observables_for(n)
+        grid, literal = settings_for(n), obs
+        partial = obs[::5] + [obs[-1]]
+        # the last list, reversed and thinned, leaves some paulis unmeasured when n = 1
+        for settings in (grid, literal, literal[::-2]):
+            for paulis in (obs, partial):
+                settings, paulis = tuple(settings), tuple(paulis)
+                ref = loop_estimator_tables(n, settings, paulis)
+                if not ref[2].all():
+                    with pytest.raises(ValueError, match="no measurement setting compatible"):
+                        _estimator_tables(n, settings, paulis)
+                    continue
+                got = _estimator_tables(n, settings, paulis)
+                for table, want in zip(got, ref):
+                    assert table.shape == want.shape and np.array_equal(table, want)
+                assert got[1].dtype == bool
+
+    def test_mask_built_without_a_settings_by_paulis_by_qubits_array(self):
+        # 1023 literal settings x 1023 observables: the returned mask is 1 MiB,
+        # an (S, P, n) boolean temporary 5 MiB
+        settings = tuple(observables_for(5))
+        _setting_letters(5, settings)  # a dataset constructor has checked them
+        _estimator_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            signs, compatible, k = _estimator_tables(5, settings, _observables(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert compatible.shape == (1023, 1023)
+        assert peak < 5 * compatible.nbytes
+        ref = loop_estimator_tables(5, settings[::31], _observables(5))
+        assert np.array_equal(signs, ref[0]) and np.array_equal(compatible[::31], ref[1])
+        assert np.array_equal(k, compatible.sum(axis=0)) and k.min() >= 1
 
     def test_values_equal_with_and_without_the_cache(self):
         for _, ds in estimator_datasets():
