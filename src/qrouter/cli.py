@@ -19,8 +19,9 @@ and an ``ideal_state`` that is not a normalised state of matching size exits 2.
 ``run`` rejects (exit 1) an executed register wider than 12 qubits, full
 tomography of more than 6, routed tomography of an experiment with no routed
 qubit, a counts file that is the report file, a circuit wider than its coupling
-map, a ``--layout`` that is not a list of integers, and a circuit of more qubits
-than ``DEFAULT_LAYOUT`` places with no ``--layout``, before any state is formed.
+map, a ``--layout`` that is not a list of integers in ASCII digits, and a circuit
+of more qubits than ``DEFAULT_LAYOUT`` places with no ``--layout``, before any
+state is formed.
 The counts file is compact JSON on one line.
 """
 
@@ -201,10 +202,13 @@ def _layout(arg: str | None, n: int, device: int) -> tuple[int, ...]:
                 f"give --layout for a {n}-qubit circuit"
             )
         return DEFAULT_LAYOUT[:n]
-    try:
-        return tuple(int(x) for x in arg.split(","))
-    except ValueError:
-        raise SpecError(f"--layout must be a comma-separated list of integers: {arg!r}") from None
+    entries = [x.strip() for x in arg.split(",")]
+    try:  # ASCII digits only, as a QASM index is
+        if all(x.isascii() and x.isdigit() for x in entries):
+            return tuple(map(int, entries))
+    except ValueError:  # past the interpreter's integer-string digit limit
+        pass
+    raise SpecError(f"--layout must be a comma-separated list of integers: {arg!r}")
 
 
 def _scores(rho: DensityMatrix, ideal: DensityMatrix, routed_qubit, executed=None) -> dict:

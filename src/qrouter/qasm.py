@@ -4,19 +4,19 @@ Supported statements: the ``OPENQASM 2.0;`` header, ``include`` (ignored),
 one ``qreg`` and one ``creg``, the fixed gate set (h/x/s/sdg/t/tdg/cx),
 ``measure`` and ``barrier``, with ``//`` comments. Everything else is a
 positioned parse error; the parser never raises anything but ``QasmError``
-subclasses on malformed text. Tokens are bare texts from one ``findall``, and a
-statement is accepted when its tokens equal the fixed shape of its kind. Only a
-statement that fails is re-read token by token, with offsets from a rescan of
-the text, to word its error at a 1-based line and column.
+subclasses on malformed text. ``_read`` defines the language: it reads the
+source token by token and returns the circuit or words the error at a 1-based
+line and column. ``parse`` first splits the text into bare token texts with one
+``findall`` and accepts only the header, ``include``, one ``qreg`` and gate
+statements, each when its tokens equal the fixed shape of its kind; every other
+source is read, or rejected, by ``_read``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import NoReturn
 
 from .gates import GATE_ARITY, GATE_MATRICES, Circuit, Instruction
 from .qstate import _is_int
@@ -76,20 +76,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-# the one-character tokens of the grammar; any other one is a stray character
+# the one-character tokens of the grammar; a source with any other one goes to
+# ``_read``, which reports it as a stray character
 _TOKEN_CHARS = frozenset("[];,_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-
-def _position(src: str, off: int) -> tuple[int, int]:
-    """1-based (line, col) of ``off``; end of input is column 1 of the last line."""
-    line = src.count("\n", 0, off) + 1
-    return line, (off - src.rfind("\n", 0, off) if off < len(src) else 1)
-
-
-def _offsets(src: str, start: int, stop: int) -> list[int]:
-    """The offsets into ``src`` of tokens ``start`` to ``stop - 1``, counted in
-    the order ``_TOKEN_RE.findall`` gives them."""
-    return [m.start(1) for m in itertools.islice(_TOKEN_RE.finditer(src), start, stop)]
 
 
 def _operands(reg: str, k: int) -> list:
@@ -100,99 +89,97 @@ def _operands(reg: str, k: int) -> list:
     return shape
 
 
-def _shapes(regs: dict) -> dict[str, list]:
-    """The shape of each gate's and of ``measure``'s operands, as far as the
-    registers declared so far allow."""
-    if "qreg" not in regs:
-        return {}
-    q = regs["qreg"][0]
-    shapes = {gate: _operands(q, k) for gate, k in GATE_ARITY.items()}
-    if "creg" in regs:
-        shapes["measure"] = [q, "[", None, "]", "->", regs["creg"][0], "[", None, "]", ";"]
-    return shapes
-
-
 def parse(src: str) -> Circuit:
     """Parse QASM source into a Circuit; raises positioned QasmError on failure.
 
     One ``findall`` splits the source into token texts, closed by ``""`` at the
-    end of input. Each statement is accepted by comparing its tokens with the
-    fixed shape of its kind. One that does not fit it, or whose numbers or
-    qubits the circuit refuses, is re-read by ``_reject``, which raises.
+    end of input. The header, ``include``, one ``qreg`` and gate statements are
+    accepted by comparing their tokens with the fixed shape of their kind. Any
+    other source, and any statement that does not fit its shape or whose
+    qubits the circuit refuses, is read whole by ``_read``, which defines the
+    language: it returns the circuit or raises the positioned error.
     """
     texts = _TOKEN_RE.findall(src)
     stray = {t for t in set(texts) if len(t) == 1} - _TOKEN_CHARS
-    if stray:
-        j = next(j for j, text in enumerate(texts) if text in stray)
-        raise QasmSyntaxError(
-            f"unexpected character {texts[j]!r}", *_position(src, *_offsets(src, j, j + 1))
-        )
+    if stray or texts[:3] != ["OPENQASM", "2.0", ";"]:
+        return _read(src)
     circuit = Circuit(0)
-    regs: dict[str, tuple[str, int]] = {}  # "qreg"/"creg" -> (name, size)
-    shapes: dict[str, list] = {}
-    if texts[:3] != ["OPENQASM", "2.0", ";"]:
-        _reject(src, texts, 0, regs, circuit)
+    shapes: dict[str, list] = {}  # each gate's operand shape, once the qreg is declared
     i = 3
-    while kw := texts[i]:
-        try:
-            shape = shapes.get(kw)
-            if kw == "barrier":
-                k = (texts.index(";", i) - i) // 5
-                shape = _operands(regs["qreg"][0], k) if "qreg" in regs else [";"]
-            if shape is not None:
+    try:
+        while kw := texts[i]:
+            if kw in shapes:
+                shape = shapes[kw]
                 end = i + 1 + len(shape)
                 stmt = texts[i + 1 : end]
                 indices = stmt[2::5]
                 stmt[2::5] = shape[2::5]
-                if stmt == shape:
-                    if kw == "measure":
-                        circuit.measure(*map(int, indices))
-                    elif kw == "barrier":
-                        circuit.barrier(*map(int, indices))
-                    else:
-                        circuit.add(kw, *map(int, indices))
-                    i = end
-                    continue
+                if stmt != shape:
+                    break
+                circuit.add(kw, *map(int, indices))
+                i = end
             elif kw == "include" and texts[i + 1][:1] == '"' and texts[i + 2] == ";":
                 i += 3
-                continue
-            elif (kw == "qreg" or kw == "creg") and kw not in regs:
+            elif kw == "qreg" and not shapes:
                 name, lb, size, rb, semi = texts[i + 1 : i + 6]
-                if name.isidentifier() and [lb, rb, semi] == ["[", "]", ";"] and int(size) > 0:
-                    regs[kw] = (name, int(size))
-                    setattr(circuit, "n_qubits" if kw == "qreg" else "n_clbits", int(size))
-                    shapes = _shapes(regs)
-                    i += 6
-                    continue
-        except ValueError:  # cut short, no ';', a number int() cannot read, a qubit refused
-            pass
-        _reject(src, texts, i, regs, circuit)
-    return circuit
+                if not name.isidentifier() or [lb, rb, semi] != ["[", "]", ";"] or int(size) < 1:
+                    break
+                circuit.n_qubits = int(size)
+                shapes = {gate: _operands(name, k) for gate, k in GATE_ARITY.items()}
+                i += 6
+            else:
+                break
+        else:  # every statement fit its shape
+            return circuit
+    except ValueError:  # cut short, no ';', a number int() cannot read, a qubit refused
+        pass
+    return _read(src)
 
 
-def _kind(text: str) -> str:
-    """The kind of a token from its text; ``""`` is the end of input."""
-    if not text:
-        return "end"
-    if "0" <= text[0] <= "9":
-        return "num"
-    if text[0] == '"':
-        return "str"
-    return "id" if text[0] == "_" or text[0].isalpha() else "sym"
+# The reader's tokens: one named group per kind, whitespace and comments included.
+_READ_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>//[^\n]*)
+      | (?P<num>[0-9]+(\.[0-9]+)?)
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<str>"[^"\n]*")
+      | (?P<arrow>->)
+      | (?P<sym>[\[\];,])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
 
 
-def _reject(src: str, texts: list[str], i: int, regs: dict, circuit: Circuit) -> NoReturn:
-    """Raise the positioned error of the header (``i == 0``) or of the statement
-    at token ``i``, re-read one token at a time from the ``regs`` and
-    ``circuit`` that the statements before it built."""
-    try:  # the re-read ends at the first ";" from token i, or at the end of input
-        stop = texts.index(";", i) + 1
-    except ValueError:
-        stop = len(texts)
-    tokens = {
-        j: (_kind(text), text or "end of input", off)
-        for j, text, off in zip(range(i, stop), texts[i:stop], _offsets(src, i, stop))
-    }
+def _position(src: str, off: int) -> tuple[int, int]:
+    """1-based (line, col) of ``off``; end of input is column 1 of the last line."""
+    line = src.count("\n", 0, off) + 1
+    return line, (off - src.rfind("\n", 0, off) if off < len(src) else 1)
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens, closed by an ``end`` token at ``len(src)``."""
+    tokens = []
+    for m in _READ_TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise QasmSyntaxError(f"unexpected character {m.group()!r}", *_position(src, m.start()))
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "end of input", len(src)))
+    return tokens
+
+
+def _read(src: str) -> Circuit:
+    """The definition of the language: one ``(kind, text, offset)`` tuple per
+    token, then one ``take`` call per token; raises positioned QasmError on
+    failure."""
+    tokens = _tokenize(src)
+    if tokens[0][:2] != ("id", "OPENQASM"):
+        raise MissingHeaderError(
+            "program must start with 'OPENQASM 2.0;'", *_position(src, tokens[0][2])
+        )
+    i = 1
 
     def take(what: str, kind: str | None = None) -> tuple[str, int]:
         """Next token's text and offset; it must be of ``kind``, else have the text ``what``."""
@@ -215,6 +202,8 @@ def _reject(src: str, texts: list[str], i: int, regs: dict, circuit: Circuit) ->
         except ValueError:  # past the interpreter's integer-string digit limit
             raise QasmSyntaxError(f"{what} has too many digits", *_position(src, off)) from None
 
+    regs: dict[str, tuple[str, int]] = {}  # "qreg"/"creg" -> (name, size)
+
     def operand(kw: str) -> int:
         role = "quantum" if kw == "qreg" else "classical"
         name, off = take(f"{role} register operand", "id")
@@ -230,34 +219,35 @@ def _reject(src: str, texts: list[str], i: int, regs: dict, circuit: Circuit) ->
             )
         return index
 
-    at_header = i == 0
-    kind, kw, off = tokens[i]
-    i += 1
-    if at_header:
-        if (kind, kw) != ("id", "OPENQASM"):
-            raise MissingHeaderError(
-                "program must start with 'OPENQASM 2.0;'", *_position(src, off)
-            )
-        ver, off = take("version number", "num")
-        if ver != "2.0":
-            raise QasmSyntaxError(f"unsupported OPENQASM version {ver}", *_position(src, off))
-        take(";")
-    elif kind != "id":
-        raise QasmSyntaxError(f"expected a statement, got {kw!r}", *_position(src, off))
-    elif kw == "OPENQASM":
-        raise QasmSyntaxError("duplicate OPENQASM header", *_position(src, off))
-    elif kw == "include":
-        take("include filename", "str")
-        take(";")
-    elif kw in ("qreg", "creg"):
-        name, name_off = take("register name", "id")
-        size, size_off = bracketed("register size")
-        take(";")
-        if size < 1:
-            raise QasmSyntaxError("register size must be positive", *_position(src, size_off))
-        if kw in regs:
-            raise DuplicateRegisterError(f"only one {kw} is supported", *_position(src, name_off))
-    else:
+    ver, off = take("version number", "num")
+    if ver != "2.0":
+        raise QasmSyntaxError(f"unsupported OPENQASM version {ver}", *_position(src, off))
+    take(";")
+    circuit = Circuit(0)
+    while tokens[i][0] != "end":
+        kind, kw, off = tokens[i]
+        i += 1
+        if kind != "id":
+            raise QasmSyntaxError(f"expected a statement, got {kw!r}", *_position(src, off))
+        if kw == "OPENQASM":
+            raise QasmSyntaxError("duplicate OPENQASM header", *_position(src, off))
+        if kw == "include":
+            take("include filename", "str")
+            take(";")
+            continue
+        if kw in ("qreg", "creg"):
+            name, name_off = take("register name", "id")
+            size, size_off = bracketed("register size")
+            take(";")
+            if size < 1:
+                raise QasmSyntaxError("register size must be positive", *_position(src, size_off))
+            if kw in regs:
+                raise DuplicateRegisterError(
+                    f"only one {kw} is supported", *_position(src, name_off)
+                )
+            regs[kw] = (name, size)
+            setattr(circuit, "n_qubits" if kw == "qreg" else "n_clbits", size)
+            continue
         if kw in GATE_MATRICES:
             qubits = [operand("qreg")]
             for _ in range(GATE_ARITY[kw] - 1):
@@ -287,7 +277,7 @@ def _reject(src: str, texts: list[str], i: int, regs: dict, circuit: Circuit) ->
             append(*args)
         except ValueError as e:  # a qubit already measured, or a repeated barrier operand
             raise QasmSyntaxError(str(e), *_position(src, off)) from None
-    raise AssertionError(f"the statement at line {_position(src, off)[0]} fits its shape")
+    return circuit
 
 
 def serialize(c: Circuit) -> str:

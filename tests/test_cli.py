@@ -264,9 +264,14 @@ class TestRun:
              "the default layout places only 3 qubits; give --layout for a 5-qubit circuit"),
             (["--experiment", "router-control0", "--transpile", "ibmqx4", "--layout", "a,b,c"],
              "--layout must be a comma-separated list of integers: 'a,b,c'"),
+            (["--experiment", "router-control0", "--transpile", "ibmqx4", "--layout", "٢,٠,١"],
+             "--layout must be a comma-separated list of integers: '٢,٠,١'"),
+            (["--experiment", "router-control0", "--transpile", "ibmqx4", "--layout", "2_0,0,1"],
+             "--layout must be a comma-separated list of integers: '2_0,0,1'"),
         ],
         ids=["no-shots", "unknown-experiment", "measure", "default-layout-4q",
-             "default-layout-5q", "layout-not-integers"],
+             "default-layout-5q", "layout-not-integers", "layout-arabic-indic-digits",
+             "layout-underscore"],
     )
     def test_spec_error_exit_1_before_any_state(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -388,6 +393,18 @@ class TestRun:
         )
         assert code == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_layout_entries_may_be_spaced(self, tmp_path):
+        reports = []
+        for layout in ("2,0,1", "2, 0, 1"):
+            out = str(tmp_path / "r.json")
+            assert run_cli(
+                "run", "--experiment", "router-control0", "--transpile", "ibmqx4",
+                "--layout", layout, "--tomography", "none", "--no-timestamps", "--out", out,
+            ) == 0
+            reports.append(read_json(out))
+        assert reports[0]["spec"]["layout"] == [2, 0, 1]
+        assert reports[1] == reports[0]
 
     @pytest.mark.parametrize("layout", ["9,9,9", "2,0,1"])
     def test_layout_without_transpile_exit_1(self, report_path, capsys, layout):

@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from qrouter.gates import Circuit, circuit_unitary, named_router_circuit
+from qrouter import qasm
+from qrouter.gates import ROUTER_EXPERIMENTS, Circuit, circuit_unitary, named_router_circuit
 from qrouter.qasm import (
     IBMQX4_COUPLING,
     CouplingMap,
@@ -14,6 +15,7 @@ from qrouter.qasm import (
     QasmSyntaxError,
     UnknownGateError,
     UnroutableCnotError,
+    _read,
     apply_layout,
     coupling_map_from_json,
     parse,
@@ -21,7 +23,6 @@ from qrouter.qasm import (
     transpile,
 )
 
-from ._analytic import reference_parse
 from .test_gates import max_dev_up_to_phase
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -475,16 +476,30 @@ def parse_outcome(parser, src):
     return c.n_qubits, c.n_clbits, c.instructions
 
 
+def five_qubit_gate_circuit(rng):
+    """A seeded gate-only circuit on ibmqx4's 5 qubits: 1 to 40 gates, whose
+    CNOTs lie on the coupling map's edges, in either direction."""
+    pairs = sorted(IBMQX4_COUPLING.edges)
+    c = Circuit(5)
+    for _ in range(int(rng.integers(1, 41))):
+        if rng.random() < 0.4:
+            ctl, tgt = pairs[int(rng.integers(len(pairs)))]
+            c.add("cx", *((ctl, tgt) if rng.random() < 0.5 else (tgt, ctl)))
+        else:
+            c.add(str(rng.choice(GATES1)), int(rng.integers(5)))
+    return c
+
+
 class TestAgainstReferenceParser:
-    """``parse`` builds the circuit the token-by-token reference parser builds,
-    or raises the same error at the same place."""
+    """``parse`` builds the circuit that ``_read``, the token-by-token reader that
+    defines the language, builds, or raises the same error at the same place."""
 
     @staticmethod
     def assert_same(sources):
         kinds = set()
         for src in sources:
             got = parse_outcome(parse, src)
-            assert got == parse_outcome(reference_parse, src), repr(src)
+            assert got == parse_outcome(_read, src), repr(src)
             kinds.add(got[0] if isinstance(got[0], type) else "circuit")
         return kinds
 
@@ -507,16 +522,44 @@ class TestAgainstReferenceParser:
 
     def test_serialized_and_transpiled_random_circuits(self):
         rng = np.random.default_rng(14)
-        pairs = sorted(IBMQX4_COUPLING.edges)
         for _ in range(100):
-            c = Circuit(5)
-            for _ in range(int(rng.integers(1, 41))):
-                if rng.random() < 0.4:
-                    ctl, tgt = pairs[int(rng.integers(len(pairs)))]
-                    c.add("cx", *((ctl, tgt) if rng.random() < 0.5 else (tgt, ctl)))
-                else:
-                    c.add(str(rng.choice(GATES1)), int(rng.integers(5)))
+            c = five_qubit_gate_circuit(rng)
             for circuit in (c, transpile(c, IBMQX4_COUPLING)):
                 text = serialize(circuit)
                 assert parse(text) == circuit
-                assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+                assert parse_outcome(parse, text) == parse_outcome(_read, text)
+
+
+class TestFastPath:
+    """What the program writes, gate-only circuits with no ``creg``, never leaves
+    ``parse``'s shape matcher; any other statement is read by ``_read``."""
+
+    @pytest.fixture
+    def no_read(self, monkeypatch):
+        def refuse(src):
+            raise AssertionError(f"reached _read: {src!r}")
+
+        monkeypatch.setattr(qasm, "_read", refuse)
+
+    def test_serialized_gate_circuits_stay_on_the_fast_path(self, no_read):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            c = five_qubit_gate_circuit(rng)
+            for circuit in (c, transpile(c, IBMQX4_COUPLING)):
+                assert parse(serialize(circuit)) == circuit
+
+    @pytest.mark.parametrize("name", sorted(ROUTER_EXPERIMENTS))
+    def test_router_files_stay_on_the_fast_path(self, no_read, name):
+        c = named_router_circuit(name)
+        placed = apply_layout(c, (2, 0, 1), 5)
+        for circuit in (c, placed, transpile(placed, IBMQX4_COUPLING)):
+            assert parse(serialize(circuit)) == circuit
+
+    @pytest.mark.parametrize(
+        "statements",
+        ["creg c[1];", "barrier q[0], q[1];", "creg c[2];\nmeasure q[0] -> c[1];"],
+        ids=["creg", "barrier", "measure"],
+    )
+    def test_other_statements_reach_read(self, no_read, statements):
+        with pytest.raises(AssertionError, match="reached _read"):
+            parse(HEADER + f"qreg q[2];\nh q[0];\n{statements}\ncx q[0], q[1];\n")
