@@ -19,9 +19,9 @@ and an ``ideal_state`` that is not a normalised state of matching size exits 2.
 ``run`` rejects (exit 1) an executed register wider than 12 qubits, full
 tomography of more than 6, routed tomography of an experiment with no routed
 qubit, a counts file that is the report file, a circuit wider than its coupling
-map, a ``--layout`` that is not a list of integers in ASCII digits, and a circuit
-of more qubits than ``DEFAULT_LAYOUT`` places with no ``--layout``, before any
-state is formed.
+map, a ``--layout`` that is not a list of integers in ASCII digits, and, with no
+``--layout``, a circuit of more qubits than ``DEFAULT_LAYOUT`` places or a map
+too small for the default layout's first entries, before any state is formed.
 The counts file is compact JSON on one line.
 """
 
@@ -201,7 +201,13 @@ def _layout(arg: str | None, n: int, device: int) -> tuple[int, ...]:
                 f"the default layout places only {len(DEFAULT_LAYOUT)} qubits; "
                 f"give --layout for a {n}-qubit circuit"
             )
-        return DEFAULT_LAYOUT[:n]
+        layout = DEFAULT_LAYOUT[:n]
+        if any(q >= device for q in layout):
+            raise SpecError(
+                f"the default layout {','.join(map(str, layout))} does not fit a "
+                f"{device}-qubit coupling map; give --layout"
+            )
+        return layout
     entries = [x.strip() for x in arg.split(",")]
     try:  # ASCII digits only, as a QASM index is
         if all(x.isascii() and x.isdigit() for x in entries):

@@ -6,10 +6,8 @@ one ``qreg`` and one ``creg``, the fixed gate set (h/x/s/sdg/t/tdg/cx),
 positioned parse error; the parser never raises anything but ``QasmError``
 subclasses on malformed text. ``_read`` defines the language: it reads the
 source token by token and returns the circuit or words the error at a 1-based
-line and column. ``parse`` first splits the text into bare token texts with one
-``findall`` and accepts only the header, ``include``, one ``qreg`` and gate
-statements, each when its tokens equal the fixed shape of its kind; every other
-source is read, or rejected, by ``_read``.
+line and column. ``parse`` itself reads only the text ``serialize`` writes for
+a circuit of gates alone; every other source is read, or rejected, by ``_read``.
 """
 
 from __future__ import annotations
@@ -60,79 +58,38 @@ class UnroutableCnotError(Exception):
         self.target = target
 
 
-# One match per token: the match skips the whitespace and ``//`` comments in
-# front of the token, and its one group is the token's text. The catch-all
-# ``.`` and the end of input (the empty text) close the alternation, so every
-# match succeeds where it starts and nothing backtracks.
-_TOKEN_RE = re.compile(
-    r"""\s*(?://[^\n]*\s*)*
-      ( [0-9]+(?:\.[0-9]+)?
-      | [A-Za-z_][A-Za-z0-9_]*
-      | "[^"\n]*"
-      | ->
-      | [\[\];,]
-      | .
-      | \Z )
-    """,
-    re.VERBOSE,
+# The text ``serialize`` writes for a circuit of gates alone: the header, the
+# include, a register of n >= 1 qubits with no leading zero, and one line per
+# gate, each one name and one or two operands.
+_GATE_LINE = r"([a-z]+) q\[([0-9]+)\](?:, q\[([0-9]+)\])?;\n"
+_SERIALIZED_RE = re.compile(
+    r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]*)\];\n' f"((?:{_GATE_LINE})*)"
 )
-# the one-character tokens of the grammar; a source with any other one goes to
-# ``_read``, which reports it as a stray character
-_TOKEN_CHARS = frozenset("[];,_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-
-def _operands(reg: str, k: int) -> list:
-    """The shape of ``k`` operands of ``reg`` up to the ``;``, such as
-    ``q [ n ] , q [ m ] ;``, with None in each index slot."""
-    shape = [reg, "[", None, "]", ","] * k
-    shape[-1:] = [";"]
-    return shape
+_GATE_LINE_RE = re.compile(_GATE_LINE)
 
 
 def parse(src: str) -> Circuit:
     """Parse QASM source into a Circuit; raises positioned QasmError on failure.
 
-    One ``findall`` splits the source into token texts, closed by ``""`` at the
-    end of input. The header, ``include``, one ``qreg`` and gate statements are
-    accepted by comparing their tokens with the fixed shape of their kind. Any
-    other source, and any statement that does not fit its shape or whose
-    qubits the circuit refuses, is read whole by ``_read``, which defines the
-    language: it returns the circuit or raises the positioned error.
+    ``parse`` reads only the text ``serialize`` writes for a circuit of gates
+    alone: one ``fullmatch`` checks it, and one ``findall`` over its gate lines
+    feeds ``Circuit.add``. Every other source, and matched text whose numbers
+    ``int()`` cannot read or whose gates the circuit refuses, is read whole by
+    ``_read``, which defines the language: it returns the circuit or raises the
+    positioned error.
     """
-    texts = _TOKEN_RE.findall(src)
-    stray = {t for t in set(texts) if len(t) == 1} - _TOKEN_CHARS
-    if stray or texts[:3] != ["OPENQASM", "2.0", ";"]:
-        return _read(src)
-    circuit = Circuit(0)
-    shapes: dict[str, list] = {}  # each gate's operand shape, once the qreg is declared
-    i = 3
-    try:
-        while kw := texts[i]:
-            if kw in shapes:
-                shape = shapes[kw]
-                end = i + 1 + len(shape)
-                stmt = texts[i + 1 : end]
-                indices = stmt[2::5]
-                stmt[2::5] = shape[2::5]
-                if stmt != shape:
-                    break
-                circuit.add(kw, *map(int, indices))
-                i = end
-            elif kw == "include" and texts[i + 1][:1] == '"' and texts[i + 2] == ";":
-                i += 3
-            elif kw == "qreg" and not shapes:
-                name, lb, size, rb, semi = texts[i + 1 : i + 6]
-                if not name.isidentifier() or [lb, rb, semi] != ["[", "]", ";"] or int(size) < 1:
-                    break
-                circuit.n_qubits = int(size)
-                shapes = {gate: _operands(name, k) for gate, k in GATE_ARITY.items()}
-                i += 6
-            else:
-                break
-        else:  # every statement fit its shape
+    m = _SERIALIZED_RE.fullmatch(src)
+    if m:
+        try:
+            circuit = Circuit(int(m[1]))
+            for name, a, b in _GATE_LINE_RE.findall(src, m.start(2)):
+                if b:
+                    circuit.add(name, int(a), int(b))
+                else:
+                    circuit.add(name, int(a))
             return circuit
-    except ValueError:  # cut short, no ';', a number int() cannot read, a qubit refused
-        pass
+        except ValueError:  # past the digit limit, an unknown gate, a qubit refused
+            pass
     return _read(src)
 
 
@@ -254,8 +211,6 @@ def _read(src: str) -> Circuit:
                 take(",")
                 qubits.append(operand("qreg"))
             take(";")
-            if len(set(qubits)) != len(qubits):
-                raise IndexOutOfRangeError(f"repeated operand q[{qubits[0]}]", *_position(src, off))
             append, args = circuit.add, (kw, *qubits)
         elif kw == "measure":
             q = operand("qreg")
@@ -275,7 +230,7 @@ def _read(src: str) -> Circuit:
             raise UnknownGateError(f"unknown gate or statement {kw!r}", *_position(src, off))
         try:
             append(*args)
-        except ValueError as e:  # a qubit already measured, or a repeated barrier operand
+        except ValueError as e:  # a qubit already measured, or a repeated operand
             raise QasmSyntaxError(str(e), *_position(src, off)) from None
     return circuit
 

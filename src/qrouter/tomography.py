@@ -19,7 +19,6 @@ import numpy as np
 from .gates import GATE_MATRICES
 from .noise import readout_flip
 from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
-from .qstate import pauli_matrix  # noqa: F401 -- also imported from this module
 
 # the literal-mode rotation stack, which ``_rotation_stack`` keeps for the last
 # settings list: (4^6 - 1) * 4^6 complex = 268 MB, twice that while sampling

@@ -268,10 +268,14 @@ class TestRun:
              "--layout must be a comma-separated list of integers: '٢,٠,١'"),
             (["--experiment", "router-control0", "--transpile", "ibmqx4", "--layout", "2_0,0,1"],
              "--layout must be a comma-separated list of integers: '2_0,0,1'"),
+            (["--qasm", "{tmp}/q2.qasm", "--transpile", "{tmp}/map2.json"],
+             "the default layout 2,0 does not fit a 2-qubit coupling map; give --layout"),
+            (["--qasm", "{tmp}/q1.qasm", "--transpile", "{tmp}/map1.json"],
+             "the default layout 2 does not fit a 1-qubit coupling map; give --layout"),
         ],
         ids=["no-shots", "unknown-experiment", "measure", "default-layout-4q",
              "default-layout-5q", "layout-not-integers", "layout-arabic-indic-digits",
-             "layout-underscore"],
+             "layout-underscore", "default-layout-2q-map", "default-layout-1q-map"],
     )
     def test_spec_error_exit_1_before_any_state(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -285,6 +289,10 @@ class TestRun:
             "measure.qasm": "OPENQASM 2.0;\nqreg q[3];\ncreg c[1];\nmeasure q[0] -> c[0];\n",
             "q4.qasm": "OPENQASM 2.0;\nqreg q[4];\nh q[0];\ncx q[0], q[3];\n",
             "q5.qasm": "OPENQASM 2.0;\nqreg q[5];\nh q[4];\n",
+            "q2.qasm": "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[1], q[0];\n",
+            "q1.qasm": "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n",
+            "map2.json": '{"n_qubits": 2, "edges": [[1, 0]]}',
+            "map1.json": '{"n_qubits": 1, "edges": []}',
         }
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)

@@ -71,7 +71,7 @@ class TestParse:
             parse(HEADER + "qreg q[2]; h q[2];")
 
     def test_repeated_cx_operand(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(QasmSyntaxError, match=r"repeated qubit operand in \(0, 0\)"):
             parse(HEADER + "qreg q[2]; cx q[0],q[0];")
 
     def test_duplicate_register(self):
@@ -159,6 +159,9 @@ PARSE_ERRORS = [
      QasmSyntaxError, "register size must be an integer", 3, 8),
     ("register-size-zero", HEADER + "qreg q[0];",
      QasmSyntaxError, "register size must be positive", 3, 8),
+    # in the serializer's layout, where only the n >= 1 rule of parse's own match refuses it
+    ("register-size-zero-serialized", HEADER + "qreg q[0];\n",
+     QasmSyntaxError, "register size must be positive", 3, 8),
     ("register-size-non-ascii-digit", HEADER + "qreg q[\u0663];",
      QasmSyntaxError, "unexpected character '\u0663'", 3, 8),
     ("register-size-too-many-digits", HEADER + "qreg q[" + "1" * 5000 + "];",
@@ -208,7 +211,7 @@ PARSE_ERRORS = [
     ("barrier-eof", Q + "barrier q[0],\n",
      QasmSyntaxError, "expected 'quantum register operand', got 'end of input'", 6, 1),
     ("repeated-operand", Q + "cx q[1],\n   q[1];",
-     IndexOutOfRangeError, "repeated operand q[1]", 5, 1),
+     QasmSyntaxError, "repeated qubit operand in (1, 1)", 5, 1),
     ("measured-gate", Q + "measure q[0] -> c[0];\nh q[1]; t q[0];",
      QasmSyntaxError, "qubit 0 was already measured", 6, 9),
     ("measured-measure", Q + "measure q[1] -> c[0];\nmeasure q[1] -> c[1];",
@@ -530,9 +533,23 @@ class TestAgainstReferenceParser:
                 assert parse_outcome(parse, text) == parse_outcome(_read, text)
 
 
+# the text ``serialize`` writes for a gate-only circuit, and what ``parse`` reads itself
+FAST_CIRCUIT = Circuit(3).add("h", 0).add("cx", 0, 2).add("t", 1)
+FAST_TEXT = serialize(FAST_CIRCUIT)
+# the same circuit in text ``serialize`` does not write
+OTHER_TEXTS = [
+    pytest.param(FAST_TEXT.replace(", ", " ,\t"), id="spaced-operands"),
+    pytest.param(FAST_TEXT.replace("qreg", "// three qubits\nqreg"), id="comment-line"),
+    pytest.param(FAST_TEXT.replace('include "qelib1.inc";\n', ""), id="no-include"),
+    pytest.param(FAST_TEXT.replace("q[3]", "q[03]"), id="leading-zero-size"),
+    pytest.param(FAST_TEXT[:-1], id="no-final-newline"),
+    pytest.param(FAST_TEXT.replace("\n", "\r\n"), id="crlf"),
+]
+
+
 class TestFastPath:
-    """What the program writes, gate-only circuits with no ``creg``, never leaves
-    ``parse``'s shape matcher; any other statement is read by ``_read``."""
+    """``parse`` reads only the text ``serialize`` writes for gate-only circuits;
+    every other source, even one of the same circuit, is read by ``_read``."""
 
     @pytest.fixture
     def no_read(self, monkeypatch):
@@ -563,3 +580,12 @@ class TestFastPath:
     def test_other_statements_reach_read(self, no_read, statements):
         with pytest.raises(AssertionError, match="reached _read"):
             parse(HEADER + f"qreg q[2];\nh q[0];\n{statements}\ncx q[0], q[1];\n")
+
+    @pytest.mark.parametrize("src", OTHER_TEXTS)
+    def test_other_text_of_the_same_circuit_reaches_read(self, no_read, src):
+        with pytest.raises(AssertionError, match="reached _read"):
+            parse(src)
+
+    @pytest.mark.parametrize("src", OTHER_TEXTS)
+    def test_other_text_of_the_same_circuit_parses_to_it(self, src):
+        assert parse(src) == FAST_CIRCUIT

@@ -6,7 +6,7 @@ import pytest
 
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
-from qrouter.qstate import DensityMatrix, StateVector, basis_state, to_density
+from qrouter.qstate import DensityMatrix, StateVector, basis_state, pauli_matrix, to_density
 from qrouter.tomography import (
     TomographyDataset,
     _estimator_tables,
@@ -20,7 +20,6 @@ from qrouter.tomography import (
     fidelity,
     linear_inversion,
     observables_for,
-    pauli_matrix,
     project_to_physical,
     reconstruct,
     sample_counts,
