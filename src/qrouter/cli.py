@@ -16,7 +16,8 @@ included. An invalid ``reconstructed`` density matrix exits 2 in
 tomography, the negativity and the control entropy) from ``reconstructed`` and
 ``ideal_state``; a stored value that differs by more than 1e-9 is a failed check,
 and an ``ideal_state`` that is not a normalised state of matching size exits 2.
-``run`` rejects (exit 1) an executed register wider than 12 qubits, full
+``run`` rejects (exit 1) a circuit of no qubits (a QASM program with no
+``qreg``), an executed register wider than 12 qubits, full
 tomography of more than 6, routed tomography of an experiment with no routed
 qubit, a counts file that is the report file, a circuit wider than its coupling
 map, a ``--layout`` that is not a list of integers in ASCII digits, and, with no
@@ -109,6 +110,8 @@ def run_experiment(args) -> dict:
         raise SpecError("seed must be a non-negative integer")
     if any(i.name == "measure" for i in circuit.instructions):
         raise SpecError("experiment circuits must not contain measure instructions")
+    if circuit.n_qubits < 1:
+        raise SpecError("the circuit has no qubits: a QASM program needs a 'qreg'")
 
     if args.layout and not args.transpile:
         raise SpecError("--layout applies only together with --transpile")

@@ -43,12 +43,57 @@ class Instruction:
     clbits: tuple[int, ...] = ()
 
 
+def _is_index(x) -> bool:
+    """An ``int`` or ``np.integer``, never a ``bool``: what ``serialize`` can
+    write as a register index."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_qubits(qubits: tuple, n_qubits: int, measured=()) -> None:
+    """Refuse, in this order: a repeated operand, then per operand one that is
+    not an integer (``_is_index``), one outside the register, and one in
+    ``measured``."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit operand in {qubits}")
+    for q in qubits:
+        if not _is_index(q):
+            raise ValueError(f"qubit operand {q!r} is not an integer")
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"qubit {q} out of range for register of {n_qubits}")
+        if q in measured:
+            raise ValueError(f"qubit {q} was already measured")
+
+
+def _check_gate(n_qubits: int, gate: str, qubits: tuple, measured=()) -> None:
+    """Refuse an unknown gate, then a wrong number of operands, then what
+    ``_check_qubits`` refuses."""
+    if gate not in GATE_MATRICES:
+        raise ValueError(f"unknown gate {gate!r}")
+    if len(qubits) != GATE_ARITY[gate]:
+        raise ValueError(f"{gate} expects {GATE_ARITY[gate]} qubits, got {len(qubits)}")
+    _check_qubits(qubits, n_qubits, measured)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _gate(n_qubits: int, gate: str, *qubits: int) -> Instruction:
+    """The checked instruction of ``gate`` on ``qubits`` in a register of
+    ``n_qubits``, one object per distinct call: ``Instruction`` is frozen, so
+    every circuit may hold it. The operands are separate arguments because
+    ``typed=True`` keys the types of top-level arguments only, which keeps
+    ``1`` and ``np.int64(1)`` apart. A failed check raises ``ValueError``,
+    which the cache does not keep."""
+    _check_gate(n_qubits, gate, qubits)
+    return Instruction(gate, qubits)
+
+
 class Circuit:
     """Ordered instruction list over a qubit/clbit register.
 
     Built by appending, then treated as immutable: simulators and the
     serializer never modify a circuit. Measurement is terminal; adding a gate
-    on an already-measured qubit raises.
+    on an already-measured qubit raises. Each (register size, gate, operands)
+    is checked once per process, by ``_gate``, and its immutable instruction
+    is shared by every circuit that adds it.
     """
 
     def __init__(self, n_qubits: int, n_clbits: int = 0, name: str = ""):
@@ -60,26 +105,21 @@ class Circuit:
         self.instructions: list[Instruction] = []
         self._measured: set[int] = set()
 
-    def _check_qubits(self, qubits, measured_ok: bool = False):
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"repeated qubit operand in {qubits}")
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"qubit {q} out of range for register of {self.n_qubits}")
-            if q in self._measured and not measured_ok:
-                raise ValueError(f"qubit {q} was already measured")
-
     def add(self, gate: str, *qubits: int) -> "Circuit":
-        if gate not in GATE_MATRICES:
-            raise ValueError(f"unknown gate {gate!r}")
-        if len(qubits) != GATE_ARITY[gate]:
-            raise ValueError(f"{gate} expects {GATE_ARITY[gate]} qubits, got {len(qubits)}")
-        self._check_qubits(qubits)
-        self.instructions.append(Instruction(gate, tuple(qubits)))
+        if self._measured:  # the ordered check names a measured qubit before a later bad one
+            _check_gate(self.n_qubits, gate, qubits, self._measured)
+        try:
+            instr = _gate(self.n_qubits, gate, *qubits)
+        except TypeError:  # an unhashable gate or operand, which the cache cannot key
+            _check_gate(self.n_qubits, gate, qubits)
+            raise
+        self.instructions.append(instr)
         return self
 
     def measure(self, qubit: int, clbit: int) -> "Circuit":
-        self._check_qubits((qubit,))
+        _check_qubits((qubit,), self.n_qubits, self._measured)
+        if not _is_index(clbit):
+            raise ValueError(f"clbit operand {clbit!r} is not an integer")
         if not 0 <= clbit < self.n_clbits:
             raise ValueError(f"clbit {clbit} out of range for register of {self.n_clbits}")
         self.instructions.append(Instruction("measure", (qubit,), (clbit,)))
@@ -88,7 +128,7 @@ class Circuit:
 
     def barrier(self, *qubits: int) -> "Circuit":
         qs = tuple(qubits) if qubits else tuple(range(self.n_qubits))
-        self._check_qubits(qs, measured_ok=True)  # a barrier may span measured qubits
+        _check_qubits(qs, self.n_qubits)  # a barrier may span measured qubits
         self.instructions.append(Instruction("barrier", qs))
         return self
 

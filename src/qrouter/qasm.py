@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .gates import GATE_ARITY, GATE_MATRICES, Circuit, Instruction
+from .gates import GATE_ARITY, GATE_MATRICES, Circuit
 from .qstate import _is_int
 
 
@@ -343,5 +343,11 @@ def apply_layout(c: Circuit, layout, n_qubits: int) -> Circuit:
         raise ValueError("layout entries must be distinct and within the device")
     out = Circuit(n_qubits, c.n_clbits, name=c.name)
     for instr in c.instructions:
-        out.append(Instruction(instr.name, tuple(layout[q] for q in instr.qubits), instr.clbits))
+        qubits = [layout[q] for q in instr.qubits]
+        if instr.name == "measure":
+            out.measure(qubits[0], instr.clbits[0])
+        elif instr.name == "barrier":
+            out.barrier(*qubits)
+        else:
+            out.add(instr.name, *qubits)
     return out

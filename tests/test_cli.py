@@ -272,10 +272,17 @@ class TestRun:
              "the default layout 2,0 does not fit a 2-qubit coupling map; give --layout"),
             (["--qasm", "{tmp}/q1.qasm", "--transpile", "{tmp}/map1.json"],
              "the default layout 2 does not fit a 1-qubit coupling map; give --layout"),
+            (["--qasm", "{tmp}/noqreg.qasm"],
+             "the circuit has no qubits: a QASM program needs a 'qreg'"),
+            (["--qasm", "{tmp}/noqreg.qasm", "--transpile", "ibmqx4", "--tomography", "none"],
+             "the circuit has no qubits: a QASM program needs a 'qreg'"),
+            (["--qasm", "{tmp}/noqreg.qasm", "--tomography", "none"],
+             "the circuit has no qubits: a QASM program needs a 'qreg'"),
         ],
         ids=["no-shots", "unknown-experiment", "measure", "default-layout-4q",
              "default-layout-5q", "layout-not-integers", "layout-arabic-indic-digits",
-             "layout-underscore", "default-layout-2q-map", "default-layout-1q-map"],
+             "layout-underscore", "default-layout-2q-map", "default-layout-1q-map",
+             "no-qreg", "no-qreg-transpiled", "no-qreg-no-tomography"],
     )
     def test_spec_error_exit_1_before_any_state(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -291,6 +298,7 @@ class TestRun:
             "q5.qasm": "OPENQASM 2.0;\nqreg q[5];\nh q[4];\n",
             "q2.qasm": "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[1], q[0];\n",
             "q1.qasm": "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n",
+            "noqreg.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\n',
             "map2.json": '{"n_qubits": 2, "edges": [[1, 0]]}',
             "map1.json": '{"n_qubits": 1, "edges": []}',
         }

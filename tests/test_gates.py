@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qrouter.gates import (
     router_circuit,
 )
 from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
-from qrouter.qasm import IBMQX4_COUPLING, apply_layout, transpile
+from qrouter.qasm import IBMQX4_COUPLING, apply_layout, parse, serialize, transpile
 from qrouter.qstate import (
     StateVector,
     basis_state,
@@ -113,6 +114,88 @@ class TestCircuit:
         assert copy == c
         with pytest.raises(ValueError, match="qubit 2 was already measured"):
             copy.append(Instruction("x", (2,)))
+
+    # Each refused ``add`` on a 3-qubit circuit, with its exception class and
+    # exact message, whether or not the cache can key the call. ``measured``
+    # qubits are measured first; the ordered check then names a measured
+    # qubit before a later operand out of range, and the reverse.
+    REFUSED_ADDS = {
+        "unknown-gate": ((), ("rz", 0), ValueError, "unknown gate 'rz'"),
+        "wrong-arity": ((), ("h", 0, 1), ValueError, "h expects 1 qubits, got 2"),
+        "repeated": ((), ("cx", 1, 1), ValueError, "repeated qubit operand in (1, 1)"),
+        "out-of-range": ((), ("h", 3), ValueError, "qubit 3 out of range for register of 3"),
+        "negative": ((), ("cx", 0, -1), ValueError, "qubit -1 out of range for register of 3"),
+        "measured-then-out-of-range": (
+            (0,), ("cx", 0, 9), ValueError, "qubit 0 was already measured"
+        ),
+        "out-of-range-then-measured": (
+            (0,), ("cx", 9, 0), ValueError, "qubit 9 out of range for register of 3"
+        ),
+        "unknown-gate-on-measured": ((0,), ("rz", 0), ValueError, "unknown gate 'rz'"),
+        "unhashable-operand": ((), ("h", [0]), TypeError, "unhashable type: 'list'"),
+        "unhashable-gate": ((), (["h"], 0), TypeError, "unhashable type: 'list'"),
+        "unhashable-operand-wrong-arity": (
+            (), ("cx", [0]), ValueError, "cx expects 2 qubits, got 1"
+        ),
+        "unhashable-operand-unknown-gate": ((), ("rz", [0]), ValueError, "unknown gate 'rz'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_ADDS))
+    def test_refused_add_keeps_its_error(self, case):
+        measured, args, cls, message = self.REFUSED_ADDS[case]
+        c = Circuit(3, 3)
+        for q in measured:
+            c.measure(q, q)
+        before = list(c.instructions)
+        for _ in range(2):  # a refusal is not cached: the second call checks again
+            with pytest.raises(cls) as err:
+                c.add(*args)
+            assert type(err.value) is cls and str(err.value) == message
+        assert c.instructions == before
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, np.True_, 1.0, np.float64(0.0), "0", None],
+        ids=["True", "False", "np.True_", "float", "np.float64", "str", "None"],
+    )
+    def test_refuses_operands_that_are_not_integers(self, bad):
+        message = f"qubit operand {bad!r} is not an integer"
+        Circuit(3).add("h", 1).add("cx", 0, 1)  # an equal int's cached entry lets none through
+        calls = [
+            lambda c: c.add("h", bad),
+            lambda c: c.add("cx", 2, bad),
+            lambda c: c.measure(bad, 0),
+            lambda c: c.barrier(2, bad),
+        ]
+        for call in calls:
+            c = Circuit(3, 1)
+            with pytest.raises(ValueError) as err:
+                call(c)
+            assert str(err.value) == message and c.instructions == []
+        with pytest.raises(ValueError, match=f"clbit operand {re.escape(repr(bad))} is not"):
+            Circuit(3, 1).measure(0, bad)
+
+    def test_instructions_are_shared(self):
+        a = Circuit(5).add("cx", 1, 0).add("h", 2)
+        b = Circuit(5).add("h", 2).add("cx", 1, 0)
+        assert a.instructions[0] is b.instructions[1] and a.instructions[1] is b.instructions[0]
+        back = parse(serialize(a))
+        assert all(x is y for x, y in zip(back.instructions, a.instructions))
+        # the register size is part of the key, though the instruction does not hold it
+        assert Circuit(3).add("h", 2).instructions[0] == a.instructions[1]
+        with pytest.raises(ValueError, match="qubit 2 out of range for register of 2"):
+            Circuit(2).add("h", 2)
+
+    def test_instruction_cache_is_bounded(self):
+        assert gates._gate.cache_info().maxsize == 4096
+
+    @pytest.mark.parametrize("first", [2, np.int64(2)])
+    def test_operand_keeps_its_integer_type(self, first):
+        Circuit(5).add("h", first)
+        c = Circuit(5).add("h", np.int64(2)).add("cx", np.int64(2), 4)
+        assert [type(q) for i in c.instructions for q in i.qubits] == [np.int64, np.int64, int]
+        assert serialize(c).endswith("h q[2];\ncx q[2], q[4];\n")
+        assert type(Circuit(5).add("h", 2).instructions[0].qubits[0]) is int
 
 
 SIMULATORS = {
