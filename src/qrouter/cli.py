@@ -44,6 +44,7 @@ from .gates import ROUTER_EXPERIMENTS, apply_circuit, named_router_circuit
 from .qstate import (
     DensityMatrix,
     StateVector,
+    _pairs,
     _read_complex,
     _read_number,
     basis_state,
@@ -167,6 +168,7 @@ def run_experiment(args) -> dict:
         with open(counts_file, "w") as f:
             f.write(json.dumps(dataset.to_json(), sort_keys=True))
 
+    ideal_pairs = _pairs(ideal.amplitudes)
     report = {
         "spec": {
             "name": experiment if args.experiment else circuit.name,
@@ -178,7 +180,7 @@ def run_experiment(args) -> dict:
             "transpile": args.transpile,
             "layout": list(layout) if layout else None,
         },
-        "ideal_state": [[z.real, z.imag] for z in ideal.amplitudes],
+        "ideal_state": ideal_pairs.tolist(),
         "reconstructed": density_to_json(reconstructed),
         **_scores(reconstructed, ideal_dm, q, rho),
         "seed": seed,
@@ -189,8 +191,44 @@ def run_experiment(args) -> dict:
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat()
         }
     with open(args.out, "w") as f:
-        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        f.write(_report_text(report, ideal_pairs, _pairs(reconstructed.matrix)))
     return report
+
+
+def _report_text(report: dict, ideal: np.ndarray, entries: np.ndarray) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True) + "\n"`` of a report whose
+    'ideal_state' and 'reconstructed' 'entries' list the [re, im] pair arrays
+    ``ideal`` and ``entries``.
+
+    Those two number blocks are most of the text, and ``indent`` selects
+    json's pure-Python encoder, which writes them one float at a time. So
+    ``json.dumps`` writes the report with a null in each block's place, and
+    each null becomes the block's ``_number_layout`` filled with the
+    ``float.__repr__`` of each number, which is what json writes for a finite
+    float. json escapes every quote inside a string, so a quoted key followed
+    by ``: `` is only ever that key.
+    """
+    skeleton = {
+        **report,
+        "ideal_state": None,
+        "reconstructed": {**report["reconstructed"], "entries": None},
+    }
+    text = json.dumps(skeleton, indent=2, sort_keys=True)
+    for key, depth, numbers in (("ideal_state", 1, ideal), ("entries", 2, entries)):
+        slot = f'\n{"  " * depth}"{key}": '
+        floats = tuple(map(float.__repr__, numbers.ravel().tolist()))
+        block = _number_layout(numbers.shape, depth) % floats
+        text = text.replace(slot + "null", slot + block, 1)
+    return text + "\n"
+
+
+@functools.lru_cache(maxsize=8)
+def _number_layout(shape: tuple[int, ...], depth: int) -> str:
+    """The text ``json.dumps(x, indent=2)`` writes for a nested list ``x`` of
+    numbers of ``shape`` that is the value of a key ``depth`` levels deep,
+    with a ``%s`` for each number; json lays out a list of zeros to make it."""
+    text = json.dumps(np.zeros(shape, dtype=int).tolist(), indent=2)
+    return text.replace("0", "%s").replace("\n", "\n" + "  " * depth)
 
 
 def _layout(arg: str | None, n: int, device: int) -> tuple[int, ...]:

@@ -97,6 +97,9 @@ class Circuit:
     """
 
     def __init__(self, n_qubits: int, n_clbits: int = 0, name: str = ""):
+        for size in (n_qubits, n_clbits):  # what ``serialize`` can write as ``qreg q[n];``
+            if not _is_index(size):
+                raise ValueError(f"register size {size!r} is not an integer")
         if n_qubits < 0 or n_clbits < 0:
             raise ValueError("register sizes must be nonnegative")
         self.n_qubits = n_qubits
@@ -133,9 +136,16 @@ class Circuit:
         return self
 
     def append(self, instr: Instruction) -> "Circuit":
-        """Copy ``instr`` in through the validating method for its kind."""
+        """Copy ``instr`` in through the validating method for its kind, once
+        its operand counts are checked: a measurement takes one qubit and one
+        clbit, a gate or barrier no clbit."""
         if instr.name == "measure":
+            for kind, operands in (("qubit", instr.qubits), ("clbit", instr.clbits)):
+                if len(operands) != 1:
+                    raise ValueError(f"measure expects 1 {kind} operand, got {len(operands)}")
             return self.measure(instr.qubits[0], instr.clbits[0])
+        if instr.clbits:
+            raise ValueError(f"{instr.name} expects 0 clbit operands, got {len(instr.clbits)}")
         if instr.name == "barrier":
             return self.barrier(*instr.qubits)
         return self.add(instr.name, *instr.qubits)

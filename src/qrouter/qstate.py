@@ -229,10 +229,14 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = ATOL) 
     return abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol
 
 
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """The [re, im] pair of each complex entry of ``z``, along a new last axis."""
+    return np.stack([z.real, z.imag], -1)
+
+
 def density_to_json(rho: DensityMatrix) -> dict:
     """Row-major ``{"n_qubits": k, "entries": [[[re, im], ...], ...]}``."""
-    entries = [[[z.real, z.imag] for z in row] for row in rho.matrix]
-    return {"n_qubits": rho.n_qubits, "entries": entries}
+    return {"n_qubits": rho.n_qubits, "entries": _pairs(rho.matrix).tolist()}
 
 
 # The one rule for numbers read from files: a JSON int or float, never a bool,
@@ -261,12 +265,20 @@ def _read_number(obj: dict, key: str, where: str, error) -> float:
 
 
 def _read_complex(pairs, what: str, error) -> np.ndarray:
-    """A list of [re, im] number pairs as a complex array; anything else raises ``error``."""
-    if not isinstance(pairs, list) or not all(
-        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in pairs
-    ):
-        raise error(f"{what} must be a list of [re, im] number pairs")
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    """A list of [re, im] number pairs as a complex array; anything else raises ``error``.
+
+    The numbers' types are read in one pass. Pairs of floats only, which is
+    what a file written by this package holds, become one float array, checked
+    finite at once and viewed as complex; other numbers are checked one by one.
+    """
+    if isinstance(pairs, list) and all(isinstance(z, list) and len(z) == 2 for z in pairs):
+        if {type(x) for z in pairs for x in z} <= {float}:
+            a = np.array(pairs, dtype=float).reshape(-1, 2)
+            if np.isfinite(a).all():
+                return a.view(complex).reshape(-1)
+        elif all(_is_number(x) for z in pairs for x in z):
+            return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    raise error(f"{what} must be a list of [re, im] number pairs")
 
 
 def density_from_json(data) -> DensityMatrix:

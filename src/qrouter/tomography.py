@@ -20,8 +20,8 @@ from .gates import GATE_MATRICES
 from .noise import readout_flip
 from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
 
-# the literal-mode rotation stack, which ``_rotation_stack`` keeps for the last
-# settings list: (4^6 - 1) * 4^6 complex = 268 MB, twice that while sampling
+# the rotation stack of the 3^6 measured bases, which ``_rotation_stack`` keeps
+# for the last settings list: 3^6 * 4^6 complex = 48 MB, twice that while sampling
 MAX_TOMOGRAPHY_QUBITS = 6
 
 # rotation into the Z basis for each setting letter, one row per basis letter; I measures Z
@@ -33,9 +33,15 @@ _ROW_CHARS = str.maketrans({letter: chr(i) for i, letter in enumerate(_PAULI_LET
 
 def settings_for(n: int) -> list[str]:
     """All 3^n local-basis settings in lexicographic order (X < Y < Z)."""
+    return list(_grid(n))
+
+
+@lru_cache(maxsize=8)
+def _grid(n: int) -> tuple[str, ...]:
+    """``settings_for`` as a shared tuple."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    return ["".join(p) for p in itertools.product("XYZ", repeat=n)]
+    return tuple("".join(p) for p in itertools.product("XYZ", repeat=n))
 
 
 def observables_for(n: int) -> list[str]:
@@ -86,14 +92,32 @@ def _setting_letters(n: int, settings: tuple[str, ...]) -> np.ndarray:
     return letters
 
 
-# ``qrouter run`` samples one settings list, and at MAX_TOMOGRAPHY_QUBITS a
-# stack holds 268 MB, so only the last one is kept; its conjugate is formed per
-# call (about 2 us for 27 settings), since keeping it too would hold 537 MB
+@lru_cache(maxsize=4, typed=True)
+def _measured_bases(
+    n: int, settings: tuple[str, ...]
+) -> tuple[tuple[str, ...], np.ndarray | None]:
+    """Check settings, then return the distinct bases they are measured in (an
+    I letter is measured as Z), in order of first use, and the read-only index
+    of each setting's basis; the index is None when no two settings share a
+    basis, as in the grid, whose bases are its settings."""
+    _setting_letters(n, settings)
+    index: dict[str, int] = {}
+    rows = [index.setdefault(s.replace("I", "Z"), len(index)) for s in settings]
+    if len(index) == len(settings):
+        return tuple(index), None
+    rows = np.array(rows)
+    rows.setflags(write=False)
+    return tuple(index), rows
+
+
+# ``qrouter run`` samples one settings list, and at MAX_TOMOGRAPHY_QUBITS the
+# stack of its 3^6 bases holds 48 MB, so only the last one is kept; its
+# conjugate is formed per call (about 2 us for 27 bases)
 @lru_cache(maxsize=1, typed=True)
 def _rotation_stack(n: int, settings: tuple[str, ...]) -> np.ndarray:
     """Read-only (S, 2^n, 2^n) basis rotations of checked settings: row s is
     the kron of setting s's single-qubit rotations."""
-    letters = _setting_letters(n, settings)
+    letters = _letters(settings, n, "setting")
     r = _ROTATIONS[letters[:, 0]]
     for q in range(1, n):
         # np.kron of each setting's rotations (the same products), batched
@@ -107,16 +131,23 @@ def _rotation_stack(n: int, settings: tuple[str, ...]) -> np.ndarray:
 def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) -> np.ndarray:
     """Outcome distribution of each setting as an (S, 2^n) array, rows in order.
 
-    The Born probabilities of every rotated basis come from one batched
-    contraction, are clipped at 0 and normalised per row, then pass through
-    ``readout_flip`` as one stack when ``p_readout`` is nonzero. The three-operand
-    ``einsum`` keeps the exact zeros of basis outcomes that a pure state never
-    gives, and those zeros decide its multinomial draws.
+    The Born probabilities of each distinct measured basis (``_measured_bases``)
+    come from one batched contraction, are clipped at 0 and normalised per row,
+    and are gathered into one row per setting when settings share a basis; the
+    stack then passes through ``readout_flip`` when ``p_readout`` is nonzero.
+    An I letter's rotation is the identity, as Z's is, and each row is
+    contracted and normalised alone, so a setting's distribution is bit for bit
+    the one its own rotation gives. The three-operand ``einsum`` keeps the exact
+    zeros of basis outcomes that a pure state never gives, and those zeros
+    decide its multinomial draws.
     """
-    r = _checked(_rotation_stack, rho.n_qubits, settings)
+    bases, rows = _checked(_measured_bases, rho.n_qubits, settings)
+    r = _rotation_stack(rho.n_qubits, bases)
     probs = np.einsum("sij,jk,sik->si", r, rho.matrix, r.conj()).real
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
+    if rows is not None:
+        probs = probs[rows]
     return readout_flip(probs, p_readout) if p_readout else probs
 
 
@@ -256,8 +287,9 @@ def collect_dataset(
 ) -> TomographyDataset:
     """Sample every setting (default: the 3^n grid) into one dataset.
 
-    The basis rotations of all S settings form one (S, 2^n, 2^n) stack, and
-    the Born probabilities with optional readout flips one (S, 2^n) array.
+    The rotations of the B <= 3^n distinct measured bases form one
+    (B, 2^n, 2^n) stack, and the Born probabilities with optional readout
+    flips one (S, 2^n) array, a row per setting.
     Setting i's counts are then one ``multinomial(shots, probs[i])`` draw:
     the exact distribution of ``shots`` i.i.d. shots, at a cost that does not
     grow with ``shots``. All draws share one ``Generator`` over one Philox
@@ -267,9 +299,7 @@ def collect_dataset(
     starts from, without building one per setting.
     """
     n = rho.n_qubits
-    if settings is None:
-        settings = settings_for(n)
-    settings = list(settings)
+    settings = list(_grid(n) if settings is None else settings)
     if shots < 1:
         raise ValueError("shots must be positive")
     _check_total_shots(shots, len(settings))

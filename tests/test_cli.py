@@ -1,5 +1,6 @@
 import copy
 import datetime
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from qrouter import cli, noise, tomography
 from qrouter.cli import main
-from qrouter.gates import apply_circuit, named_router_circuit
+from qrouter.gates import ROUTER_EXPERIMENTS, apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
 from qrouter.qstate import (
     StateVector,
@@ -483,6 +484,96 @@ class TestRun:
             "run", "--qasm", str(qasm_file), "--transpile", "ibmqx4",
             "--layout", "0,1,2,3,4", "--tomography", "none", "--out", report_path,
         ) == 3
+
+
+def dumped(report):
+    """The report writer's oracle: json's own indented, key-sorted text."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def first_difference(got, want):
+    """None for equal texts, else the first line that differs; pytest's own
+    diff of two long texts can take minutes."""
+    if got == want:
+        return None
+    for i, (a, b) in enumerate(zip(got.splitlines(True), want.splitlines(True))):
+        if a != b:
+            return f"line {i + 1}: {a!r} != {b!r}"
+    return f"{len(got)} characters against {len(want)}"
+
+
+# floats whose shortest repr json must keep: signed zero, the smallest subnormal,
+# exponent notation on both sides, and a sum that is not its decimal
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2]
+
+
+class TestReportText:
+    """A report file is json's indented, key-sorted text, though its number
+    blocks are written from their arrays."""
+
+    def test_every_matrix_report_is_its_json_dump(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        literal = ["--settings-per-observable"]
+        tomography_modes = [("full", []), ("full", literal), ("routed", []), ("routed", literal)]
+        written = 0
+        for i, (exp, noise_arg, transpile, (mode, settings)) in enumerate(itertools.product(
+            sorted(ROUTER_EXPERIMENTS),
+            ("none", "ibmqx4"),
+            ([], ["--transpile", "ibmqx4"]),
+            [*tomography_modes, ("none", [])],
+        )):
+            out = f"{i}.json"
+            code = run_cli(
+                "run", "--experiment", exp, "--noise", noise_arg, "--tomography", mode,
+                *transpile, *settings, "--no-timestamps", "--seed", "7", "--out", out,
+            )
+            assert code == (1 if (exp, mode) == ("router-superposition", "routed") else 0)
+            if code == 0:
+                text = open(out).read()
+                assert first_difference(text, dumped(json.loads(text))) is None, out
+                written += 1
+        assert written == 52
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_blocks_equal_json_dump(self, n):
+        rng = np.random.default_rng(n)
+        ideal = rng.normal(size=(2**n, 2))
+        entries = rng.normal(size=(2**n, 2**n, 2)) * 10.0 ** rng.integers(-20, 20, (2**n, 2**n, 2))
+        ideal.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS
+        entries.flat[-len(EDGE_FLOATS):] = EDGE_FLOATS
+        report = {
+            "counts_file": "c.json",
+            "fidelity": 0.1 + 0.2,
+            "ideal_state": ideal.tolist(),
+            "reconstructed": {"entries": entries.tolist(), "n_qubits": n},
+            "spec": {"layout": None, "name": "x"},
+        }
+        assert first_difference(cli._report_text(report, ideal, entries), dumped(report)) is None
+
+    def test_qasm_name_with_quotes_and_non_ascii(self, tmp_path, monkeypatch):
+        # names that hold a quote, non-ASCII text and the text of a block's key;
+        # the counts file's name is written before 'ideal_state', the circuit's after
+        monkeypatch.chdir(tmp_path)
+        name = 'r"ö\u00e9 "ideal_state": null,\n  "entries": null'
+        with open(f"{name}.qasm", "w") as f:
+            f.write(serialize(named_router_circuit("router-control1")))
+        counts = f"c {name}.json"
+        assert run_cli(
+            "run", "--qasm", f"{name}.qasm", "--noise", "ibmqx4", "--transpile", "ibmqx4",
+            "--settings-per-observable", "--no-timestamps", "--out", "q.json",
+            "--counts-out", counts,
+        ) == 0
+        text = open("q.json").read()
+        report = json.loads(text)
+        assert report["spec"]["name"] == name and report["counts_file"] == counts
+        assert first_difference(text, dumped(report)) is None
+        assert run_cli("verify", "--report", "q.json") == 0
+
+    def test_timestamped_report(self, report_path):
+        assert run_cli("run", "--experiment", "router-control0", "--out", report_path) == 0
+        text = open(report_path).read()
+        assert "timestamps" in json.loads(text)
+        assert first_difference(text, dumped(json.loads(text))) is None
 
 
 class TestCountsFile:

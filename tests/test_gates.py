@@ -96,6 +96,21 @@ class TestCircuit:
         with pytest.raises(ValueError, match="register sizes must be nonnegative"):
             Circuit(*sizes)
 
+    @pytest.mark.parametrize(
+        "sizes, bad",
+        [((2.0,), 2.0), ((True,), True), ((3, 1.0), 1.0), ((3, False), False), (("3",), "3")],
+        ids=["float", "bool", "float-clbits", "bool-clbits", "str"],
+    )
+    def test_rejects_register_size_that_is_not_an_integer(self, sizes, bad):
+        # serialize would write ``qreg q[2.0];`` or ``qreg q[True];``, which parse refuses
+        with pytest.raises(ValueError) as err:
+            Circuit(*sizes)
+        assert str(err.value) == f"register size {bad!r} is not an integer"
+
+    def test_integer_register_sizes_round_trip(self):
+        c = Circuit(np.int64(2), np.int64(1)).add("h", 0).measure(1, 0)
+        assert parse(serialize(c)).n_qubits == 2
+
     def test_rejects_unknown_gate(self):
         with pytest.raises(ValueError, match="unknown gate 'rz'"):
             Circuit(1).add("rz", 0)
@@ -114,6 +129,24 @@ class TestCircuit:
         assert copy == c
         with pytest.raises(ValueError, match="qubit 2 was already measured"):
             copy.append(Instruction("x", (2,)))
+
+    @pytest.mark.parametrize(
+        "instr, message",
+        [
+            (Instruction("measure", (0,), ()), "measure expects 1 clbit operand, got 0"),
+            (Instruction("measure", (), (0,)), "measure expects 1 qubit operand, got 0"),
+            (Instruction("measure", (0, 1), (0,)), "measure expects 1 qubit operand, got 2"),
+            (Instruction("measure", (0,), (0, 1)), "measure expects 1 clbit operand, got 2"),
+            (Instruction("h", (0,), (0,)), "h expects 0 clbit operands, got 1"),
+            (Instruction("barrier", (0,), (0,)), "barrier expects 0 clbit operands, got 1"),
+        ],
+        ids=["no-clbit", "no-qubit", "two-qubits", "two-clbits", "gate-clbit", "barrier-clbit"],
+    )
+    def test_append_checks_operand_counts_first(self, instr, message):
+        c = Circuit(2, 2)
+        with pytest.raises(ValueError) as err:
+            c.append(instr)
+        assert str(err.value) == message and c.instructions == []
 
     # Each refused ``add`` on a 3-qubit circuit, with its exception class and
     # exact message, whether or not the cache can key the call. ``measured``

@@ -1,9 +1,14 @@
+import json
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from qrouter.qstate import (
     DensityMatrix,
     StateVector,
+    _read_complex,
     basis_state,
     density_from_json,
     density_to_json,
@@ -144,6 +149,77 @@ class TestDensityMatrix:
     def test_json_malformed_raises_value_error(self, data):
         with pytest.raises(ValueError):
             density_from_json(data)
+
+
+def loop_read_complex(pairs, what, error):
+    """Reference reader: each pair's type and each number checked one at a time."""
+
+    def number(x):
+        if isinstance(x, float):
+            return math.isfinite(x)
+        return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+    if not isinstance(pairs, list) or not all(
+        isinstance(z, list) and len(z) == 2 and all(map(number, z)) for z in pairs
+    ):
+        raise error(f"{what} must be a list of [re, im] number pairs")
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+class ReadError(Exception):
+    pass
+
+
+READ_COMPLEX_CASES = {
+    "floats": [[0.5, -0.0], [5e-324, 1e16], [1e-7, 0.1 + 0.2]],
+    "ints": [[1, 0], [0, -3]],
+    "mixed": [[1, 0.5], [0.25, 2]],
+    "empty": [],
+    "big-int": [[2**1023, 0]],
+    "past-float-range": [[0.5, 0.5], [10**400, 0]],
+    "nan": [[0.5, 0.5], [0.5, float("nan")]],
+    "inf": [[float("inf"), 0.5]],
+    "-inf-with-int": [[1, float("-inf")]],
+    "bool": [[0.5, True]],
+    "bool-only": [[False, True]],
+    "string": [[0.5, "0.5"]],
+    "none": [[None, 0.5]],
+    "short-pair": [[0.5, 0.5], [0.5]],
+    "long-pair": [[0.5, 0.5, 0.5]],
+    "tuple-pair": [(0.5, 0.5)],
+    "dict-pair": [{"re": 0.5, "im": 0.5}],
+    "string-pair": ["ab"],
+    "nested": [[[0.5], [0.5]]],
+    "not-a-list": {"0": [0.5, 0.5]},
+    "scalar": 0.5,
+    "null": None,
+}
+
+
+class TestReadComplex:
+    """The one-pass reader refuses, names and converts what the per-number reader did."""
+
+    @pytest.mark.parametrize("case", sorted(READ_COMPLEX_CASES))
+    def test_equals_per_number_reader(self, case):
+        pairs = READ_COMPLEX_CASES[case]
+        try:
+            want = loop_read_complex(pairs, "report 'x'", ReadError)
+        except ReadError as err:
+            with pytest.raises(ReadError) as got:
+                _read_complex(pairs, "report 'x'", ReadError)
+            assert str(got.value) == str(err) == "report 'x' must be a list of [re, im] number pairs"
+            return
+        got = _read_complex(pairs, "report 'x'", ReadError)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_json_round_trip_is_exact(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = DensityMatrix._trusted(3, m)  # any complex matrix: only the numbers travel
+        entries = json.loads(json.dumps(density_to_json(rho)))["entries"]
+        pairs = [z for row in entries for z in row]
+        assert _read_complex(pairs, "x", ValueError).tobytes() == m.tobytes()
 
 
 def brute_partial_trace(m, n, keep):

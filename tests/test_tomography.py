@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -10,6 +11,8 @@ from qrouter.qstate import DensityMatrix, StateVector, basis_state, pauli_matrix
 from qrouter.tomography import (
     TomographyDataset,
     _estimator_tables,
+    _grid,
+    _measured_bases,
     _observables,
     _rotation_stack,
     _setting_letters,
@@ -75,6 +78,22 @@ class TestSettings:
             settings_for(0)
         with pytest.raises(ValueError, match="need at least one qubit"):
             observables_for(0)
+
+    def test_grid_built_once_and_returned_fresh(self):
+        for n in (1, 3):
+            assert settings_for(n) == ["".join(p) for p in itertools.product("XYZ", repeat=n)]
+        _grid.cache_clear()
+        first = settings_for(3)
+        first.append("ZZZ")  # a caller's list is its own
+        assert settings_for(3) == first[:-1] and settings_for(3) is not settings_for(3)
+        assert (_grid.cache_info().misses, _grid.cache_info().hits) == (1, 3)
+        rho = to_density(basis_state(3, 0))
+        assert collect_dataset(rho, 10, 0).settings == first[:-1]
+        assert _grid.cache_info().misses == 1
+        for n in (0, -1):
+            for _ in range(2):  # a refusal is not cached
+                with pytest.raises(ValueError, match="need at least one qubit"):
+                    settings_for(n)
 
 
 class TestSampleCounts:
@@ -457,6 +476,34 @@ class TestOnePassSampler:
                     ref = readout_flip(basis_probs(rho, s), p_readout)
                     assert np.max(np.abs(row - ref)) <= 4**n * EPS, s
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["grid", "literal"])
+    def test_per_basis_rows_are_the_per_setting_rows(self, n, kind):
+        # reference: each setting contracted with its own rotation; the exact
+        # zeros of the pure router states decide their draws
+        settings = settings_for(n) if kind == "grid" else observables_for(n)
+        r = np.array([setting_rotation(s) for s in settings])
+        rng = np.random.default_rng(80 + n)
+        states = [random_state(rng, n) for _ in range(4)]
+        states += [rho for _, rho in router_states()] if n == 3 else []
+        for rho in states:
+            ref = np.einsum("sij,jk,sik->si", r, rho.matrix, r.conj()).real
+            ref = np.clip(ref, 0.0, None)
+            ref /= ref.sum(axis=1, keepdims=True)
+            for p_readout in (0.0, 0.02):
+                want = readout_flip(ref, p_readout) if p_readout else ref
+                assert _setting_probs(rho, settings, p_readout).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_literal_settings_share_the_grid_bases(self, n):
+        bases, rows = _measured_bases(n, tuple(observables_for(n)))
+        assert sorted(bases) == settings_for(n)
+        assert [bases[i] for i in rows] == [s.replace("I", "Z") for s in observables_for(n)]
+        assert not rows.flags.writeable
+        # a list that shares no basis keeps its order and forms no gather
+        assert _measured_bases(n, tuple(settings_for(n))) == (tuple(settings_for(n)), None)
+        assert _measured_bases(n, ("I" * n,)) == (("Z" * n,), None)
+
     def test_no_settings_by_shots_matrix(self):
         rho = random_state(np.random.default_rng(3), 3)
         settings = observables_for(3)
@@ -639,25 +686,30 @@ class TestSettingsTable:
 
     def test_tables_are_read_only(self):
         settings = tuple(observables_for(2))
-        for table in (_setting_letters(2, settings), _rotation_stack(2, settings)):
+        tables = (_setting_letters(2, settings), _rotation_stack(2, settings))
+        for table in (*tables, _measured_bases(2, settings)[1]):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
 
     def test_checked_and_built_once_per_settings_list(self):
         rho = to_density(basis_state(3, 0))
-        settings = ["XYZ", "ZZI", "IIX"]
-        _setting_letters.cache_clear()
-        _rotation_stack.cache_clear()
+        settings = ["XYZ", "ZZI", "IIX", "XYI"]  # XYZ and XYI share a basis
+        for cache in (_setting_letters, _measured_bases, _rotation_stack):
+            cache.cache_clear()
         for seed in range(3):
             collect_dataset(rho, 100, seed, settings=settings)
-        letters, stack = _setting_letters.cache_info(), _rotation_stack.cache_info()
-        # checked once, for the first stack; each of the three datasets finds the check
+        letters, bases = _setting_letters.cache_info(), _measured_bases.cache_info()
+        stack = _rotation_stack.cache_info()
+        # checked once, for the first bases; each of the three datasets finds the check
         assert (letters.misses, letters.hits) == (1, 3)
+        assert (bases.misses, bases.hits) == (1, 2)
+        # one stack, of the list's three distinct bases
         assert (stack.misses, stack.hits) == (1, 2)
+        assert _rotation_stack(3, ("XYZ", "ZZZ", "ZZX")).shape == (3, 8, 8)
 
     def test_caches_are_bounded(self):
-        assert _setting_letters.cache_info().maxsize == 4
+        assert _setting_letters.cache_info().maxsize == _measured_bases.cache_info().maxsize == 4
         assert _rotation_stack.cache_info().maxsize == 1
         rho = to_density(basis_state(2, 0))
         for j in range(1, 7):
