@@ -160,3 +160,13 @@ def tensordot_apply(tensor, u, qubits):
     ut = u.reshape((2,) * (2 * k))
     out = np.tensordot(ut, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
     return np.moveaxis(out, range(k), qubits)
+
+
+def gate_by_gate_unitary(c):
+    """Reference unitary: the circuit's gates applied one at a time, each by
+    ``tensordot_apply``, to the identity held as a (2,)*n + (2^n,) tensor."""
+    dim = 2**c.n_qubits
+    u = np.eye(dim, dtype=complex).reshape((2,) * c.n_qubits + (dim,))
+    for instr in c.unitary_gates():
+        u = tensordot_apply(u, GATE_MATRICES[instr.name], instr.qubits)
+    return u.reshape(dim, dim)

@@ -30,6 +30,7 @@ from qrouter.qstate import (
 from ._analytic import (
     PLUS,
     PSI_S,
+    gate_by_gate_unitary,
     gate_matrix,
     prep_state,
     psi_f_amplitudes,
@@ -333,6 +334,80 @@ class TestCircuitUnitary:
         assert np.argmax(np.abs(u @ psi)) == 0b101
 
 
+def random_gate_circuit(rng, n, n_gates, singles_only=False, operand=int):
+    """``n_gates`` gates and some barriers on ``n`` qubits; CNOTs on random
+    ordered pairs, so both orientations of a pair occur."""
+    singles = sorted(gates.SINGLE_QUBIT_GATES)
+    c = Circuit(n)
+    for _ in range(n_gates):
+        if rng.random() < 0.1:
+            c.barrier()
+        if n > 1 and not singles_only and rng.random() < 0.4:
+            a, b = rng.permutation(n)[:2]
+            c.add("cx", operand(a), operand(b))
+        else:
+            c.add(singles[rng.integers(len(singles))], operand(rng.integers(n)))
+    return c
+
+
+class TestFusedUnitary:
+    """``circuit_unitary`` applies fused blocks; the gate-by-gate product is its oracle."""
+
+    @pytest.mark.parametrize(
+        "kind, operand",
+        [("mixed", int), ("singles-only", int), ("int64-operands", np.int64)],
+    )
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_gate_by_gate_product(self, n, kind, operand):
+        rng = np.random.default_rng([n, len(kind)])
+        for n_gates in range(0, 31, 3):
+            c = random_gate_circuit(rng, n, n_gates, kind == "singles-only", operand)
+            assert np.max(np.abs(circuit_unitary(c) - gate_by_gate_unitary(c))) <= 1e-13
+
+    def test_both_cnot_orientations(self):
+        for a, b in [(0, 1), (1, 0)]:
+            c = Circuit(2).add("h", 0).add("t", 1).add("cx", a, b).add("s", b)
+            assert np.max(np.abs(circuit_unitary(c) - gate_by_gate_unitary(c))) <= 1e-13
+
+    def test_cold_and_warm_cache_agree(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            c = random_gate_circuit(rng, n, 25)
+            gates._block_unitary.cache_clear()
+            cold = circuit_unitary(c)
+            assert np.array_equal(cold, circuit_unitary(c))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_full_width_product_per_block(self, n, monkeypatch):
+        c = random_gate_circuit(np.random.default_rng(n), n, 30)
+        n_blocks = len(list(gates._fused_blocks(c.unitary_gates())))
+        assert n_blocks < len(c.gate_instructions())
+        full = (2,) * n + (2**n,)
+        calls = []
+
+        def counting(tensor, u, qubits):
+            calls.append(tensor.shape)
+            return _apply_tensor(tensor, u, qubits)
+
+        monkeypatch.setattr(gates, "_apply_tensor", counting)
+        gates._block_unitary.cache_clear()
+        circuit_unitary(c)  # cold: block builds work on the block's own small tensor
+        if n > 2:  # at n = 2 a 2-qubit block's tensor has the full width's shape
+            assert calls.count(full) == n_blocks
+        calls.clear()
+        circuit_unitary(c)  # warm: only the full-width products are left
+        assert calls == [full] * n_blocks
+
+    def test_block_cache_is_bounded_and_read_only(self):
+        assert gates._block_unitary.cache_info().maxsize == 1024
+        block = (("h", (0,)), ("t", (1,)), ("cx", (1, 0)))
+        u = gates._block_unitary(block)
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0
+        assert gates._block_unitary(block) is u
+
+
 def random_operator(rng, k):
     d = 2**k
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -398,6 +473,9 @@ class TestTensorKernel:
         fast = run_all()
         monkeypatch.setattr(gates, "_apply_tensor", tensordot_apply)
         monkeypatch.setattr(noise, "_apply_tensor", tensordot_apply)
+        # the cached blocks are rebuilt by the reference kernel, not reused
+        gates._block_unitary.cache_clear()
+        noise._model_superops.cache_clear()
         reference = run_all()
         assert len(fast) == len(reference) == 19
         for got, want in zip(fast, reference):
