@@ -8,17 +8,15 @@ reproducible.
 
 The simulator folds that sequence into one superoperator per gate, the
 product, in the pinned order, of K (x) K* summed over each stage's Kraus
-operators (Nielsen & Chuang section 8.2), and applies gates in the fused
-blocks that ``gates._fused_blocks`` groups for ``circuit_unitary`` too: each
-CNOT absorbs the 1-qubit gates pending on its two qubits, and the 1-qubit
+operators (Nielsen & Chuang 8.2), and applies gates in ``gates._fused_blocks``:
+each CNOT absorbs the 1-qubit gates pending on its two qubits, and the 1-qubit
 gates left at the end form one block per qubit. A block is one 4^k x 4^k
-superoperator (k = 1 or 2), the product of its gates' superoperators
-(``gates._compose`` on their row and column axes). Blocks depend only on the
-model, so each is built when first used and kept in a bounded per-model cache
-under its gate sequence: a one-gate block from the gate's channels, a longer
-one from its gates' one-gate entries, so each gate is built once. The
-T2 > 2*T1 clamping warnings raised while building a gate are raised again on
-every simulation that uses a block containing it.
+superoperator (k = 1 or 2), the product of its gates' superoperators. Blocks
+depend only on the model, so each is built when first used and kept in a
+bounded per-model cache under its gate sequence: a one-gate block from the
+gate's channels, a longer one from its gates' one-gate entries, so each gate
+is built once. The T2 > 2*T1 clamping warnings raised while building a gate
+are raised again on every simulation that uses a block containing it.
 Only the qubits that some gate touches, or that the caller keeps, are
 simulated: an untouched qubit stays |0>, so it is never formed. A block acts
 on rho, held as a (2,)*2r tensor over those r qubits, with one call of the
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GATE_MATRICES, Circuit, _apply_tensor, _compose, _fused_blocks
+from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks
 from .qstate import DensityMatrix, _check_qubit_subset, _read_number, _reduced_matrix, pauli_matrix
 
 
@@ -265,6 +263,18 @@ def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.n
     return damp[0] @ depol @ _superop((GATE_MATRICES[name],))
 
 
+def _block_superop(block: tuple, gate_superops) -> np.ndarray:
+    """The product, in order, of a block's gate superoperators, on the qubits of
+    its last gate. Indices run over (row qubits, column qubits)."""
+    qubits = block[-1][1]
+    k, d = len(qubits), 4 ** len(qubits)
+    t = np.eye(d, dtype=complex).reshape((2,) * (2 * k) + (d,))
+    for (_, gate_qubits), sop in zip(block, gate_superops):
+        local = tuple(qubits.index(q) for q in gate_qubits)
+        t = _apply_tensor(t, sop, local + tuple(k + i for i in local))
+    return t.reshape(d, d)
+
+
 def _noisy_block(model: NoiseModel, block: tuple):
     """A block's superoperator (read-only) with the clamping warnings its gates
     raise. One gate is built from its channels; a longer block is composed from
@@ -276,7 +286,7 @@ def _noisy_block(model: NoiseModel, block: tuple):
         notes = tuple(w.message for w in caught)
     else:
         entries = [_model_superops(model)((gate,)) for gate in block]
-        sop = _compose(block, [e[0] for e in entries], superop=True)
+        sop = _block_superop(block, [e[0] for e in entries])
         notes = tuple(note for e in entries for note in e[1])
     sop.flags.writeable = False
     return sop, notes

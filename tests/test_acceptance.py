@@ -220,7 +220,7 @@ def test_criterion_8_parser_transpiler_soundness():
     corpus = _random_corpus(rng)
     round_trip_ok = all(parse(serialize(c)) == c for c in corpus)
 
-    worst = 0.0
+    worst = worst_column = 0.0
     pairs = sorted(IBMQX4_COUPLING.edges) + [(t, c) for c, t in sorted(IBMQX4_COUPLING.edges)]
     gates1 = ["h", "x", "s", "sdg", "t", "tdg"]
     for _ in range(30):
@@ -236,6 +236,8 @@ def test_criterion_8_parser_transpiler_soundness():
         k = np.argmax(np.abs(u_in))
         phase = u_in.flat[k] / u_out.flat[k]
         worst = max(worst, np.max(np.abs(phase * u_out - u_in)))
+        psi = apply_circuit(c, basis_state(5, 0)).amplitudes
+        worst_column = max(worst_column, np.max(np.abs(psi - u_in[:, 0])))
 
     from qrouter.qasm import QasmError
 
@@ -266,9 +268,10 @@ def test_criterion_8_parser_transpiler_soundness():
 
     report(
         "criterion 8 (parser/transpiler soundness)",
-        round_trip_ok and worst <= 1e-9 and crashes == 0,
+        round_trip_ok and worst <= 1e-9 and worst_column <= 1e-9 and crashes == 0,
         f"50-circuit round-trip {'ok' if round_trip_ok else 'BROKEN'}; "
-        f"transpile unitary deviation {worst:.2e} <= 1e-9; {crashes} fuzz crashes in 10k cases",
+        f"transpile unitary deviation {worst:.2e} <= 1e-9; statevector vs unitary column 0 "
+        f"{worst_column:.2e} <= 1e-9; {crashes} fuzz crashes in 10k cases",
     )
 
 

@@ -391,11 +391,10 @@ class TestFusedUnitary:
 
         monkeypatch.setattr(gates, "_apply_tensor", counting)
         gates._block_unitary.cache_clear()
-        circuit_unitary(c)  # cold: block builds work on the block's own small tensor
-        if n > 2:  # at n = 2 a 2-qubit block's tensor has the full width's shape
-            assert calls.count(full) == n_blocks
+        circuit_unitary(c)  # cold: a block is built from 4 x 4 products, not by the kernel
+        assert calls == [full] * n_blocks
         calls.clear()
-        circuit_unitary(c)  # warm: only the full-width products are left
+        circuit_unitary(c)  # warm
         assert calls == [full] * n_blocks
 
     def test_block_cache_is_bounded_and_read_only(self):
@@ -473,7 +472,8 @@ class TestTensorKernel:
         fast = run_all()
         monkeypatch.setattr(gates, "_apply_tensor", tensordot_apply)
         monkeypatch.setattr(noise, "_apply_tensor", tensordot_apply)
-        # the cached blocks are rebuilt by the reference kernel, not reused
+        # nothing cached in the fast run is reused: noisy blocks are rebuilt by the
+        # reference kernel, unitary blocks from their 4 x 4 factors
         gates._block_unitary.cache_clear()
         noise._model_superops.cache_clear()
         reference = run_all()
