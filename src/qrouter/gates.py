@@ -91,9 +91,10 @@ class Circuit:
 
     Built by appending, then treated as immutable: simulators and the
     serializer never modify a circuit. Measurement is terminal; adding a gate
-    on an already-measured qubit raises. Each (register size, gate, operands)
-    is checked once per process, by ``_gate``, and its immutable instruction
-    is shared by every circuit that adds it.
+    on an already-measured qubit raises. ``append`` states the rule of each
+    instruction kind, and ``measure`` and ``barrier`` hand it theirs. Each
+    (register size, gate, operands) is checked once per process, by ``_gate``,
+    and its immutable instruction is shared by every circuit that adds it.
     """
 
     def __init__(self, n_qubits: int, n_clbits: int = 0, name: str = ""):
@@ -120,35 +121,36 @@ class Circuit:
         return self
 
     def measure(self, qubit: int, clbit: int) -> "Circuit":
-        _check_qubits((qubit,), self.n_qubits, self._measured)
-        if not _is_index(clbit):
-            raise ValueError(f"clbit operand {clbit!r} is not an integer")
-        if not 0 <= clbit < self.n_clbits:
-            raise ValueError(f"clbit {clbit} out of range for register of {self.n_clbits}")
-        self.instructions.append(Instruction("measure", (qubit,), (clbit,)))
-        self._measured.add(qubit)
-        return self
+        return self.append(Instruction("measure", (qubit,), (clbit,)))
 
     def barrier(self, *qubits: int) -> "Circuit":
-        qs = tuple(qubits) if qubits else tuple(range(self.n_qubits))
-        _check_qubits(qs, self.n_qubits)  # a barrier may span measured qubits
-        self.instructions.append(Instruction("barrier", qs))
-        return self
+        return self.append(Instruction("barrier", qubits))
 
     def append(self, instr: Instruction) -> "Circuit":
-        """Copy ``instr`` in through the validating method for its kind, once
-        its operand counts are checked: a measurement takes one qubit and one
-        clbit, a gate or barrier no clbit."""
-        if instr.name == "measure":
-            for kind, operands in (("qubit", instr.qubits), ("clbit", instr.clbits)):
+        """Add ``instr`` by the rule of its kind, operand counts first. A gate
+        goes on to ``add``. A measurement takes one qubit not yet measured and
+        one clbit index. A barrier may span measured qubits, and one that names
+        no qubit spans the register. Neither a gate nor a barrier takes a clbit."""
+        name, qubits, clbits = instr.name, tuple(instr.qubits), tuple(instr.clbits)
+        if name == "measure":
+            for kind, operands in (("qubit", qubits), ("clbit", clbits)):
                 if len(operands) != 1:
                     raise ValueError(f"measure expects 1 {kind} operand, got {len(operands)}")
-            return self.measure(instr.qubits[0], instr.clbits[0])
-        if instr.clbits:
-            raise ValueError(f"{instr.name} expects 0 clbit operands, got {len(instr.clbits)}")
-        if instr.name == "barrier":
-            return self.barrier(*instr.qubits)
-        return self.add(instr.name, *instr.qubits)
+            _check_qubits(qubits, self.n_qubits, self._measured)
+            if not _is_index(clbits[0]):
+                raise ValueError(f"clbit operand {clbits[0]!r} is not an integer")
+            if not 0 <= clbits[0] < self.n_clbits:
+                raise ValueError(f"clbit {clbits[0]} out of range for register of {self.n_clbits}")
+            self._measured.update(qubits)
+        elif clbits:
+            raise ValueError(f"{name} expects 0 clbit operands, got {len(clbits)}")
+        elif name == "barrier":
+            qubits = qubits or tuple(range(self.n_qubits))
+            _check_qubits(qubits, self.n_qubits)  # a barrier may span measured qubits
+        else:
+            return self.add(name, *qubits)
+        self.instructions.append(Instruction(name, qubits, clbits))
+        return self
 
     def gate_instructions(self):
         return [i for i in self.instructions if i.name in GATE_MATRICES]
@@ -198,6 +200,11 @@ def _apply_tensor(tensor: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) ->
     is cached by (ndim, qubits): a simulator reuses a few placements for
     every gate, and working them out again on each call adds about a third
     to a call on a 5-qubit state.
+
+    BLAS rounds a column differently at each column count (one column, when ``u``
+    spans every axis, is its matrix-vector path), so a 1- or 2-qubit register and
+    the same gates beside idle qubits differ in the last bit: at most 3.3e-16 in
+    ``simulate_noisy`` and 3.7e-16 in ``apply_circuit`` (2000 seeded circuits).
     """
     perm, inverse = _axis_orders(tensor.ndim, qubits)
     t = tensor.transpose(perm)

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .gates import GATE_ARITY, GATE_MATRICES, Circuit
+from .gates import GATE_ARITY, GATE_MATRICES, Circuit, Instruction
 from .qstate import _is_int
 
 
@@ -244,12 +244,10 @@ def serialize(c: Circuit) -> str:
         lines.append(f"creg c[{c.n_clbits}];")
     for instr in c.instructions:
         ops = ", ".join(f"q[{q}]" for q in instr.qubits)
-        if instr.name in GATE_MATRICES:
+        if instr.name in GATE_MATRICES or instr.name == "barrier":
             lines.append(f"{instr.name} {ops};")
         elif instr.name == "measure":
-            lines.append(f"measure q[{instr.qubits[0]}] -> c[{instr.clbits[0]}];")
-        elif instr.name == "barrier":
-            lines.append(f"barrier {ops};")
+            lines.append(f"measure {ops} -> c[{instr.clbits[0]}];")
         else:
             raise ValueError(f"cannot serialize instruction {instr.name!r}")
     return "\n".join(lines) + "\n"
@@ -343,11 +341,5 @@ def apply_layout(c: Circuit, layout, n_qubits: int) -> Circuit:
         raise ValueError("layout entries must be distinct and within the device")
     out = Circuit(n_qubits, c.n_clbits, name=c.name)
     for instr in c.instructions:
-        qubits = [layout[q] for q in instr.qubits]
-        if instr.name == "measure":
-            out.measure(qubits[0], instr.clbits[0])
-        elif instr.name == "barrier":
-            out.barrier(*qubits)
-        else:
-            out.add(instr.name, *qubits)
+        out.append(Instruction(instr.name, tuple([layout[q] for q in instr.qubits]), instr.clbits))
     return out

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import GATE_MATRICES
+from .gates import GATE_MATRICES, _is_index
 from .noise import readout_flip
 from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
 
@@ -304,7 +304,7 @@ def collect_dataset(
         raise ValueError("shots must be positive")
     _check_total_shots(shots, len(settings))
     # from_json reads back only an int seed: refuse a bool, store a NumPy integer as an int
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_index(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     seed = int(seed)
     probs = _setting_probs(rho, settings, p_readout)

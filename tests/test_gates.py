@@ -131,6 +131,11 @@ class TestCircuit:
         with pytest.raises(ValueError, match="qubit 2 was already measured"):
             copy.append(Instruction("x", (2,)))
 
+    def test_append_of_an_empty_barrier_spans_the_register(self):
+        c = Circuit(3).append(Instruction("barrier", ()))
+        assert c == Circuit(3).barrier() and c.instructions[0].qubits == (0, 1, 2)
+        assert parse(serialize(c)) == c
+
     @pytest.mark.parametrize(
         "instr, message",
         [
@@ -200,6 +205,10 @@ class TestCircuit:
             lambda c: c.add("cx", 2, bad),
             lambda c: c.measure(bad, 0),
             lambda c: c.barrier(2, bad),
+            lambda c: c.append(Instruction("h", (bad,))),
+            lambda c: c.append(Instruction("cx", (2, bad))),
+            lambda c: c.append(Instruction("measure", (bad,), (0,))),
+            lambda c: c.append(Instruction("barrier", (2, bad))),
         ]
         for call in calls:
             c = Circuit(3, 1)
@@ -480,6 +489,19 @@ class TestTensorKernel:
         assert len(fast) == len(reference) == 19
         for got, want in zip(fast, reference):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_idle_qubits_move_results_within_the_documented_bound(self, n):
+        # BLAS rounds a column by the column count, and an idle qubit adds columns
+        rng, model = np.random.default_rng(n), ibmqx4_model()
+        for _ in range(50):
+            c, wide = random_gate_circuit(rng, n, 20), Circuit(n + 1)
+            for instr in c.instructions:
+                wide.append(instr)
+            rho = simulate_noisy(wide, model).matrix.reshape(2**n, 2, 2**n, 2)
+            assert np.abs(simulate_noisy(c, model).matrix - rho[:, 0, :, 0]).max() <= 1e-15
+            psi = apply_circuit(wide, basis_state(n + 1, 0)).amplitudes.reshape(2**n, 2)
+            assert np.abs(apply_circuit(c, basis_state(n, 0)).amplitudes - psi[:, 0]).max() <= 1e-15
 
     def test_permutation_cache_is_bounded(self):
         assert gates._axis_orders.cache_info().maxsize is not None

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qrouter import qasm
-from qrouter.gates import ROUTER_EXPERIMENTS, Circuit, circuit_unitary, named_router_circuit
+from qrouter.gates import (
+    ROUTER_EXPERIMENTS,
+    Circuit,
+    _gate,
+    circuit_unitary,
+    named_router_circuit,
+)
 from qrouter.qasm import (
     IBMQX4_COUPLING,
     CouplingMap,
@@ -405,6 +411,15 @@ class TestApplyLayout:
         out = apply_layout(c, (3, 1), 5)
         assert out.instructions[0].qubits == (3, 1)
         assert out.n_qubits == 5
+
+    def test_relabels_every_kind(self):
+        c = Circuit(3, 1).add("h", 0).add("cx", 0, 1).add("cx", 1, 0).barrier().barrier(0, 2)
+        c.measure(1, 0).barrier(1, 2)  # the last barrier spans the measured qubit
+        out = apply_layout(c, (2, 0, 1), 5)
+        by_hand = Circuit(5, 1).add("h", 2).add("cx", 2, 0).add("cx", 0, 2).barrier(2, 0, 1)
+        assert out == by_hand.barrier(2, 1).measure(0, 0).barrier(0, 1)
+        assert all(i is _gate(5, i.name, *i.qubits) for i in out.gate_instructions())
+        assert parse(serialize(out)) == out
 
     def test_rejects_bad_layout(self):
         with pytest.raises(ValueError):

@@ -544,7 +544,9 @@ class TestOnePassSampler:
         with pytest.raises(ValueError, match="at least one measurement setting"):
             collect_dataset(to_density(basis_state(1, 0)), 10, 0, settings=[])
 
-    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", True, False])
+    @pytest.mark.parametrize(
+        "seed", [-1, -(2**40), 1.5, "3", True, False, np.True_, np.float64(3.0)]
+    )
     def test_rejects_bad_seed(self, seed):
         rho = to_density(basis_state(1, 0))
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
