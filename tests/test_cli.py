@@ -1,6 +1,5 @@
 import copy
 import datetime
-import itertools
 import json
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from qrouter import cli, noise, tomography
 from qrouter.cli import main
-from qrouter.gates import ROUTER_EXPERIMENTS, apply_circuit, named_router_circuit
+from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
 from qrouter.qstate import (
     StateVector,
@@ -20,6 +19,7 @@ from qrouter.qstate import (
 from qrouter.tomography import TomographyDataset, reconstruct
 
 from ._analytic import PLUS, PSI_S
+from .output_contract import run_matrix
 
 
 def run_cli(*argv):
@@ -513,20 +513,8 @@ class TestReportText:
 
     def test_every_matrix_report_is_its_json_dump(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        literal = ["--settings-per-observable"]
-        tomography_modes = [("full", []), ("full", literal), ("routed", []), ("routed", literal)]
         written = 0
-        for i, (exp, noise_arg, transpile, (mode, settings)) in enumerate(itertools.product(
-            sorted(ROUTER_EXPERIMENTS),
-            ("none", "ibmqx4"),
-            ([], ["--transpile", "ibmqx4"]),
-            [*tomography_modes, ("none", [])],
-        )):
-            out = f"{i}.json"
-            code = run_cli(
-                "run", "--experiment", exp, "--noise", noise_arg, "--tomography", mode,
-                *transpile, *settings, "--no-timestamps", "--seed", "7", "--out", out,
-            )
+        for exp, mode, out, code in run_matrix():
             assert code == (1 if (exp, mode) == ("router-superposition", "routed") else 0)
             if code == 0:
                 text = open(out).read()
