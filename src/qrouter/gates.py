@@ -8,7 +8,7 @@ here can run on hardware that only offers those gates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ GATE_ARITY = {name: int(np.log2(m.shape[0])) for name, m in GATE_MATRICES.items(
 SINGLE_QUBIT_GATES = frozenset(g for g, k in GATE_ARITY.items() if k == 1)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One circuit element: a gate, a measurement, or a barrier."""
 
     name: str  # gate name, "measure", or "barrier"
@@ -77,7 +76,7 @@ def _check_gate(n_qubits: int, gate: str, qubits: tuple, measured=()) -> None:
 @functools.lru_cache(maxsize=4096, typed=True)
 def _gate(n_qubits: int, gate: str, *qubits: int) -> Instruction:
     """The checked instruction of ``gate`` on ``qubits`` in a register of
-    ``n_qubits``, one object per distinct call: ``Instruction`` is frozen, so
+    ``n_qubits``, one object per distinct call: ``Instruction`` is immutable, so
     every circuit may hold it. The operands are separate arguments because
     ``typed=True`` keys the types of top-level arguments only, which keeps
     ``1`` and ``np.int64(1)`` apart. A failed check raises ``ValueError``,
