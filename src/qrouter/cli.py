@@ -10,20 +10,22 @@ circuit, and for ``verify`` 1 when any check fails. A malformed device file,
 coupling map or report exits 2: a coupling map of no qubits, and any value
 that should be a number and is not one (``true``, ``false``, a numeric string,
 or where a float is meant ``NaN``, ``Infinity`` or an int past float range)
-included. An invalid ``reconstructed`` density matrix exits 2 in
-``emit-figure`` and is a failed check (1) in ``verify``.
-``verify`` recomputes the fidelity (and, unless the report is of routed
-tomography, the negativity and the control entropy) from ``reconstructed`` and
-``ideal_state``; a stored value that differs by more than 1e-9 is a failed check,
-and an ``ideal_state`` that is not a normalised state of matching size exits 2.
-``run`` rejects (exit 1) a circuit of no qubits (a QASM program with no
-``qreg``), an executed register wider than 12 qubits, full
-tomography of more than 6, routed tomography of an experiment with no routed
-qubit, a counts file that is the report file, a circuit wider than its coupling
-map, a ``--layout`` that is not a list of integers in ASCII digits, and, with no
+included. An invalid ``reconstructed`` density matrix exits 2 in ``emit-figure``
+and is a failed check (1) in ``verify``. ``verify`` recomputes the fidelity
+(and, unless the report is of routed tomography, the negativity and the control
+entropy) from ``reconstructed`` and ``ideal_state``; a stored value that differs
+by more than 1e-9 is a failed check, and an ``ideal_state`` that is not a
+normalised state of matching size exits 2.
+``spec_from_args`` reads ``run``'s arguments, and the files they name, into a
+checked ``Spec``. It rejects (exit 1) a circuit of no qubits (a QASM program
+with no ``qreg``), an executed register wider than 12 qubits, full tomography
+of more than 6, routed tomography of an experiment with no routed qubit, a
+counts file that is the report file, a circuit wider than its coupling map, a
+``--layout`` that is not a list of integers in ASCII digits, and, with no
 ``--layout``, a circuit of more qubits than ``DEFAULT_LAYOUT`` places or a map
 too small for the default layout's first entries, before any state is formed.
-The counts file is compact JSON on one line.
+``execute`` simulates, samples and scores a ``Spec`` with no I/O, and
+``run_experiment`` writes its counts file (compact JSON on one line) and report.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import noise as noise_mod
 from . import qasm, tomography
-from .gates import ROUTER_EXPERIMENTS, apply_circuit, named_router_circuit
+from .gates import ROUTER_EXPERIMENTS, Circuit, apply_circuit, named_router_circuit
 from .qstate import (
     DensityMatrix,
     StateVector,
@@ -54,7 +57,7 @@ from .qstate import (
     to_density,
     von_neumann_entropy,
 )
-from .tomography import MAX_TOMOGRAPHY_QUBITS
+from .tomography import MAX_TOMOGRAPHY_QUBITS, TomographyDataset
 
 DEFAULT_SHOTS = 8192
 DEFAULT_LAYOUT = (2, 0, 1)  # keeps every router CNOT edge-adjacent on ibmqx4
@@ -70,16 +73,24 @@ class ReportError(ValueError):
     """A report file that does not have the expected structure (exit code 2)."""
 
 
-def _load_noise(arg: str | None):
-    if arg is None or arg == "none":
-        return None
-    if arg == "ibmqx4":
-        return noise_mod.ibmqx4_model()
-    with open(arg) as f:
-        return noise_mod.noise_model_from_json(f.read())
+# the qubit that carries the signal in each classically controlled router
+_ROUTED_QUBIT = {"router-control0": 1, "router-control1": 2}
 
 
-def _resolve_circuit(args):
+class Spec(NamedTuple):
+    """A checked ``run``: the report's 'spec' block and all ``execute`` reads."""
+
+    spec: dict
+    circuit: Circuit  # the logical circuit
+    executed: Circuit  # placed on the layout and transpiled, else ``circuit``
+    noise: noise_mod.NoiseModel | None
+    routed_qubit: int | None  # the qubit ``--tomography routed`` keeps, else None
+    settings_per_observable: bool
+    counts_file: str | None  # None: no tomography
+
+
+def spec_from_args(args) -> Spec:
+    """The checked ``Spec`` of parsed ``run`` arguments (see the module docstring)."""
     if bool(args.experiment) == bool(args.qasm):
         raise SpecError("exactly one of --experiment and --qasm is required")
     if args.experiment:
@@ -88,25 +99,18 @@ def _resolve_circuit(args):
                 f"unknown experiment {args.experiment!r}; choose from "
                 + ", ".join(sorted(ROUTER_EXPERIMENTS))
             )
-        return args.experiment, named_router_circuit(args.experiment)
-    with open(args.qasm) as f:
-        circuit = qasm.parse(f.read())
-    circuit.name = Path(args.qasm).stem
-    return "custom", circuit
-
-
-# the qubit that carries the signal in each classically controlled router
-_ROUTED_QUBIT = {"router-control0": 1, "router-control1": 2}
-
-
-def run_experiment(args) -> None:
-    experiment, circuit = _resolve_circuit(args)
-    model = _load_noise(args.noise)
-    shots = args.shots
-    seed = args.seed
-    if shots < 1:
+        circuit = named_router_circuit(args.experiment)
+    else:
+        with open(args.qasm) as f:
+            circuit = qasm.parse(f.read())
+        circuit.name = Path(args.qasm).stem
+    model = noise_mod.ibmqx4_model() if args.noise == "ibmqx4" else None
+    if args.noise not in (None, "none", "ibmqx4"):
+        with open(args.noise) as f:
+            model = noise_mod.noise_model_from_json(f.read())
+    if args.shots < 1:
         raise SpecError("shots must be positive")
-    if seed < 0:
+    if args.seed < 0:
         raise SpecError("seed must be a non-negative integer")
     if any(i.name == "measure" for i in circuit.instructions):
         raise SpecError("experiment circuits must not contain measure instructions")
@@ -123,72 +127,73 @@ def run_experiment(args) -> None:
         raise SpecError(
             f"tomography of {circuit.n_qubits} qubits; at most {MAX_TOMOGRAPHY_QUBITS} are run"
         )
-    if args.tomography == "routed" and experiment not in _ROUTED_QUBIT:
+    routed_qubit = _ROUTED_QUBIT.get(args.experiment) if args.tomography == "routed" else None
+    if args.tomography == "routed" and routed_qubit is None:
         raise SpecError("routed-qubit tomography applies only to router-control0/control1")
     counts_file = None
     if args.tomography != "none":
-        counts_file = args.counts_out or _sibling(args.out, ".counts.json")
+        counts_file = args.counts_out or str(Path(args.out).with_suffix(".counts.json"))
         if Path(counts_file).resolve() == Path(args.out).resolve():
             raise SpecError("the counts file and the report must be different files")
-    layout = None if cmap is None else _layout(args.layout, circuit.n_qubits, cmap.n_qubits)
-
-    exec_circuit = circuit
+    layout, executed = None, circuit
     if cmap is not None:
-        exec_circuit = qasm.transpile(
-            qasm.apply_layout(circuit, layout, cmap.n_qubits), cmap
-        )
+        layout = _layout(args.layout, circuit.n_qubits, cmap.n_qubits)
+        executed = qasm.transpile(qasm.apply_layout(circuit, layout, cmap.n_qubits), cmap)
+    spec = {
+        "name": circuit.name,
+        "circuit_source": args.experiment or args.qasm,
+        "noise": args.noise or "none",
+        "shots": args.shots,
+        "seed": args.seed,
+        "tomography": args.tomography,
+        "transpile": args.transpile,
+        "layout": list(layout) if layout else None,
+    }
+    return Spec(
+        spec, circuit, executed, model, routed_qubit, args.settings_per_observable, counts_file
+    )
 
+
+def execute(spec: Spec) -> tuple[StateVector, TomographyDataset | None, DensityMatrix, dict]:
+    """``spec`` simulated, sampled and scored, no I/O: (ideal, dataset, scored state, scores)."""
+    block, circuit, executed, model, q, literal, counts_file = spec
+    shots, seed, layout = block["shots"], block["seed"], block["layout"]
     ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
-    ideal_dm = to_density(ideal)
+    rho = ideal_dm = to_density(ideal)
     # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
     if model is not None:
-        rho = noise_mod.simulate_noisy(exec_circuit, model, keep=layout)
+        rho = noise_mod.simulate_noisy(executed, model, keep=layout)
     elif layout is not None:
         rho = partial_trace(
-            to_density(apply_circuit(exec_circuit, basis_state(exec_circuit.n_qubits, 0))),
-            layout,
+            to_density(apply_circuit(executed, basis_state(executed.n_qubits, 0))), layout
         )
-    else:
-        rho = ideal_dm
 
-    state, q = rho, None
-    if args.tomography == "routed":
-        q = _ROUTED_QUBIT[experiment]
-        state = partial_trace(rho, [q])
-    reconstructed = rho
+    state = rho if q is None else partial_trace(rho, [q])
+    dataset, reconstructed = None, rho
     if counts_file is not None:
-        settings = (
-            tomography.observables_for(state.n_qubits)
-            if args.settings_per_observable
-            else None
-        )
+        settings = tomography.observables_for(state.n_qubits) if literal else None
         dataset = tomography.collect_dataset(state, shots, seed, settings=settings)
         reconstructed = tomography.reconstruct(dataset)
-        with open(counts_file, "w") as f:
-            f.write(json.dumps(dataset.to_json(), sort_keys=True))
+    return ideal, dataset, reconstructed, _scores(reconstructed, ideal_dm, q, rho)
 
+
+def run_experiment(args) -> None:
+    spec = spec_from_args(args)
+    ideal, dataset, reconstructed, scores = execute(spec)
+    if dataset is not None:
+        with open(spec.counts_file, "w") as f:
+            f.write(json.dumps(dataset.to_json(), sort_keys=True))
     # the two number blocks are written from their pair arrays (``_report_text``)
     report = {
-        "spec": {
-            "name": experiment if args.experiment else circuit.name,
-            "circuit_source": args.experiment or args.qasm,
-            "noise": args.noise or "none",
-            "shots": shots,
-            "seed": seed,
-            "tomography": args.tomography,
-            "transpile": args.transpile,
-            "layout": list(layout) if layout else None,
-        },
-        "ideal_state": None,
-        "reconstructed": {"n_qubits": reconstructed.n_qubits, "entries": None},
-        **_scores(reconstructed, ideal_dm, q, rho),
-        "seed": seed,
-        "counts_file": counts_file,
+        "spec": spec.spec,
+        "reconstructed": {"n_qubits": reconstructed.n_qubits},
+        **scores,
+        "seed": spec.spec["seed"],
+        "counts_file": spec.counts_file,
     }
     if not args.no_timestamps:
-        report["timestamps"] = {
-            "finished": datetime.datetime.now(datetime.timezone.utc).isoformat()
-        }
+        finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        report["timestamps"] = {"finished": finished}
     with open(args.out, "w") as f:
         f.write(_report_text(report, _pairs(ideal.amplitudes), _pairs(reconstructed.matrix)))
 
@@ -275,11 +280,6 @@ def _scores(rho: DensityMatrix, ideal: DensityMatrix, routed_qubit, executed=Non
         scores["negativity"] = negativity(whole, [0], list(range(1, whole.n_qubits)))
         scores["entropy_control_bits"] = von_neumann_entropy(partial_trace(whole, [0]))
     return scores
-
-
-def _sibling(path: str, suffix: str) -> str:
-    p = Path(path)
-    return str(p.with_name(p.stem + suffix))
 
 
 def _load_report(path: str) -> dict:

@@ -1,6 +1,9 @@
+import builtins
 import copy
 import datetime
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from qrouter.cli import main
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
 from qrouter.qstate import (
+    _pairs,
     StateVector,
     basis_state,
     density_from_json,
@@ -484,6 +488,77 @@ class TestRun:
             "run", "--qasm", str(qasm_file), "--transpile", "ibmqx4",
             "--layout", "0,1,2,3,4", "--tomography", "none", "--out", report_path,
         ) == 3
+
+
+class TestSpecAndExecute:
+    """``run`` is ``spec_from_args``, then ``execute`` with no I/O, then two writes."""
+
+    DEVICE = ["--experiment", "router-control1", "--noise", "ibmqx4", "--transpile", "ibmqx4",
+              "--settings-per-observable"]
+    QASM = ["--qasm", "router.qasm", "--noise", "ibmqx4"]
+
+    @staticmethod
+    def spec(*argv):
+        return cli.spec_from_args(cli.build_parser().parse_args(["run", *argv]))
+
+    @pytest.fixture
+    def router_qasm(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "router.qasm").write_text(serialize(named_router_circuit("router-control0")))
+
+    @pytest.mark.parametrize("source", [DEVICE, QASM], ids=["device-literal", "qasm"])
+    def test_execute_opens_no_file(self, router_qasm, monkeypatch, source):
+        spec = self.spec(*source, "--seed", "3", "--out", "r.json")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("execute opened a file")
+
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", refuse)
+            m.setattr(io, "open", refuse)
+            ideal, dataset, state, scores = cli.execute(spec)
+        assert len(dataset.settings) == (63 if source is self.DEVICE else 27)
+        assert state.n_qubits == ideal.n_qubits == 3
+        assert 0.8 < scores["fidelity"] < 1.0
+        assert files_here() == {"router.qasm"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [DEVICE, ["--experiment", "router-control0", "--tomography", "routed"],
+         QASM + ["--transpile", "ibmqx4", "--tomography", "none"]],
+        ids=["device-literal", "routed", "qasm-no-tomography"],
+    )
+    def test_execute_returns_what_run_writes(self, router_qasm, argv):
+        argv = [*argv, "--seed", "5", "--no-timestamps", "--out", "r.json"]
+        spec = self.spec(*argv)
+        ideal, dataset, state, scores = cli.execute(spec)
+        assert run_cli("run", *argv) == 0
+        if dataset is None:
+            assert spec.counts_file is None and files_here() == {"router.qasm", "r.json"}
+        else:
+            with open(spec.counts_file) as f:
+                assert json.loads(f.read()) == dataset.to_json()
+        report = {
+            "spec": spec.spec,
+            "reconstructed": {"n_qubits": state.n_qubits},
+            **scores,
+            "seed": 5,
+            "counts_file": spec.counts_file,
+        }
+        text = cli._report_text(report, _pairs(ideal.amplitudes), _pairs(state.matrix))
+        with open("r.json") as f:
+            assert first_difference(f.read(), text) is None
+
+    def test_spec_fields_cannot_be_assigned(self, tmp_path):
+        spec = self.spec("--experiment", "router-control0", "--out", str(tmp_path / "r.json"))
+        assert spec.counts_file == str(tmp_path / "r.counts.json")
+        for field in cli.Spec._fields:
+            with pytest.raises(AttributeError):
+                setattr(spec, field, None)
+
+
+def files_here():
+    return {p.name for p in Path().iterdir()}
 
 
 def dumped(report):
