@@ -183,7 +183,7 @@ def run_experiment(args) -> None:
     if dataset is not None:
         with open(spec.counts_file, "w") as f:
             f.write(json.dumps(dataset.to_json(), sort_keys=True))
-    # the two number blocks are written from their pair arrays (``_report_text``)
+    # ``_report_text`` adds 'ideal_state' and the 'reconstructed' 'entries' from their pair arrays
     report = {
         "spec": spec.spec,
         "reconstructed": {"n_qubits": reconstructed.n_qubits},

@@ -13,8 +13,8 @@ from qrouter.cli import main
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.qasm import serialize
 from qrouter.qstate import (
-    _pairs,
     StateVector,
+    _pairs,
     basis_state,
     density_from_json,
     equal_up_to_global_phase,
