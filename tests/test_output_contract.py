@@ -17,20 +17,21 @@ def test_matrix_writes_the_committed_manifest(tmp_path, monkeypatch):
 
 def test_what_breaks_the_contract():
     report = {"sha256": "a", "fidelity": 0.9, "negativity": 0.1, "entropy_control_bits": 0.5}
-    manifest = {"r.json": report, "r.counts.json": {"sha256": "c"}}
+    counts = {"sha256": "c"}
+    manifest = {"r.json": report, "r.counts.json": counts}
 
-    def lines(**changed):
-        found = {name: {**entry, **changed.get(name.split(".")[1], {})}
-                 for name, entry in manifest.items()}
-        return differences(found, manifest)
+    def report_lines(**changed):
+        return differences({"r.json": {**report, **changed}, "r.counts.json": counts}, manifest)
 
-    assert lines() == []
-    assert lines(json={"sha256": "b", "fidelity": 0.9 + TOL / 2}) == [
+    assert report_lines() == []
+    assert report_lines(sha256="b", fidelity=0.9 + TOL / 2) == [
         (f"r.json: bytes differ; fidelity {TOL / 2:+.3g} (now {0.9 + TOL / 2!r})", False)
     ]
-    assert lines(json={"sha256": "b"}) == [("r.json: bytes differ; no report number moved", False)]
-    assert lines(json={"sha256": "b", "negativity": 0.1 + 2 * TOL})[0][1] is True
-    assert lines(counts={"sha256": "d"}) == [("r.counts.json: counts differ", True)]
+    assert report_lines(sha256="b") == [("r.json: bytes differ; no report number moved", False)]
+    assert report_lines(sha256="b", negativity=0.1 + 2 * TOL)[0][1] is True
+    assert differences({"r.json": report, "r.counts.json": {"sha256": "d"}}, manifest) == [
+        ("r.counts.json: counts differ", True)
+    ]
     assert differences({"r.json": report}, manifest) == [("r.counts.json: missing", True)]
     assert differences({**manifest, "x.json": report}, manifest) == [
         ("x.json: not in the manifest", True)
