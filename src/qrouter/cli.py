@@ -26,6 +26,7 @@ counts file that is the report file, a circuit wider than its coupling map, a
 too small for the default layout's first entries, before any state is formed.
 ``execute`` simulates, samples and scores a ``Spec`` with no I/O, and
 ``run_experiment`` writes its counts file (compact JSON on one line) and report.
+A run whose write fails leaves neither file.
 """
 
 from __future__ import annotations
@@ -77,10 +78,23 @@ class ReportError(ValueError):
 _ROUTED_QUBIT = {"router-control0": 1, "router-control1": 2}
 
 
+class SpecBlock(NamedTuple):
+    """The report's 'spec' block; ``execute`` reads its shots, seed and layout."""
+
+    name: str
+    circuit_source: str
+    noise: str
+    shots: int
+    seed: int
+    tomography: str
+    transpile: str | None
+    layout: tuple[int, ...] | None  # the physical qubit of each logical qubit
+
+
 class Spec(NamedTuple):
     """A checked ``run``: the report's 'spec' block and all ``execute`` reads."""
 
-    spec: dict
+    spec: SpecBlock
     circuit: Circuit  # the logical circuit
     executed: Circuit  # placed on the layout and transpiled, else ``circuit``
     noise: noise_mod.NoiseModel | None
@@ -139,16 +153,11 @@ def spec_from_args(args) -> Spec:
     if cmap is not None:
         layout = _layout(args.layout, circuit.n_qubits, cmap.n_qubits)
         executed = qasm.transpile(qasm.apply_layout(circuit, layout, cmap.n_qubits), cmap)
-    spec = {
-        "name": circuit.name,
-        "circuit_source": args.experiment or args.qasm,
-        "noise": args.noise or "none",
-        "shots": args.shots,
-        "seed": args.seed,
-        "tomography": args.tomography,
-        "transpile": args.transpile,
-        "layout": list(layout) if layout else None,
-    }
+    spec = SpecBlock(
+        name=circuit.name, circuit_source=args.experiment or args.qasm,
+        noise=args.noise or "none", shots=args.shots, seed=args.seed,
+        tomography=args.tomography, transpile=args.transpile, layout=layout,
+    )
     return Spec(
         spec, circuit, executed, model, routed_qubit, args.settings_per_observable, counts_file
     )
@@ -157,7 +166,7 @@ def spec_from_args(args) -> Spec:
 def execute(spec: Spec) -> tuple[StateVector, TomographyDataset | None, DensityMatrix, dict]:
     """``spec`` simulated, sampled and scored, no I/O: (ideal, dataset, scored state, scores)."""
     block, circuit, executed, model, q, literal, counts_file = spec
-    shots, seed, layout = block["shots"], block["seed"], block["layout"]
+    shots, seed, layout = block.shots, block.seed, block.layout
     ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
     rho = ideal_dm = to_density(ideal)
     # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
@@ -180,22 +189,37 @@ def execute(spec: Spec) -> tuple[StateVector, TomographyDataset | None, DensityM
 def run_experiment(args) -> None:
     spec = spec_from_args(args)
     ideal, dataset, reconstructed, scores = execute(spec)
-    if dataset is not None:
-        with open(spec.counts_file, "w") as f:
-            f.write(json.dumps(dataset.to_json(), sort_keys=True))
     # ``_report_text`` adds 'ideal_state' and the 'reconstructed' 'entries' from their pair arrays
     report = {
-        "spec": spec.spec,
+        "spec": spec.spec._asdict(),
         "reconstructed": {"n_qubits": reconstructed.n_qubits},
         **scores,
-        "seed": spec.spec["seed"],
+        "seed": spec.spec.seed,
         "counts_file": spec.counts_file,
     }
     if not args.no_timestamps:
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
         report["timestamps"] = {"finished": finished}
-    with open(args.out, "w") as f:
-        f.write(_report_text(report, _pairs(ideal.amplitudes), _pairs(reconstructed.matrix)))
+    text = _report_text(report, _pairs(ideal.amplitudes), _pairs(reconstructed.matrix))
+    files = [(args.out, text)]
+    if dataset is not None:  # first, so that a report never names a missing counts file
+        files.insert(0, (spec.counts_file, json.dumps(dataset.to_json(), sort_keys=True)))
+    _write_all(files)
+
+
+def _write_all(files: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` in order; when a write fails, remove the
+    files it already opened and raise, so that a run leaves all or none."""
+    opened = []
+    try:
+        for path, text in files:
+            with open(path, "w") as f:
+                opened.append(path)
+                f.write(text)
+    except OSError:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _report_text(report: dict, ideal: np.ndarray, entries: np.ndarray) -> str:

@@ -1,0 +1,15 @@
+from pathlib import Path
+
+import pytest
+
+from .output_contract import run_matrix
+
+
+@pytest.fixture(scope="session")
+def matrix(tmp_path_factory):
+    """The output contract's matrix, run once per session in this process: the
+    directory of its 92 files, and each run's (experiment, tomography, report,
+    exit code)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.chdir(tmp_path_factory.mktemp("matrix"))
+        return Path.cwd(), list(run_matrix())

@@ -39,9 +39,9 @@ NUMBERS = ("fidelity", "negativity", "entropy_control_bits")
 TOL = 1e-12  # report numbers may round differently under another numpy or BLAS
 
 
-def run_matrix():
-    """Run each configuration of the matrix through ``qrouter run`` in the
-    current directory and yield ``(experiment, tomography, report, exit code)``."""
+def configurations():
+    """Yield each configuration of the matrix, in order, as
+    ``(experiment, tomography, report, qrouter arguments)``."""
     tomography_modes = [("full", False), ("full", True), ("routed", False), ("routed", True),
                         ("none", False)]
     for exp, noise, transpile, (mode, literal) in itertools.product(
@@ -51,13 +51,19 @@ def run_matrix():
             exp, noise, "transpiled" if transpile else "logical",
             mode + ("-per-observable" if literal else ""),
         )) + ".json"
-        code = qrouter([
+        yield exp, mode, out, [
             "run", "--experiment", exp, "--noise", noise, "--tomography", mode,
             *(["--transpile", "ibmqx4"] if transpile else []),
             *(["--settings-per-observable"] if literal else []),
             "--no-timestamps", "--seed", str(SEED), "--out", out,
-        ])
-        yield exp, mode, out, code
+        ]
+
+
+def run_matrix():
+    """Run each configuration of the matrix through ``qrouter run`` in the
+    current directory and yield ``(experiment, tomography, report, exit code)``."""
+    for exp, mode, out, argv in configurations():
+        yield exp, mode, out, qrouter(argv)
 
 
 def entries(reports) -> dict[str, dict]:

@@ -23,7 +23,10 @@ from qrouter.qstate import (
 from qrouter.tomography import TomographyDataset, reconstruct
 
 from ._analytic import PLUS, PSI_S
-from .output_contract import run_matrix
+
+
+ONE_QUBIT = "OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n"
+CREG_FIRST = "OPENQASM 2.0;\ncreg c[2];\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n"
 
 
 def run_cli(*argv):
@@ -128,22 +131,61 @@ class TestRun:
         assert datetime.timedelta(0) <= now - finished < datetime.timedelta(minutes=5)
         assert stamped == plain
 
-    @pytest.mark.parametrize("mode", ["full", "none"])
-    def test_one_qubit_qasm_runs_and_verifies(self, tmp_path, report_path, capsys, mode):
-        qasm_file = tmp_path / "one.qasm"
-        qasm_file.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n")
+    @pytest.mark.parametrize(
+        "program, mode",
+        [(ONE_QUBIT, "full"), (ONE_QUBIT, "none"), (CREG_FIRST, "full"), (CREG_FIRST, "none")],
+        ids=["full", "none", "creg-first-full", "creg-first-none"],
+    )
+    def test_one_qubit_qasm_runs_and_verifies(
+        self, tmp_path, report_path, capsys, program, mode
+    ):
+        qasm_file = tmp_path / "c.qasm"
+        qasm_file.write_text(program)
         assert run_cli(
             "run", "--qasm", str(qasm_file), "--tomography", mode, "--shots", "256",
             "--no-timestamps", "--out", report_path,
         ) == 0
         report = read_json(report_path)
         rho = density_from_json(report["reconstructed"])
-        assert rho.n_qubits == 1
-        # one qubit has no cut: no negativity, and the entropy is the whole state's
-        assert report["negativity"] == 0.0
-        assert report["entropy_control_bits"] == von_neumann_entropy(rho)
+        assert rho.n_qubits == (1 if program == ONE_QUBIT else 2)
+        if rho.n_qubits == 1:
+            # one qubit has no cut: no negativity, and the entropy is the whole state's
+            assert report["negativity"] == 0.0
+            assert report["entropy_control_bits"] == von_neumann_entropy(rho)
         assert run_cli("verify", "--report", report_path) == 0
         assert "FAIL" not in capsys.readouterr().out
+        csv_path = tmp_path / "fig.csv"
+        assert run_cli("emit-figure", "--report", report_path, "--part", "real",
+                       "--out", str(csv_path)) == 0
+        assert len(csv_path.read_text().splitlines()) == rho.dim + 1
+
+    def test_creg_and_barriers_write_the_canonical_files(self, tmp_path, monkeypatch):
+        # neither changes a gate; each program is router.qasm, which the report names
+        text = serialize(named_router_circuit("router-superposition"))
+        declared = "qreg q[3];\ncreg c[3];\nbarrier q[0], q[1], q[2];\n"
+        extended = text.replace("qreg q[3];\n", declared) + "barrier q[1];\n"
+        written = []
+        for i, program in enumerate([text, extended]):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            Path("router.qasm").write_text(program)
+            assert run_cli("run", "--qasm", "router.qasm", "--no-timestamps", "--seed", "3",
+                           "--out", "r.json", "--counts-out", "c.json") == 0
+            written.append([Path(f).read_bytes() for f in ("r.json", "c.json")])
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "counts, out", [("no-dir/c.json", "r.json"), ("c.json", "no-dir/r.json")],
+        ids=["counts-write-fails", "report-write-fails"],
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, counts, out):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(
+            "run", "--experiment", "router-control0", "--shots", "64", "--no-timestamps",
+            "--counts-out", counts, "--out", out,
+        ) == 2
+        assert "No such file or directory: 'no-dir/" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_counts_file_schema(self, tmp_path):
         out = str(tmp_path / "r.json")
@@ -315,10 +357,27 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
-    def test_parse_error_exit_2(self, tmp_path, report_path):
-        bad = tmp_path / "bad.qasm"
-        bad.write_text("qreg q[1];")
-        assert run_cli("run", "--qasm", str(bad), "--out", report_path) == 2
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            ("qreg q[1];", "line 1, col 1: program must start with 'OPENQASM 2.0;'"),
+            ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[0];\n",
+             "line 3, col 1: repeated qubit operand in (0, 0)"),
+            ("OPENQASM 2.0;\nqreg q[2];\nbarrier q[0], q[0];\n",
+             "line 3, col 1: repeated qubit operand in (0, 0)"),
+            ("OPENQASM 2.0;\nqreg q[2];\nh q[2];\n",
+             "line 3, col 5: index 2 out of range for q[2]"),
+        ],
+        ids=["no-header", "repeated-cx", "repeated-barrier", "index-range"],
+    )
+    def test_parse_error_exit_2(self, tmp_path, capsys, program, message):
+        (tmp_path / "bad.qasm").write_text(program)
+        assert run_cli(
+            "run", "--qasm", str(tmp_path / "bad.qasm"), "--no-timestamps",
+            "--out", str(tmp_path / "r.json"),
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.qasm"]
 
     @pytest.mark.parametrize(
         "device, code, message",
@@ -539,7 +598,7 @@ class TestSpecAndExecute:
             with open(spec.counts_file) as f:
                 assert json.loads(f.read()) == dataset.to_json()
         report = {
-            "spec": spec.spec,
+            "spec": spec.spec._asdict(),
             "reconstructed": {"n_qubits": state.n_qubits},
             **scores,
             "seed": 5,
@@ -555,6 +614,11 @@ class TestSpecAndExecute:
         for field in cli.Spec._fields:
             with pytest.raises(AttributeError):
                 setattr(spec, field, None)
+        for field in cli.SpecBlock._fields:
+            with pytest.raises(AttributeError):
+                setattr(spec.spec, field, None)
+        with pytest.raises(TypeError):
+            spec.spec["shots"] = 128
 
 
 def files_here():
@@ -586,13 +650,13 @@ class TestReportText:
     """A report file is json's indented, key-sorted text, though its number
     blocks are written from their arrays."""
 
-    def test_every_matrix_report_is_its_json_dump(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_every_matrix_report_is_its_json_dump(self, matrix):
+        where, runs = matrix
         written = 0
-        for exp, mode, out, code in run_matrix():
+        for exp, mode, out, code in runs:
             assert code == (1 if (exp, mode) == ("router-superposition", "routed") else 0)
             if code == 0:
-                text = open(out).read()
+                text = (where / out).read_text()
                 assert first_difference(text, dumped(json.loads(text))) is None, out
                 written += 1
         assert written == 52

@@ -3,16 +3,53 @@
 file byte for byte and each report's numbers within ``TOL``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from .output_contract import MANIFEST, TOL, differences, entries, run_matrix
+import qrouter
+from qrouter.cli import main as qrouter_main
+
+from .output_contract import MANIFEST, TOL, configurations, differences, entries
+
+ROUTED_ERROR = "error: routed-qubit tomography applies only to router-control0/control1\n"
 
 
-def test_matrix_writes_the_committed_manifest(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    found = entries(out for *_, out, code in run_matrix() if code == 0)
+def test_matrix_writes_the_committed_manifest(matrix, monkeypatch):
+    where, runs = matrix
+    monkeypatch.chdir(where)
+    found = entries(out for *_, out, code in runs if code == 0)
     assert len(found) == 92
     manifest = json.loads(MANIFEST.read_text())
     assert [line for line, broken in differences(found, manifest) if broken] == []
+
+
+def test_fresh_processes_write_the_bytes_of_warm_caches(matrix, tmp_path, monkeypatch):
+    """Process-level caches change no file: two fresh processes write the 92
+    files of the session's in-process run, whose caches are warm, and of that
+    run in the reversed order."""
+    where, runs = matrix
+    src = str(Path(qrouter.__file__).parents[1])  # the children import this qrouter
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    fresh = {name: subprocess.Popen([sys.executable, MANIFEST.with_name("output_contract.py"),
+                                     tmp_path / name], env=env, text=True,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for name in ("fresh1", "fresh2")}
+    (tmp_path / "reversed").mkdir()
+    monkeypatch.chdir(tmp_path / "reversed")
+    codes = [qrouter_main(argv) for *_, argv in reversed(list(configurations()))]
+    for name, process in fresh.items():
+        out, err = process.communicate()
+        assert (process.returncode, err) == (0, ROUTED_ERROR * 8), (name, out)
+    assert codes == [code for *_, code in reversed(runs)]
+    names = sorted(p.name for p in where.iterdir())
+    assert len(names) == 92
+    for name in ("fresh1", "fresh2", "reversed"):
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == names, name
+        for file in names:
+            assert (tmp_path / name / file).read_bytes() == (where / file).read_bytes(), name
 
 
 def test_what_breaks_the_contract():
