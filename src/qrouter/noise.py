@@ -216,7 +216,8 @@ def readout_flip(probs, p_readout: float):
     size = probs.shape[-1]
     if size == 0 or size & (size - 1):
         raise ValueError("distribution length must be a positive power of 2")
-    if np.any(probs < -1e-12) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
+    # negated, so that a NaN, which fails every comparison, fails the check
+    if not (np.all(probs >= -1e-12) and np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("input is not a probability distribution")
     if p_readout == 0.0:
         return probs

@@ -6,14 +6,17 @@ bit of a basis-state index, so basis index 0b110 on three qubits reads
 
 States are validated where they enter from outside the program's own
 arithmetic: every ``StateVector``, every ``DensityMatrix`` read from a file
-(``density_from_json``), the noisy simulator's result and the tomography
-projection pass the full check (finite, Hermitian, unit trace, PSD up to a
-small slack, the last one an eigensolve). Two results are trusted instead,
-because they keep the invariants of a state that was already checked: the
-outer product of a checked ``StateVector`` (``to_density``, which still checks
-the trace, since a norm within 1e-9 of 1 allows a trace 2e-9 from it) and the
-partial trace of a checked ``DensityMatrix``. A state's square root, which
-``fidelity`` needs, is computed once per state and kept with it.
+(``density_from_json``) and the noisy simulator's result pass the full check
+(finite, Hermitian, unit trace, PSD up to a small slack, the last one an
+eigensolve). Three results are trusted instead, because they keep the
+invariants of a state that was already checked or build them in: the outer
+product of a checked ``StateVector`` (``to_density``, which still checks the
+trace, since a norm within 1e-9 of 1 allows a trace 2e-9 from it), the
+partial trace of a checked ``DensityMatrix``, and the tomography projection,
+whose output is symmetrised, normalised and built from the spectrum it
+clipped at 0, so the PSD check's eigensolve would only repeat its own. A
+state's square root, which ``fidelity`` needs, and its last Born
+distributions, which tomography samples, are computed once and kept with it.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class DensityMatrix:
     shot-noise-projected reconstructions sit exactly at the boundary.
     """
 
-    __slots__ = ("n_qubits", "matrix", "_sqrt")
+    __slots__ = ("n_qubits", "matrix", "_sqrt", "_probs")
 
     def __init__(self, n_qubits: int, matrix):
         m = np.asarray(matrix, dtype=complex)
@@ -105,6 +108,7 @@ class DensityMatrix:
         self.matrix = m
         self.matrix.setflags(write=False)
         self._sqrt = None  # the PSD square root, filled by ``tomography.fidelity``
+        self._probs = None  # (key, Born distributions), filled by ``tomography._setting_probs``
 
     @classmethod
     def _trusted(cls, n_qubits: int, m: np.ndarray) -> "DensityMatrix":
@@ -197,7 +201,6 @@ def permute_qubits(rho: DensityMatrix, order) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam * log2 lam) in bits, with 0*log0 = 0."""
     lam = np.linalg.eigvalsh(rho.matrix)
-    lam = np.clip(lam.real, 0.0, None)
     nz = lam[lam > 0]
     return float(-np.sum(nz * np.log2(nz)))
 

@@ -140,7 +140,13 @@ def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) ->
     the one its own rotation gives. The three-operand ``einsum`` keeps the exact
     zeros of basis outcomes that a pure state never gives, and those zeros
     decide its multinomial draws.
+
+    The read-only result is kept with ``rho`` under its (settings, p_readout)
+    key; a call with an equal key, as in a seed sweep, returns it unchecked.
     """
+    key = (tuple(settings), p_readout)
+    if rho._probs is not None and rho._probs[0] == key:
+        return rho._probs[1]
     bases, rows = _checked(_measured_bases, rho.n_qubits, settings)
     r = _rotation_stack(rho.n_qubits, bases)
     probs = np.einsum("sij,jk,sik->si", r, rho.matrix, r.conj()).real
@@ -148,7 +154,10 @@ def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) ->
     probs /= probs.sum(axis=1, keepdims=True)
     if rows is not None:
         probs = probs[rows]
-    return readout_flip(probs, p_readout) if p_readout else probs
+    probs = readout_flip(probs, p_readout) if p_readout else probs
+    probs.setflags(write=False)
+    rho._probs = (key, probs)
+    return probs
 
 
 def sample_counts(
@@ -178,10 +187,12 @@ class TomographyDataset:
     ``counts[i, j]`` is how often setting ``settings[i]`` gave outcome j, whose
     n-bit string (qubit 0 first) is the binary expansion of j: an int64 array of
     shape (S, 2^n). Construction checks every dataset once: distinct n-letter
-    IXYZ settings, shots x settings within int64, and nonnegative counts whose
-    every row sums exactly to ``shots``. Label dicts exist only in the counts
-    file, written by ``to_json`` and read, with each label and count checked,
-    by ``from_json``.
+    IXYZ settings, integer shots x settings within int64, and nonnegative
+    counts whose every row sums exactly to ``shots``. ``collect_dataset``
+    checks its settings, shots and seed on the way in and draws rows that sum
+    to ``shots``, so it builds its dataset with ``_trusted`` instead. Label
+    dicts exist only in the counts file, written by ``to_json`` and read, with
+    each label and count checked, by ``from_json``.
 
     ``seed`` is the master seed: ``collect_dataset`` keys one Philox
     counter-based generator from ``SeedSequence(seed)`` and draws setting
@@ -207,9 +218,7 @@ class TomographyDataset:
     def __post_init__(self):
         n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
         _checked(_setting_letters, n, settings)
-        if shots < 1:
-            raise ValueError("shots must be positive")
-        _check_total_shots(shots, len(settings))
+        _check_shots(shots, len(settings))
         shape = (len(settings), 2**n)
         if not isinstance(counts, np.ndarray) or counts.dtype != np.int64 or counts.shape != shape:
             raise ValueError(f"counts must be an int64 array of shape {shape}")
@@ -271,9 +280,20 @@ class TomographyDataset:
                 row[int(label, 2)] = c
         return cls(**header, settings=list(table), counts=counts, rng_name=rng_name)
 
+    @classmethod
+    def _trusted(cls, n, shots, seed, settings, counts) -> "TomographyDataset":
+        """A dataset of the current ``rng_name`` whose parts were checked where
+        they were made, so ``__post_init__`` is skipped; never for outside input."""
+        ds = cls.__new__(cls)
+        ds.__dict__.update(n_qubits=n, shots=shots, seed=seed, settings=settings, counts=counts)
+        return ds
 
-def _check_total_shots(shots: int, n_settings: int) -> None:
-    """Estimation sums int64 counts over the settings, so their total must fit in one."""
+
+def _check_shots(shots, n_settings: int) -> None:
+    """Shots are a positive integer (never a bool), and since estimation sums
+    int64 counts over the settings, their total must fit in one."""
+    if not _is_index(shots) or shots < 1:
+        raise ValueError(f"shots must be positive and an integer, not {shots!r}")
     if int(shots) * n_settings > np.iinfo(np.int64).max:
         raise ValueError(f"{shots} shots x {n_settings} settings exceed 2^63 - 1 in total")
 
@@ -300,13 +320,11 @@ def collect_dataset(
     """
     n = rho.n_qubits
     settings = list(_grid(n) if settings is None else settings)
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    _check_total_shots(shots, len(settings))
-    # from_json reads back only an int seed: refuse a bool, store a NumPy integer as an int
+    _check_shots(shots, len(settings))
+    # from_json reads back only int shots and seed: refuse a bool, store a NumPy integer as an int
     if not _is_index(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    seed = int(seed)
+    shots, seed = int(shots), int(seed)
     probs = _setting_probs(rho, settings, p_readout)
     bits = np.random.Philox(np.random.SeedSequence(seed))
     rng = np.random.Generator(bits)
@@ -318,7 +336,8 @@ def collect_dataset(
         counter[2] = i
         bits.state = state
         counts[i] = rng.multinomial(shots, row)
-    return TomographyDataset(n, shots, seed, settings, counts)
+    # the settings passed _setting_probs's check, and every multinomial row sums to shots
+    return TomographyDataset._trusted(n, shots, seed, settings, counts)
 
 
 def expectation_values(
@@ -409,8 +428,14 @@ def project_to_physical(m: np.ndarray) -> DensityMatrix:
     fixes one shift; every eigenvalue moves down by it and is clipped at 0,
     which spreads the negative mass equally over the surviving eigenvalues.
     A PSD input passes through unchanged up to the final normalisation.
+
+    The output is symmetrised, normalised and built from that clipped
+    spectrum, so it is returned as a trusted state; NaN and inf, which can
+    pass the comparisons below, are refused first.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("input entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > 1e-6:
         raise ValueError("input is not approximately Hermitian")
     tr = np.trace(m).real
@@ -425,7 +450,7 @@ def project_to_physical(m: np.ndarray) -> DensityMatrix:
     vals /= vals.sum()
     out = (vecs * vals) @ vecs.conj().T
     n = int(np.log2(m.shape[0]))
-    return DensityMatrix(n, (out + out.conj().T) / 2.0)
+    return DensityMatrix._trusted(n, (out + out.conj().T) / 2.0)
 
 
 def reconstruct(dataset: TomographyDataset) -> DensityMatrix:

@@ -299,6 +299,16 @@ class TestReadoutFlip:
         with pytest.raises(ValueError):
             readout_flip([0.5, 0.2], 0.1)
 
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [-np.inf, 1.0], [[0.5, 0.5], [np.nan, 1.0]]],
+        ids=["nan", "nan-second", "inf", "minus-inf", "nan-row"],
+    )
+    @pytest.mark.parametrize("p_readout", [0.0, 0.1])
+    def test_rejects_non_finite_entries(self, probs, p_readout):
+        with pytest.raises(ValueError, match="not a probability distribution"):
+            readout_flip(probs, p_readout)
+
     @pytest.mark.parametrize("p_readout", [1.5, -0.1])
     def test_rejects_probability_outside_unit_interval(self, p_readout):
         with pytest.raises(ValueError, match=f"probability {p_readout} outside"):

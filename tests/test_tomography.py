@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,6 +156,23 @@ class TestDataset:
         again = TomographyDataset.from_json(ds.to_json())
         assert again.to_json() == ds.to_json()
         assert again.settings == ds.settings and np.array_equal(again.counts, ds.counts)
+
+    @pytest.mark.parametrize("shots", [True, 100.0, 100.5, np.float64(100)], ids=repr)
+    def test_shots_must_be_integers(self, shots):
+        rho = to_density(basis_state(1, 0))
+        message = re.escape(f"shots must be positive and an integer, not {shots!r}")
+        with pytest.raises(ValueError, match=message):
+            collect_dataset(rho, shots, 0)
+        counts = np.array([[int(shots), 0]], dtype=np.int64)  # rows that sum to the shots
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset(1, shots, 0, ["Z"], counts)
+
+    def test_numpy_integer_shots_and_seed_are_stored_as_ints(self):
+        rho = to_density(basis_state(1, 0))
+        ds = collect_dataset(rho, np.int64(100), np.int64(3))
+        assert type(ds.shots) is int and type(ds.seed) is int
+        again = TomographyDataset.from_json(json.dumps(ds.to_json()))
+        assert again.to_json() == ds.to_json() == collect_dataset(rho, 100, 3).to_json()
 
     def test_json_schema_keys(self):
         data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
@@ -694,21 +713,33 @@ class TestSettingsTable:
             with pytest.raises(ValueError):
                 table[0] = 0
 
-    def test_checked_and_built_once_per_settings_list(self):
-        rho = to_density(basis_state(3, 0))
+    @staticmethod
+    def table_counts(states) -> list[tuple[int, int]]:
+        """(misses, hits) of the letters, bases and stack caches over one
+        dataset of each state, one seed per state."""
         settings = ["XYZ", "ZZI", "IIX", "XYI"]  # XYZ and XYI share a basis
-        for cache in (_setting_letters, _measured_bases, _rotation_stack):
+        tables = (_setting_letters, _measured_bases, _rotation_stack)
+        for cache in tables:
             cache.cache_clear()
-        for seed in range(3):
+        for seed, rho in enumerate(states):
             collect_dataset(rho, 100, seed, settings=settings)
-        letters, bases = _setting_letters.cache_info(), _measured_bases.cache_info()
-        stack = _rotation_stack.cache_info()
-        # checked once, for the first bases; each of the three datasets finds the check
-        assert (letters.misses, letters.hits) == (1, 3)
-        assert (bases.misses, bases.hits) == (1, 2)
+        return [(t.cache_info().misses, t.cache_info().hits) for t in tables]
+
+    def test_checked_and_built_once_per_settings_list(self):
+        # a fresh state per seed, so each dataset computes its Born distributions
+        states = [to_density(basis_state(3, 0)) for _ in range(3)]
+        letters, bases, stack = self.table_counts(states)
+        # checked once, for the first bases; the datasets, built from checked parts, check nothing
+        assert letters == (1, 0)
+        assert bases == (1, 2)
         # one stack, of the list's three distinct bases
-        assert (stack.misses, stack.hits) == (1, 2)
+        assert stack == (1, 2)
         assert _rotation_stack(3, ("XYZ", "ZZZ", "ZZX")).shape == (3, 8, 8)
+
+    def test_one_state_reaches_the_tables_once(self):
+        # the later seeds find the state's kept distributions
+        rho = to_density(basis_state(3, 0))
+        assert self.table_counts([rho] * 3) == [(1, 0)] * 3
 
     def test_caches_are_bounded(self):
         assert _setting_letters.cache_info().maxsize == _measured_bases.cache_info().maxsize == 4
@@ -740,6 +771,59 @@ class TestSettingsTable:
                 collect_dataset(rho, 10, 0, settings=settings)
             with pytest.raises(ValueError, match=message):
                 TomographyDataset(2, 10, 0, settings, counts)
+            collect_dataset(rho, 10, 0)  # the grid's distributions, kept with rho from here
+
+
+class TestKeptDistributions:
+    """A state keeps the Born distributions of its last (settings, p_readout)
+    key; sampling it again gives the counts a fresh copy of it gives."""
+
+    @pytest.mark.parametrize("p_readout", [0.0, 0.02])
+    @pytest.mark.parametrize("kind", ["grid", "literal"])
+    def test_kept_datasets_equal_a_fresh_state(self, kind, p_readout):
+        settings = None if kind == "grid" else observables_for(3)
+        states = [rho for _, rho in router_states()] + [random_state(np.random.default_rng(9), 3)]
+        for rho in states:
+            for seed in range(3):
+                fresh = DensityMatrix(3, rho.matrix)
+                assert fresh._probs is None
+                got, want = (collect_dataset(s, 997, seed, p_readout, settings) for s in (rho, fresh))
+                assert np.array_equal(got.counts, want.counts)
+
+    def test_kept_array_is_read_only(self):
+        rho = random_state(np.random.default_rng(10), 2)
+        probs = _setting_probs(rho, settings_for(2), 0.0)
+        assert _setting_probs(rho, settings_for(2), 0.0) is probs
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0, 0] = 1.0
+
+    def test_another_key_recomputes_and_replaces(self):
+        rho = random_state(np.random.default_rng(11), 2)
+        first = _setting_probs(rho, settings_for(2), 0.0)
+        keys = [
+            (settings_for(2), 0.02),
+            (observables_for(2), 0.02),
+            (settings_for(2)[:4], 0.02),
+            (settings_for(2), 0.0),
+        ]
+        for settings, p_readout in keys:
+            probs = _setting_probs(rho, settings, p_readout)
+            assert rho._probs[0] == (tuple(settings), p_readout) and rho._probs[1] is probs
+            want = _setting_probs(DensityMatrix(2, rho.matrix), settings, p_readout)
+            assert probs.tobytes() == want.tobytes()
+        assert probs is not first and probs.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sampled_datasets_pass_the_full_check(self, n):
+        rho = random_state(np.random.default_rng(12 + n), n)
+        for settings in (settings_for(n), observables_for(n)):
+            for p_readout in (0.0, 0.02):
+                for shots in (1, 997):
+                    ds = collect_dataset(rho, shots, n, p_readout, settings)
+                    fields = {f.name: getattr(ds, f.name) for f in dataclasses.fields(ds)}
+                    again = TomographyDataset(**fields)
+                    assert again.to_json() == ds.to_json()
 
 
 class TestSamplerStatistics:
@@ -825,6 +909,15 @@ class TestProjection:
         out = project_to_physical(rho.matrix)
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=repr)
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_rejects_non_finite_entries(self, bad, where):
+        m = np.eye(2, dtype=complex) / 2
+        m[where] = bad
+        m[where[::-1]] = np.conj(bad)
+        with pytest.raises(ValueError, match="input entries must be finite"):
+            project_to_physical(m)
+
     def test_hand_computed_truncation(self):
         out = project_to_physical(np.diag([1.1, -0.1]).astype(complex))
         assert np.allclose(out.matrix, np.diag([1.0, 0.0]))
@@ -867,6 +960,7 @@ class TestProjection:
             m = m.astype(complex)
             out = project_to_physical(m).matrix
             assert np.max(np.abs(out - water_filling(m))) <= 1e-12
+            DensityMatrix(n, out)  # the trusted result passes the full check
 
     def test_pipeline_output_is_physical(self):
         rho = to_density(apply_circuit(named_router_circuit("router-superposition"), basis_state(3, 0)))
