@@ -26,6 +26,8 @@ counts file that is the report file, a circuit wider than its coupling map, a
 too small for the default layout's first entries, before any state is formed.
 ``execute`` simulates, samples and scores a ``Spec`` with no I/O, and
 ``run_experiment`` writes its counts file (compact JSON on one line) and report.
+The states that a run's seed does not change are kept for the next runs of the
+same circuits, model, layout and routed qubit (``_seedless_states``).
 A run whose write fails leaves neither file.
 """
 
@@ -37,6 +39,7 @@ import datetime
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -165,25 +168,64 @@ def spec_from_args(args) -> Spec:
 
 def execute(spec: Spec) -> tuple[StateVector, TomographyDataset | None, DensityMatrix, dict]:
     """``spec`` simulated, sampled and scored, no I/O: (ideal, dataset, scored state, scores)."""
-    block, circuit, executed, model, q, literal, counts_file = spec
-    shots, seed, layout = block.shots, block.seed, block.layout
-    ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
-    rho = ideal_dm = to_density(ideal)
-    # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
-    if model is not None:
-        rho = noise_mod.simulate_noisy(executed, model, keep=layout)
-    elif layout is not None:
-        rho = partial_trace(
-            to_density(apply_circuit(executed, basis_state(executed.n_qubits, 0))), layout
-        )
-
-    state = rho if q is None else partial_trace(rho, [q])
+    block, _, _, _, q, literal, counts_file = spec
+    ideal, ideal_dm, rho, state = _seedless_states(spec)
     dataset, reconstructed = None, rho
     if counts_file is not None:
         settings = tomography.observables_for(state.n_qubits) if literal else None
-        dataset = tomography.collect_dataset(state, shots, seed, settings=settings)
+        dataset = tomography.collect_dataset(state, block.shots, block.seed, settings=settings)
         reconstructed = tomography.reconstruct(dataset)
     return ideal, dataset, reconstructed, _scores(reconstructed, ideal_dm, q, rho)
+
+
+# entries of ``_seedless_states``: at MAX_TOMOGRAPHY_QUBITS one holds 64 KB per
+# matrix and at most 2.1 MB of Born distributions (4095 literal settings)
+_STATES_KEPT = 8
+_kept_states: dict[tuple, tuple] = {}  # least recently used first
+
+
+def _seedless_states(spec: Spec) -> tuple[StateVector, DensityMatrix, DensityMatrix, DensityMatrix]:
+    """The states of ``spec`` that its seed does not change: the ideal state,
+    its density matrix, the executed state and the tomographed state (the
+    executed one, or its routed qubit).
+
+    They are kept for the ``_STATES_KEPT`` keys used last, with the warnings
+    (the T2 > 2*T1 clamping ones) that forming them raised, and a call with a
+    kept key raises those warnings again and returns the same objects. So a
+    seed sweep of one spec also reuses what those states keep: the Born
+    distributions ``collect_dataset`` samples and the target's square root
+    ``fidelity`` takes. The key is all the states are made of: both circuits,
+    the noise model, the layout and the routed qubit. Every array of a kept
+    state is read-only, as ``StateVector`` and ``DensityMatrix`` make them.
+    States of more than MAX_TOMOGRAPHY_QUBITS qubits (up to 268 MB under
+    ``--tomography none``) are formed on every call and never kept.
+    """
+    _, circuit, executed, model, q, _, _ = spec
+    layout = spec.spec.layout
+    key = (circuit.n_qubits, tuple(circuit.instructions), executed.n_qubits,
+           tuple(executed.instructions), model, layout, q)  # fmt: skip
+    entry = _kept_states.pop(key, None)
+    if entry is None:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
+            rho = ideal_dm = to_density(ideal)
+            # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
+            if model is not None:
+                rho = noise_mod.simulate_noisy(executed, model, keep=layout)
+            elif layout is not None:
+                rho = partial_trace(
+                    to_density(apply_circuit(executed, basis_state(executed.n_qubits, 0))), layout
+                )
+            state = rho if q is None else partial_trace(rho, [q])
+        entry = (ideal, ideal_dm, rho, state), tuple(w.message for w in caught)
+    if circuit.n_qubits <= MAX_TOMOGRAPHY_QUBITS:
+        _kept_states[key] = entry
+        if len(_kept_states) > _STATES_KEPT:
+            del _kept_states[next(iter(_kept_states))]
+    for note in entry[1]:
+        warnings.warn(note, stacklevel=2)
+    return entry[0]
 
 
 def run_experiment(args) -> None:

@@ -186,9 +186,11 @@ class TomographyDataset:
 
     ``counts[i, j]`` is how often setting ``settings[i]`` gave outcome j, whose
     n-bit string (qubit 0 first) is the binary expansion of j: an int64 array of
-    shape (S, 2^n). Construction checks every dataset once: distinct n-letter
-    IXYZ settings, integer shots x settings within int64, and nonnegative
-    counts whose every row sums exactly to ``shots``. ``collect_dataset``
+    shape (S, 2^n). Construction checks every dataset once: a positive integer
+    n, distinct n-letter IXYZ settings, integer shots x settings within int64,
+    a non-negative integer seed, and nonnegative counts whose every row sums
+    exactly to ``shots``. n, shots and seed are stored as ``int``, the only
+    numbers ``from_json`` reads back in their place. ``collect_dataset``
     checks its settings, shots and seed on the way in and draws rows that sum
     to ``shots``, so it builds its dataset with ``_trusted`` instead. Label
     dicts exist only in the counts file, written by ``to_json`` and read, with
@@ -217,8 +219,13 @@ class TomographyDataset:
 
     def __post_init__(self):
         n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
+        if not _is_index(n) or n < 1:
+            raise ValueError(f"n_qubits must be a positive integer, not {n!r}")
         _checked(_setting_letters, n, settings)
         _check_shots(shots, len(settings))
+        _check_seed(self.seed)
+        # from_json reads back only ints, so a NumPy integer is stored as one
+        self.n_qubits, self.shots, self.seed = int(n), int(shots), int(self.seed)
         shape = (len(settings), 2**n)
         if not isinstance(counts, np.ndarray) or counts.dtype != np.int64 or counts.shape != shape:
             raise ValueError(f"counts must be an int64 array of shape {shape}")
@@ -298,6 +305,13 @@ def _check_shots(shots, n_settings: int) -> None:
         raise ValueError(f"{shots} shots x {n_settings} settings exceed 2^63 - 1 in total")
 
 
+def _check_seed(seed) -> None:
+    """A master seed is a non-negative integer, never a bool, as ``from_json``
+    reads one back."""
+    if not _is_index(seed) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+
+
 def collect_dataset(
     rho: DensityMatrix,
     shots: int,
@@ -321,9 +335,8 @@ def collect_dataset(
     n = rho.n_qubits
     settings = list(_grid(n) if settings is None else settings)
     _check_shots(shots, len(settings))
-    # from_json reads back only int shots and seed: refuse a bool, store a NumPy integer as an int
-    if not _is_index(seed) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    _check_seed(seed)
+    # from_json reads back only int shots and seed, so a NumPy integer is stored as one
     shots, seed = int(shots), int(seed)
     probs = _setting_probs(rho, settings, p_readout)
     bits = np.random.Philox(np.random.SeedSequence(seed))

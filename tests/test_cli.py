@@ -3,6 +3,7 @@ import copy
 import datetime
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -216,13 +217,22 @@ class TestRun:
         assert "\n" not in text
         assert json.loads(text) == made[0].to_json()
 
-    @pytest.mark.parametrize("counts", ["r.json", "./r.json", "sub/../r.json", "{tmp}/r.json"])
+    @pytest.mark.parametrize(
+        "counts",
+        ["r.json", "./r.json", "sub/../r.json", "{tmp}/r.json", "link.json", "linkdir/r.json"],
+    )
     def test_counts_out_equal_to_out_exit_1_before_any_state(
         self, tmp_path, capsys, monkeypatch, counts
     ):
         monkeypatch.setattr(cli, "apply_circuit", None)  # any simulation would raise
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
+        if counts.startswith("link"):  # a link to the report, which does not exist yet
+            try:
+                os.symlink("r.json", "link.json")
+                os.symlink(".", "linkdir", target_is_directory=True)
+            except (OSError, NotImplementedError) as err:
+                pytest.skip(f"no symbolic links here: {err}")
         assert run_cli(
             "run", "--experiment", "router-control0", "--no-timestamps",
             "--out", "r.json", "--counts-out", counts.format(tmp=tmp_path),
@@ -607,6 +617,104 @@ class TestSpecAndExecute:
         text = cli._report_text(report, _pairs(ideal.amplitudes), _pairs(state.matrix))
         with open("r.json") as f:
             assert first_difference(f.read(), text) is None
+
+    @staticmethod
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was formed")
+
+    @staticmethod
+    def numbers(result):
+        ideal, dataset, state, scores = result
+        counts = None if dataset is None else dataset.counts.tolist()
+        return ideal.amplitudes.tolist(), counts, state.matrix.tolist(), scores
+
+    def test_equal_spec_forms_no_state_again(self, router_qasm, monkeypatch):
+        argv = [*self.DEVICE, "--seed", "3", "--out", "r.json"]
+        first = cli.execute(self.spec(*argv))
+        monkeypatch.setattr(cli, "apply_circuit", self.no_state)
+        monkeypatch.setattr(noise, "simulate_noisy", self.no_state)
+        again = cli.execute(self.spec(*argv))  # an equal spec, parsed and transpiled again
+        assert self.numbers(again) == self.numbers(first)
+        assert again[0] is first[0]
+        other_seed = cli.execute(self.spec(*self.DEVICE, "--seed", "4", "--out", "r.json"))
+        assert other_seed[1].counts.tolist() != first[1].counts.tolist()
+
+    @pytest.mark.parametrize(
+        "change",
+        [("--noise", "p1.json"), ("--layout", "0,1,2"), ("--tomography", "routed"),
+         ("--transpile", None)],
+        ids=["device-file-p1", "layout", "routed", "untranspiled"],
+    )
+    def test_each_spec_difference_misses(self, router_qasm, monkeypatch, change):
+        model = noise.ibmqx4_model()
+        rows = [{"t1_us": q.t1_us, "t2_us": q.t2_us} for q in model.qubits]
+        Path("p1.json").write_text(json.dumps({"qubits": rows, "p1": 2 * model.p1}))
+        base = {"--experiment": "router-control1", "--noise": "ibmqx4", "--transpile": "ibmqx4",
+                "--seed": "3", "--out": "r.json"}
+
+        def spec(options):
+            return self.spec(*(x for key, value in options.items() if value for x in (key, value)))
+
+        monkeypatch.setattr(cli, "_kept_states", {})
+        base_result = cli.execute(spec(base))
+        warm = cli.execute(spec({**base, change[0]: change[1]}))
+        assert len(cli._kept_states) == 2
+        monkeypatch.setattr(cli, "_kept_states", {})
+        cold = cli.execute(spec({**base, change[0]: change[1]}))
+        assert self.numbers(warm) == self.numbers(cold)
+        assert warm[3] != base_result[3]
+
+    def test_kept_arrays_are_read_only(self, router_qasm, monkeypatch):
+        monkeypatch.setattr(cli, "_kept_states", {})
+        argv = [*self.QASM, "--out", "r.json"]
+        _, _, state, _ = cli.execute(self.spec(*argv, "--tomography", "none"))
+        cli.execute(self.spec(*argv))
+        (((ideal, ideal_dm, rho, tomographed), _),) = cli._kept_states.values()
+        assert state is rho is tomographed  # scored without tomography, sampled with it
+        # with what they keep: the target's square root and the sampled distributions
+        arrays = [ideal.amplitudes, ideal_dm.matrix, ideal_dm._sqrt, rho.matrix, rho._probs[1]]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            state.matrix[0, 0] = 0
+
+    @pytest.mark.parametrize("width, kept", [(6, 1), (7, 0)])
+    def test_states_wider_than_tomography_are_not_kept(self, tmp_path, monkeypatch, width, kept):
+        monkeypatch.setattr(cli, "_kept_states", {})
+        qasm_file = tmp_path / "wide.qasm"
+        program = f"OPENQASM 2.0;\nqreg q[{width}];\nh q[0];\ncx q[0], q[{width - 1}];\n"
+        qasm_file.write_text(program)
+        argv = ["--qasm", str(qasm_file), "--tomography", "none", "--out", str(tmp_path / "r.json")]
+        first = cli.execute(self.spec(*argv))
+        assert len(cli._kept_states) == kept
+        assert self.numbers(cli.execute(self.spec(*argv))) == self.numbers(first)
+
+    def test_least_recently_used_state_is_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_kept_states", {})
+        specs = []
+        for i in range(cli._STATES_KEPT + 1):
+            (tmp_path / f"{i}.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\n" + "h q[0];\n" * i)
+            specs.append(self.spec("--qasm", str(tmp_path / f"{i}.qasm"), "--tomography", "none",
+                                   "--out", str(tmp_path / "r.json")))
+        for spec in specs[:-1]:
+            cli.execute(spec)
+        first = cli.execute(specs[0])[0]  # now the most recently used
+        cli.execute(specs[-1])
+        assert len(cli._kept_states) == cli._STATES_KEPT
+        assert cli.execute(specs[0])[0] is first
+        monkeypatch.setattr(cli, "apply_circuit", self.no_state)
+        with pytest.raises(AssertionError, match="a state was formed"):
+            cli.execute(specs[1])
+
+    def test_clamping_warning_on_every_run(self, tmp_path, monkeypatch):
+        device = tmp_path / "t2.json"
+        device.write_text(json.dumps({"qubits": [{"t1_us": 10.0, "t2_us": 30.0}] * 3}))
+        argv = ["run", "--experiment", "router-control0", "--noise", str(device),
+                "--shots", "128", "--no-timestamps", "--out", str(tmp_path / "r.json")]
+        with pytest.warns(UserWarning, match="clamping dephasing rate"):
+            assert run_cli(*argv, "--seed", "1") == 0
+        monkeypatch.setattr(noise, "simulate_noisy", self.no_state)  # so the next run is a hit
+        with pytest.warns(UserWarning, match="clamping dephasing rate"):
+            assert run_cli(*argv, "--seed", "2") == 0
 
     def test_spec_fields_cannot_be_assigned(self, tmp_path):
         spec = self.spec("--experiment", "router-control0", "--out", str(tmp_path / "r.json"))

@@ -174,6 +174,34 @@ class TestDataset:
         again = TomographyDataset.from_json(json.dumps(ds.to_json()))
         assert again.to_json() == ds.to_json() == collect_dataset(rho, 100, 3).to_json()
 
+    @pytest.mark.parametrize(
+        "n, shots, seed, error",
+        [
+            (1, np.int64(100), 3, None),
+            (1, 100, np.int64(3), None),
+            (np.int64(1), 100, np.uint64(2**63), None),
+            (1, 100, True, "seed must be a non-negative integer"),
+            (1, 100, 1.5, "seed must be a non-negative integer"),
+            (1, 100, None, "seed must be a non-negative integer"),
+            (1, 100, -1, "seed must be a non-negative integer"),
+            (True, 100, 3, "n_qubits must be a positive integer, not True"),
+            (0, 100, 3, "n_qubits must be a positive integer, not 0"),
+        ],
+        ids=repr,
+    )
+    def test_constructed_datasets_round_trip_or_are_refused(self, n, shots, seed, error):
+        # what the constructor accepts, to_json writes as from_json reads it back
+        counts = np.array([[int(shots), 0]], dtype=np.int64)
+        if error is not None:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                TomographyDataset(n, shots, seed, ["Z"], counts)
+            return
+        ds = TomographyDataset(n, shots, seed, ["Z"], counts)
+        assert (type(ds.n_qubits), type(ds.shots), type(ds.seed)) == (int, int, int)
+        again = TomographyDataset.from_json(json.dumps(ds.to_json()))
+        assert (again.n_qubits, again.shots, again.seed) == (n, shots, seed)
+        assert again.to_json() == ds.to_json()
+
     def test_json_schema_keys(self):
         data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
         assert set(data) >= {"shots", "seed", "settings", "rng"}
