@@ -178,51 +178,50 @@ def execute(spec: Spec) -> tuple[StateVector, TomographyDataset | None, DensityM
     return ideal, dataset, reconstructed, _scores(reconstructed, ideal_dm, q, rho)
 
 
-# entries of ``_seedless_states``: at MAX_TOMOGRAPHY_QUBITS one holds 64 KB per
-# matrix and at most 2.1 MB of Born distributions (4095 literal settings)
+def _states(spec: Spec) -> tuple[StateVector, DensityMatrix, DensityMatrix, DensityMatrix]:
+    """The states of ``spec`` that its seed does not change: the ideal state, its
+    density matrix, the executed state and the tomographed state (the executed
+    one, or its routed qubit)."""
+    _, circuit, executed, model, q, _, _ = spec
+    layout = spec.spec.layout
+    ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
+    rho = ideal_dm = to_density(ideal)
+    # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
+    if model is not None:
+        rho = noise_mod.simulate_noisy(executed, model, keep=layout)
+    elif layout is not None:
+        rho = partial_trace(
+            to_density(apply_circuit(executed, basis_state(executed.n_qubits, 0))), layout
+        )
+    return ideal, ideal_dm, rho, rho if q is None else partial_trace(rho, [q])
+
+
+# at MAX_TOMOGRAPHY_QUBITS an entry holds 64 KB per matrix and at most 2.1 MB
+# of Born distributions (4095 literal settings)
 _STATES_KEPT = 8
 _kept_states: dict[tuple, tuple] = {}  # least recently used first
 
 
 def _seedless_states(spec: Spec) -> tuple[StateVector, DensityMatrix, DensityMatrix, DensityMatrix]:
-    """The states of ``spec`` that its seed does not change: the ideal state,
-    its density matrix, the executed state and the tomographed state (the
-    executed one, or its routed qubit).
-
-    They are kept for the ``_STATES_KEPT`` keys used last, with the warnings
-    (the T2 > 2*T1 clamping ones) that forming them raised, and a call with a
-    kept key raises those warnings again and returns the same objects. So a
-    seed sweep of one spec also reuses what those states keep: the Born
-    distributions ``collect_dataset`` samples and the target's square root
-    ``fidelity`` takes. The key is all the states are made of: both circuits,
-    the noise model, the layout and the routed qubit. Every array of a kept
-    state is read-only, as ``StateVector`` and ``DensityMatrix`` make them.
-    States of more than MAX_TOMOGRAPHY_QUBITS qubits (up to 268 MB under
-    ``--tomography none``) are formed on every call and never kept.
-    """
+    """``_states(spec)``, kept with the clamping warnings forming them raised for
+    the ``_STATES_KEPT`` keys used last: both circuits, the noise model, the
+    layout and the routed qubit. A kept key raises its warnings again and
+    returns the same read-only states, so a run with another seed also reuses
+    the Born distributions and the target's square root that they keep. States
+    wider than MAX_TOMOGRAPHY_QUBITS (up to 268 MB) are formed on every call."""
     _, circuit, executed, model, q, _, _ = spec
-    layout = spec.spec.layout
+    if circuit.n_qubits > MAX_TOMOGRAPHY_QUBITS:
+        return _states(spec)
     key = (circuit.n_qubits, tuple(circuit.instructions), executed.n_qubits,
-           tuple(executed.instructions), model, layout, q)  # fmt: skip
+           tuple(executed.instructions), model, spec.spec.layout, q)  # fmt: skip
     entry = _kept_states.pop(key, None)
     if entry is None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
-            rho = ideal_dm = to_density(ideal)
-            # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
-            if model is not None:
-                rho = noise_mod.simulate_noisy(executed, model, keep=layout)
-            elif layout is not None:
-                rho = partial_trace(
-                    to_density(apply_circuit(executed, basis_state(executed.n_qubits, 0))), layout
-                )
-            state = rho if q is None else partial_trace(rho, [q])
-        entry = (ideal, ideal_dm, rho, state), tuple(w.message for w in caught)
-    if circuit.n_qubits <= MAX_TOMOGRAPHY_QUBITS:
-        _kept_states[key] = entry
-        if len(_kept_states) > _STATES_KEPT:
-            del _kept_states[next(iter(_kept_states))]
+            entry = _states(spec), tuple(w.message for w in caught)
+    _kept_states[key] = entry
+    if len(_kept_states) > _STATES_KEPT:
+        del _kept_states[next(iter(_kept_states))]
     for note in entry[1]:
         warnings.warn(note, stacklevel=2)
     return entry[0]

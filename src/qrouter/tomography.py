@@ -186,11 +186,11 @@ class TomographyDataset:
 
     ``counts[i, j]`` is how often setting ``settings[i]`` gave outcome j, whose
     n-bit string (qubit 0 first) is the binary expansion of j: an int64 array of
-    shape (S, 2^n). Construction checks every dataset once: a positive integer
-    n, distinct n-letter IXYZ settings, integer shots x settings within int64,
-    a non-negative integer seed, and nonnegative counts whose every row sums
-    exactly to ``shots``. n, shots and seed are stored as ``int``, the only
-    numbers ``from_json`` reads back in their place. ``collect_dataset``
+    shape (S, 2^n). Construction checks every dataset once: an integer n in
+    1..MAX_TOMOGRAPHY_QUBITS, distinct n-letter IXYZ settings, integer shots x
+    settings within int64, a non-negative integer seed, and nonnegative counts
+    whose every row sums exactly to ``shots``. n, shots and seed are stored as
+    ``int``, the only numbers ``from_json`` reads back in their place. ``collect_dataset``
     checks its settings, shots and seed on the way in and draws rows that sum
     to ``shots``, so it builds its dataset with ``_trusted`` instead. Label
     dicts exist only in the counts file, written by ``to_json`` and read, with
@@ -219,8 +219,7 @@ class TomographyDataset:
 
     def __post_init__(self):
         n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
-        if not _is_index(n) or n < 1:
-            raise ValueError(f"n_qubits must be a positive integer, not {n!r}")
+        _check_width(n)
         _checked(_setting_letters, n, settings)
         _check_shots(shots, len(settings))
         _check_seed(self.seed)
@@ -274,8 +273,7 @@ class TomographyDataset:
         if not isinstance(table, dict) or not all(isinstance(o, dict) for o in table.values()):
             raise ValueError("counts file 'settings' must map each setting to its outcome counts")
         n = header["n_qubits"]
-        if not 1 <= n <= MAX_TOMOGRAPHY_QUBITS:
-            raise ValueError(f"counts file 'n_qubits' {n} is not in 1..{MAX_TOMOGRAPHY_QUBITS}")
+        _check_width(n)
         counts = np.zeros((len(table), 2**n), dtype=np.int64)
         for row, outcomes in zip(counts, table.values()):
             for label, c in outcomes.items():
@@ -303,6 +301,12 @@ def _check_shots(shots, n_settings: int) -> None:
         raise ValueError(f"shots must be positive and an integer, not {shots!r}")
     if int(shots) * n_settings > np.iinfo(np.int64).max:
         raise ValueError(f"{shots} shots x {n_settings} settings exceed 2^63 - 1 in total")
+
+
+def _check_width(n) -> None:
+    """A dataset has 1..MAX_TOMOGRAPHY_QUBITS qubits, the widths ``from_json`` reads back."""
+    if not _is_index(n) or not 1 <= n <= MAX_TOMOGRAPHY_QUBITS:
+        raise ValueError(f"'n_qubits' {n!r} is not in 1..{MAX_TOMOGRAPHY_QUBITS}")
 
 
 def _check_seed(seed) -> None:

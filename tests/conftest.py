@@ -2,7 +2,16 @@ from pathlib import Path
 
 import pytest
 
+from qrouter import cli
+
 from .output_contract import run_matrix
+
+
+@pytest.fixture(autouse=True)
+def no_kept_states(monkeypatch):
+    """Each test starts with no states kept by ``qrouter run``, so a state that
+    an earlier run formed cannot stand in for one the test forms or forbids."""
+    monkeypatch.setattr(cli, "_kept_states", {})
 
 
 @pytest.fixture(scope="session")

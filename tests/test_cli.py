@@ -645,7 +645,7 @@ class TestSpecAndExecute:
          ("--transpile", None)],
         ids=["device-file-p1", "layout", "routed", "untranspiled"],
     )
-    def test_each_spec_difference_misses(self, router_qasm, monkeypatch, change):
+    def test_each_spec_difference_misses(self, router_qasm, change):
         model = noise.ibmqx4_model()
         rows = [{"t1_us": q.t1_us, "t2_us": q.t2_us} for q in model.qubits]
         Path("p1.json").write_text(json.dumps({"qubits": rows, "p1": 2 * model.p1}))
@@ -655,17 +655,15 @@ class TestSpecAndExecute:
         def spec(options):
             return self.spec(*(x for key, value in options.items() if value for x in (key, value)))
 
-        monkeypatch.setattr(cli, "_kept_states", {})
         base_result = cli.execute(spec(base))
         warm = cli.execute(spec({**base, change[0]: change[1]}))
         assert len(cli._kept_states) == 2
-        monkeypatch.setattr(cli, "_kept_states", {})
+        cli._kept_states.clear()
         cold = cli.execute(spec({**base, change[0]: change[1]}))
         assert self.numbers(warm) == self.numbers(cold)
         assert warm[3] != base_result[3]
 
-    def test_kept_arrays_are_read_only(self, router_qasm, monkeypatch):
-        monkeypatch.setattr(cli, "_kept_states", {})
+    def test_kept_arrays_are_read_only(self, router_qasm):
         argv = [*self.QASM, "--out", "r.json"]
         _, _, state, _ = cli.execute(self.spec(*argv, "--tomography", "none"))
         cli.execute(self.spec(*argv))
@@ -678,8 +676,7 @@ class TestSpecAndExecute:
             state.matrix[0, 0] = 0
 
     @pytest.mark.parametrize("width, kept", [(6, 1), (7, 0)])
-    def test_states_wider_than_tomography_are_not_kept(self, tmp_path, monkeypatch, width, kept):
-        monkeypatch.setattr(cli, "_kept_states", {})
+    def test_states_wider_than_tomography_are_not_kept(self, tmp_path, width, kept):
         qasm_file = tmp_path / "wide.qasm"
         program = f"OPENQASM 2.0;\nqreg q[{width}];\nh q[0];\ncx q[0], q[{width - 1}];\n"
         qasm_file.write_text(program)
@@ -689,7 +686,6 @@ class TestSpecAndExecute:
         assert self.numbers(cli.execute(self.spec(*argv))) == self.numbers(first)
 
     def test_least_recently_used_state_is_dropped(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_kept_states", {})
         specs = []
         for i in range(cli._STATES_KEPT + 1):
             (tmp_path / f"{i}.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\n" + "h q[0];\n" * i)

@@ -184,8 +184,9 @@ class TestDataset:
             (1, 100, 1.5, "seed must be a non-negative integer"),
             (1, 100, None, "seed must be a non-negative integer"),
             (1, 100, -1, "seed must be a non-negative integer"),
-            (True, 100, 3, "n_qubits must be a positive integer, not True"),
-            (0, 100, 3, "n_qubits must be a positive integer, not 0"),
+            (True, 100, 3, "'n_qubits' True is not in 1..6"),
+            (0, 100, 3, "'n_qubits' 0 is not in 1..6"),
+            (7, 100, 3, "'n_qubits' 7 is not in 1..6"),
         ],
         ids=repr,
     )
