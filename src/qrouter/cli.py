@@ -169,23 +169,25 @@ def spec_from_args(args) -> Spec:
 def execute(spec: Spec) -> tuple[StateVector, TomographyDataset | None, DensityMatrix, dict]:
     """``spec`` simulated, sampled and scored, no I/O: (ideal, dataset, scored state, scores)."""
     block, _, _, _, q, literal, counts_file = spec
-    ideal, ideal_dm, rho, state = _seedless_states(spec)
+    ideal, target, rho, state = _seedless_states(spec)
     dataset, reconstructed = None, rho
     if counts_file is not None:
         settings = tomography.observables_for(state.n_qubits) if literal else None
         dataset = tomography.collect_dataset(state, block.shots, block.seed, settings=settings)
         reconstructed = tomography.reconstruct(dataset)
-    return ideal, dataset, reconstructed, _scores(reconstructed, ideal_dm, q, rho)
+    whole = reconstructed if q is None else rho
+    return ideal, dataset, reconstructed, _scores(reconstructed, target, whole)
 
 
 def _states(spec: Spec) -> tuple[StateVector, DensityMatrix, DensityMatrix, DensityMatrix]:
-    """The states of ``spec`` that its seed does not change: the ideal state, its
-    density matrix, the executed state and the tomographed state (the executed
-    one, or its routed qubit)."""
+    """The states of ``spec`` that its seed does not change: the ideal state, the
+    scored target (its density matrix, or that matrix's routed qubit), the
+    executed state and the tomographed state (the executed one, or its routed
+    qubit)."""
     _, circuit, executed, model, q, _, _ = spec
     layout = spec.spec.layout
     ideal = apply_circuit(circuit, basis_state(circuit.n_qubits, 0))
-    rho = ideal_dm = to_density(ideal)
+    rho = target = to_density(ideal)
     # with a layout, idle device qubits are discarded; logical qubit i sits on layout[i]
     if model is not None:
         rho = noise_mod.simulate_noisy(executed, model, keep=layout)
@@ -193,7 +195,9 @@ def _states(spec: Spec) -> tuple[StateVector, DensityMatrix, DensityMatrix, Dens
         rho = partial_trace(
             to_density(apply_circuit(executed, basis_state(executed.n_qubits, 0))), layout
         )
-    return ideal, ideal_dm, rho, rho if q is None else partial_trace(rho, [q])
+    if q is not None:
+        return ideal, partial_trace(target, [q]), rho, partial_trace(rho, [q])
+    return ideal, target, rho, rho
 
 
 # at MAX_TOMOGRAPHY_QUBITS an entry holds 64 KB per matrix and at most 2.1 MB
@@ -326,19 +330,11 @@ def _layout(arg: str | None, n: int, device: int) -> tuple[int, ...]:
     raise SpecError(f"--layout must be a comma-separated list of integers: {arg!r}")
 
 
-def _scores(rho: DensityMatrix, ideal: DensityMatrix, routed_qubit, executed=None) -> dict:
-    """A report's numbers: the fidelity of ``rho`` to ``ideal`` (reduced to
-    ``routed_qubit`` unless that is None), then the negativity and entropy (bits)
-    across control qubit 0 | the rest of the whole state: ``rho``, or with a
-    routed qubit ``executed``, without which only the fidelity is returned."""
-    target = ideal if routed_qubit is None else partial_trace(ideal, [routed_qubit])
-    if target.dim != rho.dim:
-        raise ReportError(
-            f"report 'ideal_state' gives {target.n_qubits} scored qubits, "
-            f"'reconstructed' has {rho.n_qubits}"
-        )
+def _scores(rho: DensityMatrix, target: DensityMatrix, whole: DensityMatrix | None) -> dict:
+    """A report's numbers: the fidelity of ``rho`` to ``target``, then, unless
+    ``whole`` is None, the negativity and entropy (bits) of the whole state
+    ``whole`` across control qubit 0 | the rest."""
     scores = {"fidelity": tomography.fidelity(rho, target)}
-    whole = rho if routed_qubit is None else executed
     if whole is not None and whole.n_qubits < 2:
         scores.update(negativity=0.0, entropy_control_bits=von_neumann_entropy(whole))
     elif whole is not None:
@@ -403,13 +399,19 @@ def verify(args) -> int:
         return 1
     checks.append(("density-matrix invariants", True, "Hermitian, trace 1, PSD"))
 
-    q = None
+    target, whole = ideal, rho
     if spec.get("tomography") == "routed":
         q = _ROUTED_QUBIT.get(name)
         if q is None or q >= ideal.n_qubits:
             raise ReportError(f"routed report of {name!r} has no routed qubit")
-    # a routed report does not store the executed state, so only its fidelity is recomputed
-    for key, value in _scores(rho, ideal, q).items():
+        # a routed report does not store the executed state, so only its fidelity is recomputed
+        target, whole = partial_trace(ideal, [q]), None
+    if target.dim != rho.dim:
+        raise ReportError(
+            f"report 'ideal_state' gives {target.n_qubits} scored qubits, "
+            f"'reconstructed' has {rho.n_qubits}"
+        )
+    for key, value in _scores(rho, target, whole).items():
         checks.append(
             (
                 f"{key} recomputed",

@@ -11,12 +11,14 @@ product, in the pinned order, of K (x) K* summed over each stage's Kraus
 operators (Nielsen & Chuang 8.2), and applies gates in ``gates._fused_blocks``:
 each CNOT absorbs the 1-qubit gates pending on its two qubits, and the 1-qubit
 gates left at the end form one block per qubit. A block is one 4^k x 4^k
-superoperator (k = 1 or 2), the product of its gates' superoperators. Blocks
-depend only on the model, so each is built when first used and kept in a
-bounded per-model cache under its gate sequence: a one-gate block from the
-gate's channels, a longer one from its gates' one-gate entries, so each gate
-is built once. The T2 > 2*T1 clamping warnings raised while building a gate
-are raised again on every simulation that uses a block containing it.
+superoperator (k = 1 or 2), the product of its gates' superoperators. Each
+call builds each distinct (gate, qubits) superoperator once from its channels
+and composes the longer blocks from those; the T2 > 2*T1 clamping warnings
+raised while building are raised once per message, as the caller's. Nothing
+is kept between calls: ``qrouter run`` keeps the simulated state itself
+(``cli._seedless_states``), so a repeated run does not simulate again; the
+state keeps its Born distributions and square root, and the other memos are
+``tomography._estimator_tables`` and the caches of ``gates``.
 Only the qubits that some gate touches, or that the caller keeps, are
 simulated: an untouched qubit stays |0>, so it is never formed. A block acts
 on rho, held as a (2,)*2r tensor over those r qubits, with one call of the
@@ -28,7 +30,6 @@ after every step.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import warnings
@@ -276,33 +277,6 @@ def _block_superop(block: tuple, gate_superops) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def _noisy_block(model: NoiseModel, block: tuple):
-    """A block's superoperator (read-only) with the clamping warnings its gates
-    raise. One gate is built from its channels; a longer block is composed from
-    its gates' one-gate entries of the same cache, so each gate is built once."""
-    if len(block) == 1:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sop = _gate_superop(*block[0], model)
-        notes = tuple(w.message for w in caught)
-    else:
-        entries = [_model_superops(model)((gate,)) for gate in block]
-        sop = _block_superop(block, [e[0] for e in entries])
-        notes = tuple(note for e in entries for note in e[1])
-    sop.flags.writeable = False
-    return sop, notes
-
-
-_BLOCKS_PER_MODEL = 128  # the transpiled routers use 23 entries (9 blocks); one is at most 4 KB
-
-
-@functools.lru_cache(maxsize=16)
-def _model_superops(model: NoiseModel):
-    """``_noisy_block`` of one model, built as circuits need each block (and its
-    gates) and kept for the ``_BLOCKS_PER_MODEL`` entries used last."""
-    return functools.lru_cache(maxsize=_BLOCKS_PER_MODEL)(functools.partial(_noisy_block, model))
-
-
 def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
     """Density-matrix run of ``c`` from |0...0> under ``model``, reduced to ``keep``.
 
@@ -327,14 +301,18 @@ def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
     rho = np.zeros((2,) * (2 * r), dtype=complex)
     rho[(0,) * (2 * r)] = 1.0
 
-    superops = _model_superops(model)
-    clamped = {}
+    gate_superops = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for block in blocks:
+            for gate in block:
+                if gate not in gate_superops:
+                    gate_superops[gate] = _gate_superop(*gate, model)
     for block in blocks:
-        sop, notes = superops(block)
-        for note in notes:
-            clamped[str(note)] = note
+        sops = [gate_superops[gate] for gate in block]
+        sop = sops[0] if len(block) == 1 else _block_superop(block, sops)
         rho = _apply_superop(rho, sop, tuple(pos[q] for q in block[-1][1]))
-    for note in clamped.values():
+    for note in {str(w.message): w.message for w in caught}.values():
         warnings.warn(note, stacklevel=2)
     # summed in the order partial_trace sums a validated (C-ordered) matrix
     rho = np.ascontiguousarray(rho)

@@ -20,8 +20,9 @@ from .gates import GATE_MATRICES, _is_index
 from .noise import readout_flip
 from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
 
-# the rotation stack of the 3^6 measured bases, which ``_rotation_stack`` keeps
-# for the last settings list: 3^6 * 4^6 complex = 48 MB, twice that while sampling
+# the rotation stack of the 3^6 measured bases, which ``_setting_probs`` forms for
+# each state it has no distributions for: 3^6 * 4^6 complex = 48 MB, twice that
+# with its conjugate
 MAX_TOMOGRAPHY_QUBITS = 6
 
 # rotation into the Z basis for each setting letter, one row per basis letter; I measures Z
@@ -68,22 +69,10 @@ def _letters(strings, n: int, what: str) -> np.ndarray:
     return np.frombuffer(rows, dtype=np.uint8).reshape(len(strings), n)
 
 
-def _checked(table, n: int, settings) -> np.ndarray:
-    """``table(n, tuple(settings))``; an unhashable setting, which the cache
-    cannot key, is refused by the check the table would run."""
-    settings = tuple(settings)
-    try:
-        return table(n, settings)
-    except TypeError:
-        _letters(settings, n, "setting")
-        raise
-
-
-@lru_cache(maxsize=4, typed=True)
-def _setting_letters(n: int, settings: tuple[str, ...]) -> np.ndarray:
+def _setting_letters(n: int, settings: list[str] | tuple[str, ...]) -> np.ndarray:
     """Each setting's ``_letters`` rows (read-only, (S, n)), once the settings
     are checked: at least one, each n letters of IXYZ, all distinct. A failed
-    check raises ``ValueError``, which the cache does not keep."""
+    check raises ``ValueError``."""
     if not settings:
         raise ValueError("need at least one measurement setting")
     letters = _letters(settings, n, "setting")
@@ -92,7 +81,6 @@ def _setting_letters(n: int, settings: tuple[str, ...]) -> np.ndarray:
     return letters
 
 
-@lru_cache(maxsize=4, typed=True)
 def _measured_bases(
     n: int, settings: tuple[str, ...]
 ) -> tuple[tuple[str, ...], np.ndarray | None]:
@@ -110,10 +98,6 @@ def _measured_bases(
     return tuple(index), rows
 
 
-# ``qrouter run`` samples one settings list, and at MAX_TOMOGRAPHY_QUBITS the
-# stack of its 3^6 bases holds 48 MB, so only the last one is kept; its
-# conjugate is formed per call (about 2 us for 27 bases)
-@lru_cache(maxsize=1, typed=True)
 def _rotation_stack(n: int, settings: tuple[str, ...]) -> np.ndarray:
     """Read-only (S, 2^n, 2^n) basis rotations of checked settings: row s is
     the kron of setting s's single-qubit rotations."""
@@ -147,7 +131,7 @@ def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) ->
     key = (tuple(settings), p_readout)
     if rho._probs is not None and rho._probs[0] == key:
         return rho._probs[1]
-    bases, rows = _checked(_measured_bases, rho.n_qubits, settings)
+    bases, rows = _measured_bases(rho.n_qubits, tuple(settings))
     r = _rotation_stack(rho.n_qubits, bases)
     probs = np.einsum("sij,jk,sik->si", r, rho.matrix, r.conj()).real
     probs = np.clip(probs, 0.0, None)
@@ -191,7 +175,7 @@ class TomographyDataset:
     settings within int64, a non-negative integer seed, and nonnegative counts
     whose every row sums exactly to ``shots``. n, shots and seed are stored as
     ``int``, the only numbers ``from_json`` reads back in their place. ``collect_dataset``
-    checks its settings, shots and seed on the way in and draws rows that sum
+    checks its width, settings, shots and seed on the way in and draws rows that sum
     to ``shots``, so it builds its dataset with ``_trusted`` instead. Label
     dicts exist only in the counts file, written by ``to_json`` and read, with
     each label and count checked, by ``from_json``.
@@ -220,7 +204,7 @@ class TomographyDataset:
     def __post_init__(self):
         n, shots, settings, counts = self.n_qubits, self.shots, self.settings, self.counts
         _check_width(n)
-        _checked(_setting_letters, n, settings)
+        _setting_letters(n, settings)
         _check_shots(shots, len(settings))
         _check_seed(self.seed)
         # from_json reads back only ints, so a NumPy integer is stored as one
@@ -337,6 +321,7 @@ def collect_dataset(
     starts from, without building one per setting.
     """
     n = rho.n_qubits
+    _check_width(n)
     settings = list(_grid(n) if settings is None else settings)
     _check_shots(shots, len(settings))
     _check_seed(seed)

@@ -462,8 +462,6 @@ class TestRun:
                 "--tomography", "none", "--no-timestamps", "--out", report_path,
             ))
         assert codes <= {0, 1, 2, 3} and {0, 1, 2} <= codes
-        cache = noise._model_superops.cache_info()
-        assert cache.currsize <= cache.maxsize
 
     @pytest.mark.parametrize("shots", [2**63, 1_026_000_000_000_000_000])
     def test_shots_past_int64_total_exit_1_before_writing(self, tmp_path, capsys, shots):
@@ -667,13 +665,27 @@ class TestSpecAndExecute:
         argv = [*self.QASM, "--out", "r.json"]
         _, _, state, _ = cli.execute(self.spec(*argv, "--tomography", "none"))
         cli.execute(self.spec(*argv))
-        (((ideal, ideal_dm, rho, tomographed), _),) = cli._kept_states.values()
+        (((ideal, target, rho, tomographed), _),) = cli._kept_states.values()
         assert state is rho is tomographed  # scored without tomography, sampled with it
         # with what they keep: the target's square root and the sampled distributions
-        arrays = [ideal.amplitudes, ideal_dm.matrix, ideal_dm._sqrt, rho.matrix, rho._probs[1]]
+        arrays = [ideal.amplitudes, target.matrix, target._sqrt, rho.matrix, rho._probs[1]]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             state.matrix[0, 0] = 0
+
+    def test_routed_target_is_kept_with_its_root(self, router_qasm, monkeypatch):
+        argv = ["--experiment", "router-control0", "--noise", "ibmqx4", "--tomography", "routed",
+                "--out", "r.json"]
+        cli.execute(self.spec(*argv, "--seed", "1"))
+        (((_, target, _, _), _),) = cli._kept_states.values()
+        assert target.n_qubits == 1 and target._sqrt is not None
+        decomposed = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: decomposed.append(m) or eigh(m))
+        cli.execute(self.spec(*argv, "--seed", "2"))
+        # the projection's and the reconstruction's root; the target's root is kept
+        assert len(decomposed) == 2
+        assert not any(np.array_equal(m, target.matrix) for m in decomposed)
 
     @pytest.mark.parametrize("width, kept", [(6, 1), (7, 0)])
     def test_states_wider_than_tomography_are_not_kept(self, tmp_path, width, kept):

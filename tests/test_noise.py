@@ -484,7 +484,7 @@ class TestFusedSimulator:
         model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
         c = Circuit(2).add("h", 0).add("cx", 0, 1)
         runs = []
-        for _ in range(2):  # the second call reads the cached superoperators
+        for _ in range(2):
             with pytest.warns(UserWarning, match="clamping dephasing rate"):
                 runs.append(simulate_noisy(c, model).matrix)
         assert np.array_equal(*runs)
@@ -502,6 +502,20 @@ class TestFusedSimulator:
             simulate_noisy(Circuit(2).add("x", 1), model)
             simulate_noisy(Circuit(2).add("x", 1), model, keep=[0, 1])
 
+    def test_one_clamping_warning_per_call_from_the_caller(self):
+        model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
+        # six gates in three blocks (two CNOTs and a trailing one) touch the unphysical qubit 0
+        c = Circuit(2).add("h", 0).add("t", 0).add("cx", 0, 1).add("x", 0).add("cx", 1, 0)
+        c.add("s", 0)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                simulate_noisy(c, model)
+            assert [str(w.message) for w in caught] == [
+                "T2 = 30.0 exceeds 2*T1 = 20.0; clamping dephasing rate to 0"
+            ]
+            assert caught[0].category is UserWarning and caught[0].filename == __file__
+
     def test_models_share_no_superoperators(self):
         models = [ibmqx4_model(), SECOND_MODEL, ibmqx4_model(p1=2e-3), ibmqx4_model()]
         circuits = list(equivalence_circuits())[:6]
@@ -510,41 +524,6 @@ class TestFusedSimulator:
                 fused = simulate_noisy(c, model).matrix
                 reference = per_kraus_reference(c, model).matrix
                 assert np.max(np.abs(fused - reference)) <= 1e-12, label
-
-    def test_cache_is_bounded(self):
-        c = Circuit(2).add("h", 0).add("cx", 0, 1)
-        limit = noise._model_superops.cache_info().maxsize
-        for i in range(3 * limit):
-            simulate_noisy(c, zero_model(p1=i * 1e-4))
-            simulate_noisy(c, zero_model(p1=i * 1e-4))
-            assert noise._model_superops.cache_info().currsize <= limit
-        # one entry per distinct block and per gate in it, however often it runs:
-        # the block (h 0, cx 0 1) is composed from the entries (h 0) and (cx 0 1)
-        model = zero_model(p1=0.0)
-        for _ in range(3):
-            simulate_noisy(c, model)
-        assert noise._model_superops(model).cache_info().currsize == 3
-        # a trailing one-gate block is its gate's entry
-        simulate_noisy(Circuit(2).add("h", 0).add("cx", 0, 1).add("t", 1), model)
-        assert noise._model_superops(model).cache_info().currsize == 4
-
-    def test_block_cache_is_bounded_per_model(self):
-        model = zero_model(p1=7.7e-4)
-        blocks = noise._model_superops(model)
-        blocks.cache_clear()
-        per_model = blocks.cache_info().maxsize
-        # 8 one-qubit gates ahead of each CNOT spell its index in h/x: all blocks differ
-        c = Circuit(2)
-        for i in range(per_model + 20):
-            for bit in range(8):
-                c.add("x" if i >> bit & 1 else "h", 0)
-            c.add("cx", 0, 1)
-        rho = simulate_noisy(c, model)
-        assert blocks.cache_info().currsize == per_model
-        # every block once, and each of its three gates (h 0, x 0, cx 0 1) once
-        assert blocks.cache_info().misses == per_model + 20 + 3
-        assert np.array_equal(simulate_noisy(c, model).matrix, rho.matrix)
-        assert blocks.cache_info().currsize == per_model
 
     def test_one_contraction_per_block_and_one_validation(self, monkeypatch):
         c = transpile(
@@ -555,20 +534,19 @@ class TestFusedSimulator:
         c.add("t", 2).add("h", 0).add("s", 2)  # two trailing blocks: (t, s) on 2, h on 0
         model = ibmqx4_model()
         keep = (2, 0, 1)
-        simulate_noisy(c, model, keep)  # fills the block cache: no build below
         contractions = []
         built = []
-        apply_tensor = noise._apply_tensor
+        apply_superop = noise._apply_superop
 
-        def counting_apply(tensor, u, axes):
-            contractions.append(axes)
-            return apply_tensor(tensor, u, axes)
+        def counting_apply(t, sop, qubits):  # only rho's contractions go through it
+            contractions.append(qubits)
+            return apply_superop(t, sop, qubits)
 
         def counting_density(*args, **kwargs):
             built.append(args)
             return DensityMatrix(*args, **kwargs)
 
-        monkeypatch.setattr(noise, "_apply_tensor", counting_apply)
+        monkeypatch.setattr(noise, "_apply_superop", counting_apply)
         monkeypatch.setattr(noise, "DensityMatrix", counting_density)
         rho = simulate_noisy(c, model, keep)
         # a CNOT takes in the 1-qubit gates pending on its qubits; the rest are
@@ -585,7 +563,7 @@ class TestFusedSimulator:
         blocks += [(q,) for q in pending]
         assert blocks[-2:] == [(2,), (0,)]
         assert sorted({q for i in c.gate_instructions() for q in i.qubits}) == [0, 1, 2]
-        assert contractions == [b + tuple(3 + q for q in b) for b in blocks]
+        assert contractions == blocks
         assert len(contractions) < len(c.gate_instructions())
         assert len(built) == 1
         assert built[0][0] == 3 and rho.n_qubits == 3
@@ -640,14 +618,13 @@ class TestKeep:
 
     def test_idle_qubit_is_never_formed(self, monkeypatch):
         shapes = []
-        apply_tensor = noise._apply_tensor
+        apply_superop = noise._apply_superop
 
-        def recording_apply(tensor, u, axes):
-            shapes.append(tensor.shape)
-            return apply_tensor(tensor, u, axes)
+        def recording_apply(t, sop, qubits):
+            shapes.append(t.shape)
+            return apply_superop(t, sop, qubits)
 
         c = Circuit(5).add("h", 3).add("cx", 3, 1)
-        simulate_noisy(c, ibmqx4_model(), keep=[1])  # fills the block cache
-        monkeypatch.setattr(noise, "_apply_tensor", recording_apply)
+        monkeypatch.setattr(noise, "_apply_superop", recording_apply)
         rho = simulate_noisy(c, ibmqx4_model(), keep=[1])
         assert shapes == [(2,) * 4] and rho.n_qubits == 1

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrouter import tomography
 from qrouter.gates import apply_circuit, named_router_circuit
 from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
 from qrouter.qstate import DensityMatrix, StateVector, basis_state, pauli_matrix, to_density
@@ -202,6 +203,12 @@ class TestDataset:
         again = TomographyDataset.from_json(json.dumps(ds.to_json()))
         assert (again.n_qubits, again.shots, again.seed) == (n, shots, seed)
         assert again.to_json() == ds.to_json()
+
+    def test_sampler_refuses_a_width_the_reader_refuses(self):
+        # a 7-qubit counts file would be refused by from_json, so none is sampled
+        rho = to_density(basis_state(7, 0))
+        with pytest.raises(ValueError, match=re.escape("'n_qubits' 7 is not in 1..6")):
+            collect_dataset(rho, 10, 0, settings=["ZZZZZZZ"])
 
     def test_json_schema_keys(self):
         data = collect_dataset(to_density(basis_state(1, 0)), 100, 3).to_json()
@@ -722,8 +729,9 @@ class TestEstimatorTables:
 
 
 class TestSettingsTable:
-    """One check and one rotation stack per settings list, shared by the
-    sampler and the dataset constructor."""
+    """The settings check and the rotation stack: formed once for each state
+    that has no Born distributions for its settings list, since the state keeps
+    them, and never by a dataset ``collect_dataset`` builds."""
 
     @pytest.mark.parametrize(
         "settings", [settings_for(3), observables_for(3)], ids=["grid", "literal"]
@@ -742,42 +750,27 @@ class TestSettingsTable:
             with pytest.raises(ValueError):
                 table[0] = 0
 
-    @staticmethod
-    def table_counts(states) -> list[tuple[int, int]]:
-        """(misses, hits) of the letters, bases and stack caches over one
-        dataset of each state, one seed per state."""
+    def test_one_state_reaches_the_tables_once(self, monkeypatch):
+        checked, stacked = [], []
+        check, stack = tomography._setting_letters, tomography._rotation_stack
+        monkeypatch.setattr(
+            tomography, "_setting_letters", lambda n, s: checked.append(s) or check(n, s)
+        )
+        monkeypatch.setattr(
+            tomography, "_rotation_stack", lambda n, s: stacked.append(s) or stack(n, s)
+        )
         settings = ["XYZ", "ZZI", "IIX", "XYI"]  # XYZ and XYI share a basis
-        tables = (_setting_letters, _measured_bases, _rotation_stack)
-        for cache in tables:
-            cache.cache_clear()
-        for seed, rho in enumerate(states):
-            collect_dataset(rho, 100, seed, settings=settings)
-        return [(t.cache_info().misses, t.cache_info().hits) for t in tables]
-
-    def test_checked_and_built_once_per_settings_list(self):
-        # a fresh state per seed, so each dataset computes its Born distributions
-        states = [to_density(basis_state(3, 0)) for _ in range(3)]
-        letters, bases, stack = self.table_counts(states)
-        # checked once, for the first bases; the datasets, built from checked parts, check nothing
-        assert letters == (1, 0)
-        assert bases == (1, 2)
-        # one stack, of the list's three distinct bases
-        assert stack == (1, 2)
-        assert _rotation_stack(3, ("XYZ", "ZZZ", "ZZX")).shape == (3, 8, 8)
-
-    def test_one_state_reaches_the_tables_once(self):
         # the later seeds find the state's kept distributions
         rho = to_density(basis_state(3, 0))
-        assert self.table_counts([rho] * 3) == [(1, 0)] * 3
-
-    def test_caches_are_bounded(self):
-        assert _setting_letters.cache_info().maxsize == _measured_bases.cache_info().maxsize == 4
-        assert _rotation_stack.cache_info().maxsize == 1
-        rho = to_density(basis_state(2, 0))
-        for j in range(1, 7):
-            collect_dataset(rho, 10, 0, settings=settings_for(2)[:j])
-        assert _setting_letters.cache_info().currsize == 4
-        assert _rotation_stack.cache_info().currsize == 1
+        for seed in range(3):
+            collect_dataset(rho, 100, seed, settings=settings)
+        # checked once, and one stack, of the list's three distinct bases
+        assert checked == [tuple(settings)] and stacked == [("XYZ", "ZZZ", "ZZX")]
+        # a fresh state per seed computes its Born distributions, so checks and
+        # stacks once each; the datasets, built from checked parts, check nothing
+        for seed in range(3):
+            collect_dataset(to_density(basis_state(3, 0)), 100, seed, settings=settings)
+        assert (len(checked), len(stacked)) == (4, 4)
 
     @pytest.mark.parametrize(
         "settings, message",
