@@ -298,7 +298,10 @@ def _report_text(report: dict, ideal: np.ndarray, entries: np.ndarray) -> str:
 def _number_layout(shape: tuple[int, ...], depth: int) -> str:
     """The text ``json.dumps(x, indent=2)`` writes for a nested list ``x`` of
     numbers of ``shape`` that is the value of a key ``depth`` levels deep,
-    with a ``%s`` for each number; json lays out a list of zeros to make it."""
+    with a ``%s`` for each number; json lays out a list of zeros to make it.
+    A one-command process misses on each of its two shapes; a process that
+    writes many reports hits, as ``device-run`` after its first op and
+    ``tests/output_contract.py`` after its first run."""
     text = json.dumps(np.zeros(shape, dtype=int).tolist(), indent=2)
     return text.replace("0", "%s").replace("\n", "\n" + "  " * depth)
 
@@ -357,8 +360,10 @@ def _load_report(path: str) -> dict:
 def _report_ideal(report: dict) -> DensityMatrix:
     """The report's 'ideal_state' amplitude pairs as a density matrix."""
     amps = _read_complex(report.get("ideal_state"), "report 'ideal_state'", ReportError)
+    if not amps.size or amps.size & (amps.size - 1):
+        raise ReportError(f"report 'ideal_state' holds {amps.size} amplitudes, not a power of 2")
     try:
-        return to_density(StateVector(len(amps).bit_length() - 1, amps))
+        return to_density(StateVector(amps.size.bit_length() - 1, amps))
     except ValueError as e:
         raise ReportError(f"report 'ideal_state': {e}") from None
 
@@ -386,9 +391,12 @@ def verify(args) -> int:
     spec = report.get("spec", {})
     if not isinstance(spec, dict):
         raise ReportError("report 'spec' must be an object")
-    name = spec.get("name", "custom")
-    if not isinstance(name, str):
-        raise ReportError(f"report spec 'name' is not a string: {name!r}")
+    fields = {"name": "custom", "noise": "none", "tomography": ""}
+    for key, default in fields.items():
+        value = fields[key] = spec.get(key, default)
+        if not isinstance(value, str):
+            raise ReportError(f"report spec {key!r} is not a string: {value!r}")
+    name = fields["name"]
     ideal = _report_ideal(report)
     checks: list[tuple[str, bool, str]] = []
 
@@ -400,7 +408,7 @@ def verify(args) -> int:
     checks.append(("density-matrix invariants", True, "Hermitian, trace 1, PSD"))
 
     target, whole = ideal, rho
-    if spec.get("tomography") == "routed":
+    if fields["tomography"] == "routed":
         q = _ROUTED_QUBIT.get(name)
         if q is None or q >= ideal.n_qubits:
             raise ReportError(f"routed report of {name!r} has no routed qubit")
@@ -419,7 +427,7 @@ def verify(args) -> int:
                 f"stored {stored[key]:.12g}, recomputed {value:.12g}",
             )
         )
-    noisy = spec.get("noise", "none") != "none"
+    noisy = fields["noise"] != "none"
 
     checks.append(
         ("fidelity in [0, 1]", 0.0 <= fid <= 1.0, f"fidelity = {fid:.4f}")
@@ -442,7 +450,7 @@ def verify(args) -> int:
                 )
             )
         else:
-            exact = not noisy and spec.get("tomography") == "none"
+            exact = not noisy and fields["tomography"] == "none"
             bound = 1e-6 if exact else 0.02
             checks.append(
                 (

@@ -6,19 +6,20 @@ each touched qubit using that qubit's T1/T2. At the error magnitudes modeled
 here the ordering is below any test tolerance, but it is pinned so runs are
 reproducible.
 
-The simulator folds that sequence into one superoperator per gate, the
-product, in the pinned order, of K (x) K* summed over each stage's Kraus
-operators (Nielsen & Chuang 8.2), and applies gates in ``gates._fused_blocks``:
-each CNOT absorbs the 1-qubit gates pending on its two qubits, and the 1-qubit
-gates left at the end form one block per qubit. A block is one 4^k x 4^k
-superoperator (k = 1 or 2), the product of its gates' superoperators. Each
-call builds each distinct (gate, qubits) superoperator once from its channels
-and composes the longer blocks from those; the T2 > 2*T1 clamping warnings
-raised while building are raised once per message, as the caller's. Nothing
-is kept between calls: ``qrouter run`` keeps the simulated state itself
-(``cli._seedless_states``), so a repeated run does not simulate again; the
-state keeps its Born distributions and square root, and the other memos are
-``tomography._estimator_tables`` and the caches of ``gates``.
+A channel is its Kraus operators as one complex (k, d, d) stack, checked
+where it is made (``_kraus``). The simulator folds that sequence into one
+superoperator per gate, the product, in the pinned order, of K (x) K* summed
+over each stage's stack (Nielsen & Chuang 8.2), and applies gates in
+``gates._fused_blocks``: each CNOT absorbs the 1-qubit gates pending on its
+two qubits, and the 1-qubit gates left at the end form one block per qubit. A
+block is one 4^k x 4^k superoperator (k = 1 or 2), the product of its gates'
+superoperators. Each call builds each distinct (gate, qubits) superoperator
+once from its channels and composes the longer blocks from those; the
+T2 > 2*T1 clamping warnings raised while building are raised once per
+message, as the caller's. Nothing is kept between calls, neither channels nor
+superoperators: ``qrouter run`` keeps the simulated state itself
+(``cli._seedless_states``), so a repeated run does not simulate again, and
+the state keeps its Born distributions and square root.
 Only the qubits that some gate touches, or that the caller keeps, are
 simulated: an untouched qubit stays |0>, so it is never formed. A block acts
 on rho, held as a (2,)*2r tensor over those r qubits, with one call of the
@@ -119,27 +120,19 @@ def noise_model_from_json(data) -> NoiseModel:
     return NoiseModel(qubits=tuple(qubits), **kwargs)
 
 
-class KrausChannel:
-    """Trace-preserving operator-sum map: rho -> sum_i K_i rho K_i^dagger."""
-
-    __slots__ = ("operators",)
-
-    def __init__(self, operators):
-        ops = [np.asarray(k, dtype=complex) for k in operators]
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        total = sum(k.conj().T @ k for k in ops)
-        if not np.max(np.abs(total - np.eye(dim))) <= 1e-9:  # NaN fails too
-            raise ValueError("Kraus operators do not satisfy sum K^dag K = I")
-        self.operators = ops
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
+def _kraus(operators) -> np.ndarray:
+    """Kraus operators of a trace-preserving map rho -> sum_i K_i rho K_i^dagger,
+    checked and stacked as a complex (k, d, d) array."""
+    ops = np.asarray(operators, dtype=complex)
+    if not len(ops):
+        raise ValueError("channel needs at least one Kraus operator")
+    total = sum(k.conj().T @ k for k in ops)
+    if not np.max(np.abs(total - np.eye(ops.shape[1]))) <= 1e-9:  # NaN fails too
+        raise ValueError("Kraus operators do not satisfy sum K^dag K = I")
+    return ops
 
 
-def amplitude_damping(t_ns: float, t1_us: float) -> KrausChannel:
+def amplitude_damping(t_ns: float, t1_us: float) -> np.ndarray:
     """Zero-temperature relaxation over ``t_ns`` with lifetime ``t1_us``."""
     if not t_ns >= 0:  # NaN fails too
         raise ValueError("duration must be nonnegative")
@@ -148,10 +141,10 @@ def amplitude_damping(t_ns: float, t1_us: float) -> KrausChannel:
     gamma = 1.0 - np.exp(-(t_ns / 1000.0) / t1_us)
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    return KrausChannel([k0, k1])
+    return _kraus([k0, k1])
 
 
-def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> KrausChannel:
+def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
     """Pure dephasing beyond what relaxation already causes.
 
     Dephasing rate is 1/T2 - 1/(2*T1); off-diagonals decay by exp(-t * rate).
@@ -172,10 +165,10 @@ def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> KrausChannel:
     k0 = np.sqrt(1 - lam) * np.eye(2, dtype=complex)
     k1 = np.sqrt(lam) * np.diag([1, 0]).astype(complex)
     k2 = np.sqrt(lam) * np.diag([0, 1]).astype(complex)
-    return KrausChannel([k0, k1, k2])
+    return _kraus([k0, k1, k2])
 
 
-def depolarizing(p: float, n_qubits: int) -> KrausChannel:
+def depolarizing(p: float, n_qubits: int) -> np.ndarray:
     """rho -> (1 - p) rho + p I/2^n on ``n_qubits`` in {1, 2}."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
@@ -189,18 +182,18 @@ def depolarizing(p: float, n_qubits: int) -> KrausChannel:
             ops.append(np.sqrt(1.0 - p + p / d4) * m)
         else:
             ops.append(np.sqrt(p / d4) * m)
-    return KrausChannel(ops)
+    return _kraus(ops)
 
 
-def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubits) -> DensityMatrix:
-    """Apply a channel on the listed qubits of a larger register."""
+def apply_channel(rho: DensityMatrix, ops, qubits) -> DensityMatrix:
+    """Apply the channel of Kraus operators ``ops`` on the listed qubits of a larger register."""
+    ops = _kraus(ops)
     qubits = tuple(qubits)
-    if ch.dim != 2 ** len(qubits):
-        raise ValueError(
-            f"channel acts on {ch.dim} dimensions but got {len(qubits)} qubits"
-        )
+    dim = ops.shape[1]
+    if dim != 2 ** len(qubits):
+        raise ValueError(f"channel acts on {dim} dimensions but got {len(qubits)} qubits")
     t = rho.matrix.reshape((2,) * (2 * rho.n_qubits))
-    t = _apply_superop(t, _superop(ch.operators), qubits)
+    t = _apply_superop(t, _superop(ops), qubits)
     return DensityMatrix(rho.n_qubits, t.reshape(rho.dim, rho.dim))
 
 
@@ -230,9 +223,9 @@ def readout_flip(probs, p_readout: float):
     return t.reshape(probs.shape)
 
 
-def _superop(ops) -> np.ndarray:
-    """Matrix of rho -> sum_K K rho K^dagger on row-major vec(rho): the sum of K (x) K*."""
-    k = np.asarray(ops)
+def _superop(k: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> sum_K K rho K^dagger on row-major vec(rho), for a (k, d, d)
+    Kraus stack: the sum of K (x) K*."""
     d = k.shape[-1]
     terms = k[:, :, None, :, None] * k.conj()[:, None, :, None, :]
     return terms.sum(axis=0).reshape(d * d, d * d)
@@ -248,7 +241,7 @@ def _damping_superop(params: QubitParams, dur: float) -> np.ndarray:
     """Amplitude then phase damping of one qubit over ``dur`` ns (4x4)."""
     ad = amplitude_damping(dur, params.t1_us)
     pd = phase_damping(dur, params.t1_us, params.t2_us)
-    return _superop(pd.operators) @ _superop(ad.operators)
+    return _superop(pd) @ _superop(ad)
 
 
 def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.ndarray:
@@ -261,8 +254,8 @@ def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.n
         # damping on different qubits commutes; (r0 c0)x(r1 c1) -> (r0 r1 c0 c1)
         pair = [m.reshape(2, 2, 2, 2) for m in damp]
         damp = [np.einsum("acxz,bdyw->abcdxyzw", *pair).reshape(16, 16)]
-    depol = _superop(depolarizing(model.p2 if k == 2 else model.p1, k).operators)
-    return damp[0] @ depol @ _superop((GATE_MATRICES[name],))
+    depol = _superop(depolarizing(model.p2 if k == 2 else model.p1, k))
+    return damp[0] @ depol @ _superop(GATE_MATRICES[name][None])
 
 
 def _block_superop(block: tuple, gate_superops) -> np.ndarray:

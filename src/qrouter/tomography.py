@@ -81,49 +81,31 @@ def _setting_letters(n: int, settings: list[str] | tuple[str, ...]) -> np.ndarra
     return letters
 
 
-def _measured_bases(
-    n: int, settings: tuple[str, ...]
-) -> tuple[tuple[str, ...], np.ndarray | None]:
-    """Check settings, then return the distinct bases they are measured in (an
-    I letter is measured as Z), in order of first use, and the read-only index
-    of each setting's basis; the index is None when no two settings share a
-    basis, as in the grid, whose bases are its settings."""
-    _setting_letters(n, settings)
-    index: dict[str, int] = {}
-    rows = [index.setdefault(s.replace("I", "Z"), len(index)) for s in settings]
-    if len(index) == len(settings):
-        return tuple(index), None
-    rows = np.array(rows)
-    rows.setflags(write=False)
-    return tuple(index), rows
-
-
-def _rotation_stack(n: int, settings: tuple[str, ...]) -> np.ndarray:
-    """Read-only (S, 2^n, 2^n) basis rotations of checked settings: row s is
-    the kron of setting s's single-qubit rotations."""
-    letters = _letters(settings, n, "setting")
+def _rotation_stack(letters: np.ndarray) -> np.ndarray:
+    """(S, 2^n, 2^n) basis rotations of checked (S, n) letter rows: row s is
+    the kron of row s's single-qubit rotations."""
     r = _ROTATIONS[letters[:, 0]]
-    for q in range(1, n):
-        # np.kron of each setting's rotations (the same products), batched
+    for q in range(1, letters.shape[1]):
+        # np.kron of each row's rotations (the same products), batched
         b = _ROTATIONS[letters[:, q]]
         d = 2 * r.shape[1]
         r = (r[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, d, d)
-    r.setflags(write=False)
     return r
 
 
 def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) -> np.ndarray:
     """Outcome distribution of each setting as an (S, 2^n) array, rows in order.
 
-    The Born probabilities of each distinct measured basis (``_measured_bases``)
-    come from one batched contraction, are clipped at 0 and normalised per row,
-    and are gathered into one row per setting when settings share a basis; the
-    stack then passes through ``readout_flip`` when ``p_readout`` is nonzero.
-    An I letter's rotation is the identity, as Z's is, and each row is
-    contracted and normalised alone, so a setting's distribution is bit for bit
-    the one its own rotation gives. The three-operand ``einsum`` keeps the exact
-    zeros of basis outcomes that a pure state never gives, and those zeros
-    decide its multinomial draws.
+    The settings' checked letter rows (``_setting_letters``) are measured with
+    I as Z, and one ``np.unique`` over each measured row's base-4 code finds
+    the B <= 3^n distinct bases. Their Born probabilities come from one
+    batched contraction, are clipped at 0 and normalised per row, and are
+    gathered into one row per setting; the stack then passes through
+    ``readout_flip`` when ``p_readout`` is nonzero. Each row is contracted and
+    normalised alone, so a setting's distribution is bit for bit the one its
+    own rotation gives. The three-operand ``einsum`` keeps the exact zeros of
+    basis outcomes that a pure state never gives, and those zeros decide its
+    multinomial draws.
 
     The read-only result is kept with ``rho`` under its (settings, p_readout)
     key; a call with an equal key, as in a seed sweep, returns it unchecked.
@@ -131,13 +113,16 @@ def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) ->
     key = (tuple(settings), p_readout)
     if rho._probs is not None and rho._probs[0] == key:
         return rho._probs[1]
-    bases, rows = _measured_bases(rho.n_qubits, tuple(settings))
-    r = _rotation_stack(rho.n_qubits, bases)
+    n = rho.n_qubits
+    letters = _setting_letters(n, settings)
+    measured = np.where(letters == 0, 3, letters)  # basis row 0 is I, row 3 Z
+    codes = measured @ 4 ** np.arange(n - 1, -1, -1)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    r = _rotation_stack(measured[first])
     probs = np.einsum("sij,jk,sik->si", r, rho.matrix, r.conj()).real
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
-    if rows is not None:
-        probs = probs[rows]
+    probs = probs[inverse]
     probs = readout_flip(probs, p_readout) if p_readout else probs
     probs.setflags(write=False)
     rho._probs = (key, probs)
@@ -372,7 +357,10 @@ def _estimator_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (signs, compatible, k) of ``expectation_values`` for checked
     settings and paulis. A pauli no setting measures raises ``ValueError``,
-    which the cache does not keep, so every call for that shape raises it."""
+    which the cache does not keep, so every call for that shape raises it.
+    A one-command process builds its tables once and never hits; a process
+    that estimates many datasets of one shape does, as ``seed-sweep`` on every
+    op and ``device-run`` on every op after its first."""
     rows = _setting_letters(n, settings)
     obs = _letters(paulis, n, "pauli")
     support = obs != 0  # basis row 0 is I

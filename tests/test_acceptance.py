@@ -285,7 +285,7 @@ def test_criterion_9_channel_physicality():
         depolarizing(1e-2, 2),
     ]
     worst_tp = max(
-        np.max(np.abs(sum(k.conj().T @ k for k in ch.operators) - np.eye(ch.dim)))
+        np.max(np.abs(sum(k.conj().T @ k for k in ch) - np.eye(ch.shape[1])))
         for ch in channels
     )
 

@@ -988,9 +988,10 @@ class TestVerify:
             (lambda r: {**r, "ideal_state": [[1.0, 0.0], [0.0, 0.0]]}, "scored qubits"),
             (lambda r: {**r, "spec": {**r["spec"], "tomography": "routed", "name": "custom"}},
              "routed qubit"),
+            (lambda r: {**r, "ideal_state": []}, "holds 0 amplitudes, not a power of 2"),
         ],
         ids=["missing", "null", "triple", "text", "unnormalised", "length-7", "one-qubit",
-             "routed-custom"],
+             "routed-custom", "empty"],
     )
     def test_malformed_ideal_state_exit_2(self, report_path, capsys, edit, message):
         run_cli(
@@ -1024,11 +1025,18 @@ class TestVerify:
              "'entropy_control_bits' is not a number"),
             (lambda r: {**r, "spec": ["router-control0"]}, "'spec'"),
             (lambda r: {**r, "spec": {**r["spec"], "name": ["router-control0"]}}, "'name'"),
+            (lambda r: {**r, "spec": {**r["spec"], "noise": None}}, "'noise' is not a string"),
+            (lambda r: {**r, "spec": {**r["spec"], "noise": 5}}, "'noise' is not a string"),
+            (lambda r: {**r, "spec": {**r["spec"], "tomography": ["routed"]}},
+             "'tomography' is not a string"),
+            (lambda r: {**r, "spec": {**r["spec"], "tomography": 5}},
+             "'tomography' is not a string"),
         ],
         ids=["list", "string", "no-reconstructed", "reconstructed-null", "no-fidelity",
              "no-negativity", "fidelity-null", "negativity-text", "fidelity-overflow",
              "no-entropy", "entropy-list",
-             "spec-list", "spec-name-list"],
+             "spec-list", "spec-name-list", "spec-noise-null", "spec-noise-number",
+             "spec-tomography-list", "spec-tomography-number"],
     )
     def test_malformed_report_exit_2(self, report_path, capsys, edit, message):
         run_cli(

@@ -15,7 +15,6 @@ from qrouter.tomography import (
     TomographyDataset,
     _estimator_tables,
     _grid,
-    _measured_bases,
     _observables,
     _rotation_stack,
     _setting_letters,
@@ -549,15 +548,19 @@ class TestOnePassSampler:
                 want = readout_flip(ref, p_readout) if p_readout else ref
                 assert _setting_probs(rho, settings, p_readout).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_literal_settings_share_the_grid_bases(self, n):
-        bases, rows = _measured_bases(n, tuple(observables_for(n)))
-        assert sorted(bases) == settings_for(n)
-        assert [bases[i] for i in rows] == [s.replace("I", "Z") for s in observables_for(n)]
-        assert not rows.flags.writeable
-        # a list that shares no basis keeps its order and forms no gather
-        assert _measured_bases(n, tuple(settings_for(n))) == (tuple(settings_for(n)), None)
-        assert _measured_bases(n, ("I" * n,)) == (("Z" * n,), None)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_literal_settings_share_the_grid_bases(self, n, monkeypatch):
+        # the 4^n - 1 literal settings are measured in the 3^n grid bases, so
+        # the rotation stack stays 3^n rows; the all-I setting is measured in Z
+        stacked = []
+        stack = tomography._rotation_stack
+        monkeypatch.setattr(
+            tomography, "_rotation_stack", lambda rows: stacked.append(rows) or stack(rows)
+        )
+        for settings in (observables_for(n), settings_for(n), ["I" * n]):
+            _setting_probs(random_state(np.random.default_rng(n), n), settings, 0.0)
+        as_strings = [["".join("IXYZ"[i] for i in row) for row in rows] for rows in stacked]
+        assert as_strings == [settings_for(n), settings_for(n), ["Z" * n]]
 
     def test_no_settings_by_shots_matrix(self):
         rho = random_state(np.random.default_rng(3), 3)
@@ -737,18 +740,16 @@ class TestSettingsTable:
         "settings", [settings_for(3), observables_for(3)], ids=["grid", "literal"]
     )
     def test_stack_equals_kron_reference_bit_for_bit(self, settings):
-        r = _rotation_stack(3, tuple(settings))
+        r = _rotation_stack(_setting_letters(3, settings))
         ref = np.array([setting_rotation(s) for s in settings])
         assert r.shape == ref.shape == (len(settings), 8, 8)
         assert r.dtype == ref.dtype and r.tobytes() == ref.tobytes()
 
     def test_tables_are_read_only(self):
-        settings = tuple(observables_for(2))
-        tables = (_setting_letters(2, settings), _rotation_stack(2, settings))
-        for table in (*tables, _measured_bases(2, settings)[1]):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0
+        table = _setting_letters(2, tuple(observables_for(2)))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
 
     def test_one_state_reaches_the_tables_once(self, monkeypatch):
         checked, stacked = [], []
@@ -757,7 +758,7 @@ class TestSettingsTable:
             tomography, "_setting_letters", lambda n, s: checked.append(s) or check(n, s)
         )
         monkeypatch.setattr(
-            tomography, "_rotation_stack", lambda n, s: stacked.append(s) or stack(n, s)
+            tomography, "_rotation_stack", lambda rows: stacked.append(rows) or stack(rows)
         )
         settings = ["XYZ", "ZZI", "IIX", "XYI"]  # XYZ and XYI share a basis
         # the later seeds find the state's kept distributions
@@ -765,7 +766,9 @@ class TestSettingsTable:
         for seed in range(3):
             collect_dataset(rho, 100, seed, settings=settings)
         # checked once, and one stack, of the list's three distinct bases
-        assert checked == [tuple(settings)] and stacked == [("XYZ", "ZZZ", "ZZX")]
+        assert checked == [settings] and len(stacked) == 1
+        bases = {"".join("IXYZ"[i] for i in row) for row in stacked[0]}
+        assert len(stacked[0]) == 3 and bases == {"XYZ", "ZZZ", "ZZX"}
         # a fresh state per seed computes its Born distributions, so checks and
         # stacks once each; the datasets, built from checked parts, check nothing
         for seed in range(3):
