@@ -3,7 +3,7 @@
 Subcommands:
   run          execute one experiment, write a JSON report (and counts file)
   emit-figure  dump the real or imaginary part of a reconstructed matrix as CSV
-  verify       re-check a report against the router acceptance conditions
+  verify       re-check a report's invariants and the paper's claims (``CLAIMS``)
 
 Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error, 3 unroutable
 circuit, and for ``verify`` 1 when any check fails. A malformed device file,
@@ -41,7 +41,7 @@ import json
 import sys
 import warnings
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,6 +79,36 @@ class ReportError(ValueError):
 
 # the qubit that carries the signal in each classically controlled router
 _ROUTED_QUBIT = {"router-control0": 1, "router-control1": 2}
+
+
+class Claim(NamedTuple):
+    """One printed check of a claim of the paper (see ``CLAIMS``)."""
+
+    label: str
+    experiments: frozenset[str]  # the reports' spec 'name'
+    condition: str  # noisy, noiseless, exact (noiseless, --tomography none), inexact or any
+    number: str  # the report number it bounds
+    test: Callable[[float], bool]
+    detail: str  # printed after the label, with the number as ``x``
+    sentence: str  # the words of PAPER.md that it checks
+
+
+_ROUTERS, _CONTROLLED = frozenset(ROUTER_EXPERIMENTS), frozenset(_ROUTED_QUBIT)
+_FIDELITY = "It is found that the experimental results are obtained with good fidelity."
+_ENTANGLED = "the entanglement between the control qubit and the two signal qubits (two paths)"
+_PRESERVED = "the well preservation of the signal information in either of the two paths"
+CLAIMS = (  # what ``verify`` checks of a router report: the rows that apply, in this order
+    Claim("fidelity band", _ROUTERS, "noisy", "fidelity", lambda x: 0.90 <= x <= 0.995,
+          "fidelity {x:.4f} within noisy band [0.90, 0.995]", _FIDELITY),
+    Claim("fidelity band", _ROUTERS, "noiseless", "fidelity", lambda x: x >= 0.98,
+          "fidelity {x:.4f} >= 0.98 (noiseless)", _FIDELITY),
+    Claim("entanglement generated", frozenset({"router-superposition"}), "any", "negativity",
+          lambda x: x > 0.1, "negativity {x:.4f} > 0.1 across control|paths", _ENTANGLED),
+    Claim("no spurious entanglement", _CONTROLLED, "exact", "negativity", lambda x: x <= 1e-6,
+          "negativity {x:.2e} <= 1e-06 for classical control", _PRESERVED),
+    Claim("no spurious entanglement", _CONTROLLED, "inexact", "negativity", lambda x: x <= 0.02,
+          "negativity {x:.2e} <= 0.02 for classical control", _PRESERVED),
+)
 
 
 class SpecBlock(NamedTuple):
@@ -387,7 +417,7 @@ def verify(args) -> int:
     report = _load_report(args.report)
     keys = ("fidelity", "negativity", "entropy_control_bits")
     stored = {key: _read_number(report, key, "report", ReportError) for key in keys}
-    fid, neg = stored["fidelity"], stored["negativity"]
+    fid = stored["fidelity"]
     spec = report.get("spec", {})
     if not isinstance(spec, dict):
         raise ReportError("report 'spec' must be an object")
@@ -427,44 +457,15 @@ def verify(args) -> int:
                 f"stored {stored[key]:.12g}, recomputed {value:.12g}",
             )
         )
-    noisy = fields["noise"] != "none"
+    noisy, exact = fields["noise"] != "none", fields["noise"] == fields["tomography"] == "none"
+    holds = dict(noisy=noisy, noiseless=not noisy, exact=exact, inexact=not exact, any=True)
+    checks.append(("fidelity in [0, 1]", 0.0 <= fid <= 1.0, f"fidelity = {fid:.4f}"))
+    checks += [(c.label, c.test(stored[c.number]), c.detail.format(x=stored[c.number]))
+               for c in CLAIMS if name in c.experiments and holds[c.condition]]
 
-    checks.append(
-        ("fidelity in [0, 1]", 0.0 <= fid <= 1.0, f"fidelity = {fid:.4f}")
-    )
-    if name in ROUTER_EXPERIMENTS:
-        if noisy:
-            ok = 0.90 <= fid <= 0.995
-            detail = f"fidelity {fid:.4f} within noisy band [0.90, 0.995]"
-        else:
-            ok = fid >= 0.98
-            detail = f"fidelity {fid:.4f} >= 0.98 (noiseless)"
-        checks.append(("fidelity band", ok, detail))
-
-        if name == "router-superposition":
-            checks.append(
-                (
-                    "entanglement generated",
-                    neg > 0.1,
-                    f"negativity {neg:.4f} > 0.1 across control|paths",
-                )
-            )
-        else:
-            exact = not noisy and fields["tomography"] == "none"
-            bound = 1e-6 if exact else 0.02
-            checks.append(
-                (
-                    "no spurious entanglement",
-                    neg <= bound,
-                    f"negativity {neg:.2e} <= {bound:g} for classical control",
-                )
-            )
-
-    failures = 0
     for label, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
-        failures += not ok
-    return 1 if failures else 0
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,13 +514,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "run":
-            run_experiment(args)
-            return 0
-        if args.command == "emit-figure":
-            emit_figure(args)
-            return 0
-        return verify(args)
+        if args.command == "verify":
+            return verify(args)
+        (run_experiment if args.command == "run" else emit_figure)(args)
+        return 0
     except qasm.UnroutableCnotError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

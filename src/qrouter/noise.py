@@ -126,6 +126,8 @@ def _kraus(operators) -> np.ndarray:
     ops = np.asarray(operators, dtype=complex)
     if not len(ops):
         raise ValueError("channel needs at least one Kraus operator")
+    if ops.ndim != 3 or not ops.shape[1] == ops.shape[2] > 0:
+        raise ValueError(f"Kraus operators must be a (k, d, d) stack of matrices, not {ops.shape}")
     total = sum(k.conj().T @ k for k in ops)
     if not np.max(np.abs(total - np.eye(ops.shape[1]))) <= 1e-9:  # NaN fails too
         raise ValueError("Kraus operators do not satisfy sum K^dag K = I")

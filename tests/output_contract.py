@@ -15,15 +15,21 @@ The command writes the files into DIR under relative names, since a report
 stores its counts file's name as given, and prints one ``sha256  name`` line
 per file. For each file whose bytes differ from the committed manifest
 (``output_contract.json`` beside this file) it says which numbers moved and by
-how much. It exits 1 when the contract is broken: a file missing or extra, a
-counts file whose sha256 differs, or a report number more than ``TOL`` from
-the manifest's. ``tests/test_output_contract.py`` holds the suite to the same rule.
+how much. A report's entry also records ``qrouter verify``'s verdicts on it:
+the exit code and each ``PASS|FAIL <label>`` line, without the detail text,
+whose rounding-level numbers may print differently under another BLAS. It
+exits 1 when the contract is broken: a file missing or extra, a counts file
+whose sha256 differs, a report number more than ``TOL`` from the manifest's,
+or a changed verdict. ``tests/test_output_contract.py`` holds the suite to the
+same rule.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -75,15 +81,26 @@ def entries(reports) -> dict[str, dict]:
         report = json.loads(text)
         found[name] = {"sha256": hashlib.sha256(text).hexdigest()}
         found[name].update((key, report[key]) for key in NUMBERS)
+        found[name]["verify"] = verdicts(name)
         if report["counts_file"] is not None:
             counts = Path(report["counts_file"]).read_bytes()
             found[report["counts_file"]] = {"sha256": hashlib.sha256(counts).hexdigest()}
     return found
 
 
+def verdicts(report: str) -> dict:
+    """``qrouter verify``'s exit code on ``report`` and the ``PASS|FAIL <label>``
+    part of each line it prints."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = qrouter(["verify", "--report", report])
+    lines = out.getvalue().splitlines()
+    return {"exit": code, "verdicts": [line.partition(":")[0] for line in lines]}
+
+
 def differences(found: dict, manifest: dict) -> list[tuple[str, bool]]:
     """A line for each file that is not byte-identical to its manifest entry,
-    and whether it breaks the contract (see the module docstring)."""
+    and for each report whose verdicts differ from its entry's, and whether
+    it breaks the contract (see the module docstring)."""
     lines = []
     for name in sorted(found.keys() | manifest.keys()):
         got, want = found.get(name), manifest.get(name)
@@ -99,6 +116,8 @@ def differences(found: dict, manifest: dict) -> list[tuple[str, bool]]:
             broken = any(abs(got[key] - want[key]) > TOL for key in NUMBERS)
             what = ", ".join(moved) or "no report number moved"
             lines.append((f"{name}: bytes differ; {what}", broken))
+        if got is not None and want is not None and got.get("verify") != want.get("verify"):
+            lines.append((f"{name}: verify verdicts differ; now {got.get('verify')}", True))
     return lines
 
 

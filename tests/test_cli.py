@@ -1062,6 +1062,58 @@ class TestVerify:
         assert "FAIL density-matrix invariants" in capsys.readouterr().out
 
 
+class TestClaims:
+    """``cli.CLAIMS``, the paper's claims that ``verify`` checks: each row's
+    bound at its edge, stated here rather than read from the table, and how
+    many contract reports each row applies to."""
+
+    @pytest.mark.parametrize(
+        "label, condition, passing, failing, detail",
+        [
+            ("fidelity band", "noisy", [0.90, 0.995],
+             [np.nextafter(0.90, 0), np.nextafter(0.995, 1)],
+             "fidelity 0.9000 within noisy band [0.90, 0.995]"),
+            ("fidelity band", "noiseless", [0.98, 1.0], [np.nextafter(0.98, 0)],
+             "fidelity 0.9800 >= 0.98 (noiseless)"),
+            ("entanglement generated", "any", [np.nextafter(0.1, 1)], [0.1],
+             "negativity 0.1000 > 0.1 across control|paths"),
+            ("no spurious entanglement", "exact", [0.0, 1e-6], [np.nextafter(1e-6, 1)],
+             "negativity 0.00e+00 <= 1e-06 for classical control"),
+            ("no spurious entanglement", "inexact", [0.0, 0.02], [np.nextafter(0.02, 1)],
+             "negativity 0.00e+00 <= 0.02 for classical control"),
+        ],
+    )
+    def test_bound_edges(self, label, condition, passing, failing, detail):
+        (row,) = [c for c in cli.CLAIMS if (c.label, c.condition) == (label, condition)]
+        assert [row.test(x) for x in passing] == [True] * len(passing)
+        assert [row.test(x) for x in failing] == [False] * len(failing)
+        assert row.detail.format(x=passing[0]) == detail
+
+    def test_every_row_applies_to_a_contract_report(self, matrix, monkeypatch, capsys):
+        where, runs = matrix
+        monkeypatch.chdir(where)
+        rows, applied = cli.CLAIMS, [0] * len(cli.CLAIMS)
+
+        def counted(i, test):
+            def count(x):
+                applied[i] += 1
+                return test(x)
+            return count
+
+        counting = tuple(row._replace(test=counted(i, row.test)) for i, row in enumerate(rows))
+        monkeypatch.setattr(cli, "CLAIMS", counting)
+        for *_, out, code in runs:
+            if code == 0:
+                run_cli("verify", "--report", out)
+        assert {(row.label, row.condition): n for row, n in zip(rows, applied)} == {
+            ("fidelity band", "noisy"): 26,
+            ("fidelity band", "noiseless"): 26,
+            ("entanglement generated", "any"): 12,
+            ("no spurious entanglement", "exact"): 4,
+            ("no spurious entanglement", "inexact"): 36,
+        }
+
+
 class TestEmitFigure:
     def test_pure_state_real_part(self, tmp_path, report_path):
         run_cli(

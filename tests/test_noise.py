@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -252,6 +253,18 @@ class TestKrausChannel:
     def test_rejects_nan_operator(self):
         with pytest.raises(ValueError, match="sum K\\^dag K = I"):
             apply_channel(to_density(basis_state(1, 0)), [np.full((2, 2), np.nan)], (0,))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [GATE_MATRICES["h"], np.eye(2), np.ones((1, 2, 1)), np.ones((1, 2, 2, 2)),
+         np.ones((1, 0, 0))],
+        ids=["bare-unitary", "bare-identity", "not-square", "4-d", "0x0"],
+    )
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, ops):
+        """A bare matrix is not read as a list of 1-D operators: the refusal names the shape."""
+        message = re.escape(f"(k, d, d) stack of matrices, not {ops.shape}")
+        with pytest.raises(ValueError, match=message):
+            apply_channel(to_density(basis_state(1, 0)), ops, (0,))
 
     @pytest.mark.parametrize(
         "ch",

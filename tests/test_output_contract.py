@@ -1,6 +1,7 @@
 """The committed output contract (``tests/output_contract.py``): the matrix of
 ``qrouter run`` configurations writes the manifest's 92 files, each counts
-file byte for byte and each report's numbers within ``TOL``."""
+file byte for byte and each report's numbers within ``TOL``, and ``qrouter
+verify`` gives each report the manifest's verdicts."""
 
 import json
 import os
@@ -66,6 +67,15 @@ def test_what_breaks_the_contract():
     ]
     assert report_lines(sha256="b") == [("r.json: bytes differ; no report number moved", False)]
     assert report_lines(sha256="b", negativity=0.1 + 2 * TOL)[0][1] is True
+    pinned = {**report, "verify": {"exit": 0, "verdicts": ["PASS fidelity band"]}}
+    failed = {"exit": 1, "verdicts": ["FAIL fidelity band"]}
+    changed = (f"r.json: verify verdicts differ; now {failed}", True)
+    assert differences({"r.json": pinned}, {"r.json": pinned}) == []
+    assert differences({"r.json": {**pinned, "verify": failed}}, {"r.json": pinned}) == [changed]
+    assert differences({"r.json": {**pinned, "sha256": "b", "verify": failed}},
+                       {"r.json": pinned}) == [
+        ("r.json: bytes differ; no report number moved", False), changed
+    ]
     assert differences({"r.json": report, "r.counts.json": {"sha256": "d"}}, manifest) == [
         ("r.counts.json: counts differ", True)
     ]
