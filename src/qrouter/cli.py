@@ -89,8 +89,15 @@ class Claim(NamedTuple):
     condition: str  # noisy, noiseless, exact (noiseless, --tomography none), inexact or any
     number: str  # the report number it bounds
     test: Callable[[float], bool]
-    detail: str  # printed after the label, with the number as ``x``
+    detail: str  # printed after the label, with the number as ``x`` (see ``shown``)
     sentence: str  # the words of PAPER.md that it checks
+
+    def shown(self, x: float) -> str:
+        """``detail`` of x, or of ``repr(x)`` where rounded x reads as the other verdict."""
+        head, _, rest = self.detail.partition("{x:")
+        spec, _, tail = rest.partition("}")
+        text = format(x, spec)
+        return head + (text if self.test(float(text)) == self.test(x) else repr(float(x))) + tail
 
 
 _ROUTERS, _CONTROLLED = frozenset(ROUTER_EXPERIMENTS), frozenset(_ROUTED_QUBIT)
@@ -460,7 +467,7 @@ def verify(args) -> int:
     noisy, exact = fields["noise"] != "none", fields["noise"] == fields["tomography"] == "none"
     holds = dict(noisy=noisy, noiseless=not noisy, exact=exact, inexact=not exact, any=True)
     checks.append(("fidelity in [0, 1]", 0.0 <= fid <= 1.0, f"fidelity = {fid:.4f}"))
-    checks += [(c.label, c.test(stored[c.number]), c.detail.format(x=stored[c.number]))
+    checks += [(c.label, c.test(stored[c.number]), c.shown(stored[c.number]))
                for c in CLAIMS if name in c.experiments and holds[c.condition]]
 
     for label, ok, detail in checks:

@@ -210,11 +210,30 @@ def _apply_tensor(tensor: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) ->
     return (u @ t.reshape(u.shape[1], -1)).reshape(t.shape).transpose(inverse)
 
 
+def _product(steps, n: int) -> np.ndarray:
+    """The 2^n x 2^n product of ``(operator, axes)`` steps, the first applied first: each
+    is contracted by ``_apply_tensor`` into the identity held as a (2,)*n + (2^n,) tensor."""
+    dim = 2**n
+    t = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for op, axes in steps:
+        t = _apply_tensor(t, op, axes)
+    return t.reshape(dim, dim)
+
+
+def _kron_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(S, 2^n, 2^n) stack of (S, n) index rows into a (m, 2, 2) ``table``: row s is
+    ``np.kron`` of its entries' matrices, qubit 0 leftmost (the same products, batched)."""
+    r = table[rows[:, 0]]
+    for q in range(1, rows.shape[1]):
+        b = table[rows[:, q]]
+        d = 2 * r.shape[1]
+        r = (r[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, d, d)
+    return r
+
+
 def embed_gate(u: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
     """Dense 2^n x 2^n lift of a k-qubit operator: the tensor kernel's reference."""
-    dim = 2**n_qubits
-    t = np.eye(dim, dtype=complex).reshape((2,) * n_qubits + (dim,))
-    return _apply_tensor(t, u, tuple(qubits)).reshape(dim, dim)
+    return _product([(u, tuple(qubits))], n_qubits)
 
 
 def _fused_blocks(gates):
@@ -265,12 +284,9 @@ def apply_circuit(c: Circuit, psi: StateVector) -> StateVector:
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary of a measurement-free circuit, by ``_fused_blocks`` blocks."""
-    dim = 2**c.n_qubits
-    u = np.eye(dim, dtype=complex).reshape((2,) * c.n_qubits + (dim,))
-    for block in _fused_blocks(c.unitary_gates()):
-        op = GATE_MATRICES[block[0][0]] if len(block) == 1 else _block_unitary(block)
-        u = _apply_tensor(u, op, block[-1][1])
-    return u.reshape(dim, dim)
+    blocks = _fused_blocks(c.unitary_gates())
+    return _product(((GATE_MATRICES[b[0][0]] if len(b) == 1 else _block_unitary(b), b[-1][1])
+                     for b in blocks), c.n_qubits)
 
 
 def _append_toffoli(c: Circuit, ctrl1: int, ctrl2: int, target: int):

@@ -12,14 +12,14 @@ superoperator per gate, the product, in the pinned order, of K (x) K* summed
 over each stage's stack (Nielsen & Chuang 8.2), and applies gates in
 ``gates._fused_blocks``: each CNOT absorbs the 1-qubit gates pending on its
 two qubits, and the 1-qubit gates left at the end form one block per qubit. A
-block is one 4^k x 4^k superoperator (k = 1 or 2), the product of its gates'
-superoperators. Each call builds each distinct (gate, qubits) superoperator
-once from its channels and composes the longer blocks from those; the
-T2 > 2*T1 clamping warnings raised while building are raised once per
-message, as the caller's. Nothing is kept between calls, neither channels nor
-superoperators: ``qrouter run`` keeps the simulated state itself
-(``cli._seedless_states``), so a repeated run does not simulate again, and
-the state keeps its Born distributions and square root.
+block is one 4^k x 4^k superoperator (k = 1 or 2), the ``gates._product`` of
+its gates' superoperators, as is a gate's damping of its k qubits. Each call
+builds each distinct (gate, qubits) superoperator once and composes the longer
+blocks from those; the T2 > 2*T1 clamping warnings raised while building
+are raised once per message, as the caller's. Nothing is kept between calls,
+neither channels nor superoperators: ``qrouter run`` keeps the simulated state
+itself (``cli._seedless_states``), so a repeated run does not simulate again,
+and the state keeps its Born distributions and square root.
 Only the qubits that some gate touches, or that the caller keeps, are
 simulated: an untouched qubit stays |0>, so it is never formed. A block acts
 on rho, held as a (2,)*2r tensor over those r qubits, with one call of the
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks
-from .qstate import DensityMatrix, _check_qubit_subset, _read_number, _reduced_matrix, pauli_matrix
+from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks, _kron_rows, _product
+from .qstate import _PAULI_BASIS, DensityMatrix, _check_qubit_subset, _read_number, _reduced_matrix
 
 
 @dataclass(frozen=True)
@@ -171,19 +171,15 @@ def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
 
 
 def depolarizing(p: float, n_qubits: int) -> np.ndarray:
-    """rho -> (1 - p) rho + p I/2^n on ``n_qubits`` in {1, 2}."""
+    """rho -> (1 - p) rho + p I/2^n on ``n_qubits`` in {1, 2}, by weighted Pauli strings."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     if n_qubits not in (1, 2):
         raise ValueError("depolarizing channel supports 1 or 2 qubits")
     d4 = 4**n_qubits
-    ops = []
-    for letters in itertools.product("IXYZ", repeat=n_qubits):
-        m = pauli_matrix("".join(letters))
-        if all(l == "I" for l in letters):
-            ops.append(np.sqrt(1.0 - p + p / d4) * m)
-        else:
-            ops.append(np.sqrt(p / d4) * m)
+    ops = _kron_rows(_PAULI_BASIS, np.array(list(itertools.product(range(4), repeat=n_qubits))))
+    ops[0] *= np.sqrt(1.0 - p + p / d4)
+    ops[1:] *= np.sqrt(p / d4)
     return _kraus(ops)
 
 
@@ -233,10 +229,14 @@ def _superop(k: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 
+def _sides(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The row axes, then the column axes, of ``qubits`` of n-qubit rho held as (2,)*2n."""
+    return qubits + tuple(n + q for q in qubits)
+
+
 def _apply_superop(t: np.ndarray, sop: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Contract ``sop`` into the row and column axes of ``qubits`` of rho held as (2,)*2n."""
-    n = t.ndim // 2
-    return _apply_tensor(t, sop, qubits + tuple(n + q for q in qubits))
+    return _apply_tensor(t, sop, _sides(qubits, t.ndim // 2))
 
 
 def _damping_superop(params: QubitParams, dur: float) -> np.ndarray:
@@ -251,25 +251,11 @@ def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.n
     damping. Indices run over (row qubits, column qubits) of ``qubits``."""
     k = len(qubits)
     dur = model.dur_2q_ns if k == 2 else model.dur_1q_ns
-    damp = [_damping_superop(model.qubits[q], dur) for q in qubits]
-    if k == 2:
-        # damping on different qubits commutes; (r0 c0)x(r1 c1) -> (r0 r1 c0 c1)
-        pair = [m.reshape(2, 2, 2, 2) for m in damp]
-        damp = [np.einsum("acxz,bdyw->abcdxyzw", *pair).reshape(16, 16)]
+    # damping on different qubits commutes
+    damp = _product([(_damping_superop(model.qubits[q], dur), _sides((i,), k))
+                     for i, q in enumerate(qubits)], 2 * k)
     depol = _superop(depolarizing(model.p2 if k == 2 else model.p1, k))
-    return damp[0] @ depol @ _superop(GATE_MATRICES[name][None])
-
-
-def _block_superop(block: tuple, gate_superops) -> np.ndarray:
-    """The product, in order, of a block's gate superoperators, on the qubits of
-    its last gate. Indices run over (row qubits, column qubits)."""
-    qubits = block[-1][1]
-    k, d = len(qubits), 4 ** len(qubits)
-    t = np.eye(d, dtype=complex).reshape((2,) * (2 * k) + (d,))
-    for (_, gate_qubits), sop in zip(block, gate_superops):
-        local = tuple(qubits.index(q) for q in gate_qubits)
-        t = _apply_tensor(t, sop, local + tuple(k + i for i in local))
-    return t.reshape(d, d)
+    return damp @ depol @ _superop(GATE_MATRICES[name][None])
 
 
 def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
@@ -303,10 +289,12 @@ def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
             for gate in block:
                 if gate not in gate_superops:
                     gate_superops[gate] = _gate_superop(*gate, model)
-    for block in blocks:
-        sops = [gate_superops[gate] for gate in block]
-        sop = sops[0] if len(block) == 1 else _block_superop(block, sops)
-        rho = _apply_superop(rho, sop, tuple(pos[q] for q in block[-1][1]))
+    for block in blocks:  # a block's superoperator acts on its last gate's qubits
+        qubits = block[-1][1]
+        k = len(qubits)
+        sop = gate_superops[block[0]] if len(block) == 1 else _product(
+            [(gate_superops[g], _sides(tuple(map(qubits.index, g[1])), k)) for g in block], 2 * k)
+        rho = _apply_superop(rho, sop, tuple(pos[q] for q in qubits))
     for note in {str(w.message): w.message for w in caught}.values():
         warnings.warn(note, stacklevel=2)
     # summed in the order partial_trace sums a validated (C-ordered) matrix

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,16 +36,6 @@ _PAULI_BASIS = np.array(
     [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])], dtype=complex
 )
 _PAULI_BASIS.setflags(write=False)
-
-
-@lru_cache(maxsize=None)
-def pauli_matrix(pauli: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, qubit 0 leftmost."""
-    m = _PAULI_BASIS[_PAULI_LETTERS.index(pauli[0])]
-    for letter in pauli[1:]:
-        m = np.kron(m, _PAULI_BASIS[_PAULI_LETTERS.index(letter)])
-    m.setflags(write=False)
-    return m
 
 
 class StateVector:
@@ -237,11 +226,6 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.stack([z.real, z.imag], -1)
 
 
-def density_to_json(rho: DensityMatrix) -> dict:
-    """Row-major ``{"n_qubits": k, "entries": [[[re, im], ...], ...]}``."""
-    return {"n_qubits": rho.n_qubits, "entries": _pairs(rho.matrix).tolist()}
-
-
 # The one rule for numbers read from files: a JSON int or float, never a bool,
 # and where a float is meant (``_is_number``) a finite one, so an int must be
 # within float range. Python's json reads NaN and Infinity; RFC 8259 has neither.
@@ -269,23 +253,17 @@ def _read_number(obj: dict, key: str, where: str, error) -> float:
 
 def _read_complex(pairs, what: str, error) -> np.ndarray:
     """A list of [re, im] number pairs as a complex array; anything else raises ``error``.
-
-    The numbers' types are read in one pass. Pairs of floats only, which is
-    what a file written by this package holds, become one float array, checked
-    finite at once and viewed as complex; other numbers are checked one by one.
-    """
-    if isinstance(pairs, list) and all(isinstance(z, list) and len(z) == 2 for z in pairs):
-        if {type(x) for z in pairs for x in z} <= {float}:
-            a = np.array(pairs, dtype=float).reshape(-1, 2)
-            if np.isfinite(a).all():
-                return a.view(complex).reshape(-1)
-        elif all(_is_number(x) for z in pairs for x in z):
-            return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    Every number passes ``_is_number``, then all become one float array viewed as complex."""
+    if isinstance(pairs, list) and all(
+        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in pairs
+    ):
+        return np.array(pairs, dtype=float).reshape(-1, 2).view(complex).reshape(-1)
     raise error(f"{what} must be a list of [re, im] number pairs")
 
 
 def density_from_json(data) -> DensityMatrix:
-    """Inverse of ``density_to_json``; malformed structure raises ``ValueError``."""
+    """A checked state from row-major ``{"n_qubits": k, "entries": rows}``, each of the 2^k
+    rows 2^k [re, im] number pairs; malformed structure raises ``ValueError``."""
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError("density matrix must be a JSON object with an 'entries' list")

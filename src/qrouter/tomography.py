@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import GATE_MATRICES, _is_index
+from .gates import GATE_MATRICES, _is_index, _kron_rows
 from .noise import readout_flip
 from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
 
@@ -84,13 +84,7 @@ def _setting_letters(n: int, settings: list[str] | tuple[str, ...]) -> np.ndarra
 def _rotation_stack(letters: np.ndarray) -> np.ndarray:
     """(S, 2^n, 2^n) basis rotations of checked (S, n) letter rows: row s is
     the kron of row s's single-qubit rotations."""
-    r = _ROTATIONS[letters[:, 0]]
-    for q in range(1, letters.shape[1]):
-        # np.kron of each row's rotations (the same products), batched
-        b = _ROTATIONS[letters[:, q]]
-        d = 2 * r.shape[1]
-        r = (r[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, d, d)
-    return r
+    return _kron_rows(_ROTATIONS, letters)
 
 
 def _setting_probs(rho: DensityMatrix, settings: list[str], p_readout: float) -> np.ndarray:

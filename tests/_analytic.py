@@ -3,13 +3,28 @@
 import numpy as np
 
 from qrouter.gates import GATE_MATRICES, Circuit, apply_circuit, resolve_prep
-from qrouter.qstate import basis_state, pauli_matrix
+from qrouter.qstate import _PAULI_BASIS, _PAULI_LETTERS, _pairs, basis_state
 from qrouter.tomography import TomographyDataset, observables_for
 
 C8 = np.cos(np.pi / 8)
 S8 = np.sin(np.pi / 8)
 PSI_S = np.array([C8, S8], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+
+
+def pauli_matrix(pauli: str) -> np.ndarray:
+    """Reference Pauli string: ``np.kron`` of its letters' ``_PAULI_BASIS`` rows, qubit 0
+    leftmost."""
+    m = _PAULI_BASIS[_PAULI_LETTERS.index(pauli[0])]
+    for letter in pauli[1:]:
+        m = np.kron(m, _PAULI_BASIS[_PAULI_LETTERS.index(letter)])
+    return m
+
+
+def density_to_json(rho):
+    """Row-major ``{"n_qubits": k, "entries": [[[re, im], ...], ...]}``, the block a report
+    holds and ``density_from_json`` reads."""
+    return {"n_qubits": rho.n_qubits, "entries": _pairs(rho.matrix).tolist()}
 
 
 def gate_matrix(kind: str) -> np.ndarray:

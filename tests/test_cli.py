@@ -1089,14 +1089,59 @@ class TestClaims:
         assert [row.test(x) for x in failing] == [False] * len(failing)
         assert row.detail.format(x=passing[0]) == detail
 
+    # each row's rounding would print a number on the other side of its bound
+    EDGES = (0.89996, 0.99504, 0.979996, 0.10004, 1.0000004e-6, 0.0200004)
+
+    @pytest.mark.parametrize("x", EDGES)
+    @pytest.mark.parametrize("row", cli.CLAIMS, ids=lambda row: f"{row.label}-{row.condition}")
+    def test_printed_number_reads_as_the_verdict(self, row, x):
+        printed = row.shown(x).split()[1]
+        assert row.test(float(printed)) == row.test(x), row.shown(x)
+        assert printed in (row.detail.format(x=x).split()[1], repr(x))
+
+    @pytest.mark.parametrize(
+        "label, condition, x, detail",
+        [
+            ("fidelity band", "noisy", 0.89996, "fidelity 0.89996 within noisy band [0.90, 0.995]"),
+            ("fidelity band", "noisy", 0.99504, "fidelity 0.99504 within noisy band [0.90, 0.995]"),
+            ("fidelity band", "noisy", 0.90004, "fidelity 0.9000 within noisy band [0.90, 0.995]"),
+            ("fidelity band", "noiseless", 0.979996, "fidelity 0.979996 >= 0.98 (noiseless)"),
+            ("entanglement generated", "any", 0.10004,
+             "negativity 0.10004 > 0.1 across control|paths"),
+            ("entanglement generated", "any", 0.1, "negativity 0.1000 > 0.1 across control|paths"),
+            ("no spurious entanglement", "exact", 1.0000004e-6,
+             "negativity 1.0000004e-06 <= 1e-06 for classical control"),
+            ("no spurious entanglement", "inexact", 0.0200004,
+             "negativity 0.0200004 <= 0.02 for classical control"),
+            ("no spurious entanglement", "inexact", 0.0199996,
+             "negativity 2.00e-02 <= 0.02 for classical control"),
+        ],
+    )
+    def test_shown_edges(self, label, condition, x, detail):
+        (row,) = [c for c in cli.CLAIMS if (c.label, c.condition) == (label, condition)]
+        assert row.shown(x) == detail
+
+    def test_verify_prints_the_unrounded_number(self, report_path, capsys):
+        run_cli(
+            "run", "--experiment", "router-control1", "--noise", "ibmqx4",
+            "--seed", "2", "--no-timestamps", "--out", report_path,
+        )
+        report = read_json(report_path)
+        report["fidelity"] = 0.89996
+        with open(report_path, "w") as f:
+            json.dump(report, f)
+        assert run_cli("verify", "--report", report_path) == 1
+        out = capsys.readouterr().out
+        assert "FAIL fidelity band: fidelity 0.89996 within noisy band [0.90, 0.995]\n" in out
+
     def test_every_row_applies_to_a_contract_report(self, matrix, monkeypatch, capsys):
         where, runs = matrix
         monkeypatch.chdir(where)
-        rows, applied = cli.CLAIMS, [0] * len(cli.CLAIMS)
+        rows, applied, tested = cli.CLAIMS, [0] * len(cli.CLAIMS), set()
 
         def counted(i, test):
-            def count(x):
-                applied[i] += 1
+            def count(x):  # a row's test also reads back its printed number
+                tested.add(i)
                 return test(x)
             return count
 
@@ -1105,6 +1150,9 @@ class TestClaims:
         for *_, out, code in runs:
             if code == 0:
                 run_cli("verify", "--report", out)
+                for i in tested:
+                    applied[i] += 1
+                tested.clear()
         assert {(row.label, row.condition): n for row, n in zip(rows, applied)} == {
             ("fidelity band", "noisy"): 26,
             ("fidelity band", "noiseless"): 26,

@@ -11,7 +11,6 @@ from qrouter.qstate import (
     _read_complex,
     basis_state,
     density_from_json,
-    density_to_json,
     equal_up_to_global_phase,
     negativity,
     partial_trace,
@@ -21,7 +20,7 @@ from qrouter.qstate import (
     von_neumann_entropy,
 )
 
-from ._analytic import C8, PLUS, PSI_S, S8, psi_f_amplitudes
+from ._analytic import C8, PLUS, PSI_S, S8, density_to_json, psi_f_amplitudes
 
 
 def bell():

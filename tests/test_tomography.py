@@ -9,8 +9,8 @@ import pytest
 
 from qrouter import tomography
 from qrouter.gates import apply_circuit, named_router_circuit
-from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
-from qrouter.qstate import DensityMatrix, StateVector, basis_state, pauli_matrix, to_density
+from qrouter.noise import depolarizing, ibmqx4_model, readout_flip, simulate_noisy
+from qrouter.qstate import _PAULI_BASIS, DensityMatrix, StateVector, basis_state, to_density
 from qrouter.tomography import (
     TomographyDataset,
     _estimator_tables,
@@ -1091,10 +1091,14 @@ class TestFidelity:
 
 
 class TestPauliMatrix:
+    """The one Pauli table, ``_PAULI_BASIS``, and a Pauli string built from its rows."""
+
     def test_single_letters(self):
-        assert np.allclose(pauli_matrix("Z"), np.diag([1, -1]))
-        assert np.allclose(pauli_matrix("Y"), [[0, -1j], [1j, 0]])
+        basis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]
+        assert np.array_equal(_PAULI_BASIS, np.array(basis, dtype=complex))
 
     def test_qubit_zero_is_leftmost(self):
-        zi = pauli_matrix("ZI")
+        # depolarizing's stack is every Pauli string in IXYZ order, I...I first, so row
+        # 4 * 3 + 0 is "ZI"; at p = 1 every row has weight 1/16
+        zi = depolarizing(1.0, 2)[12] * 4
         assert np.allclose(zi, np.diag([1, 1, -1, -1]))

@@ -4,6 +4,8 @@ A rename or deletion under ``src/`` that leaves one of those names dangling
 breaks ``bench/run.py --trace 1``; this test catches it in the main suite.
 """
 
+from qrouter.gates import Circuit
+
 import importlib.util
 from pathlib import Path
 
@@ -25,3 +27,8 @@ def test_every_traced_target_resolves():
     ]
     assert missing == []
     assert not tracing.installed()
+
+
+def test_gate_count_method_resolves():
+    # the tracer's one call outside TARGETS: it counts a circuit's gates with it
+    assert callable(getattr(Circuit, "gate_instructions", None))
