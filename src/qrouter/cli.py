@@ -39,7 +39,6 @@ import datetime
 import functools
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -244,9 +243,8 @@ _kept_states: dict[tuple, tuple] = {}  # least recently used first
 
 
 def _seedless_states(spec: Spec) -> tuple[StateVector, DensityMatrix, DensityMatrix, DensityMatrix]:
-    """``_states(spec)``, kept with the clamping warnings forming them raised for
-    the ``_STATES_KEPT`` keys used last: both circuits, the noise model, the
-    layout and the routed qubit. A kept key raises its warnings again and
+    """``_states(spec)``, kept for the ``_STATES_KEPT`` keys used last: both
+    circuits, the noise model, the layout and the routed qubit. A kept key
     returns the same read-only states, so a run with another seed also reuses
     the Born distributions and the target's square root that they keep. States
     wider than MAX_TOMOGRAPHY_QUBITS (up to 268 MB) are formed on every call."""
@@ -255,17 +253,11 @@ def _seedless_states(spec: Spec) -> tuple[StateVector, DensityMatrix, DensityMat
         return _states(spec)
     key = (circuit.n_qubits, tuple(circuit.instructions), executed.n_qubits,
            tuple(executed.instructions), model, spec.spec.layout, q)  # fmt: skip
-    entry = _kept_states.pop(key, None)
-    if entry is None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            entry = _states(spec), tuple(w.message for w in caught)
-    _kept_states[key] = entry
+    states = _kept_states.pop(key, None) or _states(spec)
+    _kept_states[key] = states
     if len(_kept_states) > _STATES_KEPT:
         del _kept_states[next(iter(_kept_states))]
-    for note in entry[1]:
-        warnings.warn(note, stacklevel=2)
-    return entry[0]
+    return states
 
 
 def run_experiment(args) -> None:

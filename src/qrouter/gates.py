@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import StateVector
+from .qstate import StateVector, _is_int
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -42,20 +42,14 @@ class Instruction(NamedTuple):
     clbits: tuple[int, ...] = ()
 
 
-def _is_index(x) -> bool:
-    """An ``int`` or ``np.integer``, never a ``bool``: what ``serialize`` can
-    write as a register index."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _check_qubits(qubits: tuple, n_qubits: int, measured=()) -> None:
     """Refuse, in this order: a repeated operand, then per operand one that is
-    not an integer (``_is_index``), one outside the register, and one in
+    not an integer (``_is_int``), one outside the register, and one in
     ``measured``."""
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"repeated qubit operand in {qubits}")
     for q in qubits:
-        if not _is_index(q):
+        if not _is_int(q):
             raise ValueError(f"qubit operand {q!r} is not an integer")
         if not 0 <= q < n_qubits:
             raise ValueError(f"qubit {q} out of range for register of {n_qubits}")
@@ -98,7 +92,7 @@ class Circuit:
 
     def __init__(self, n_qubits: int, n_clbits: int = 0, name: str = ""):
         for size in (n_qubits, n_clbits):  # what ``serialize`` can write as ``qreg q[n];``
-            if not _is_index(size):
+            if not _is_int(size):
                 raise ValueError(f"register size {size!r} is not an integer")
         if n_qubits < 0 or n_clbits < 0:
             raise ValueError("register sizes must be nonnegative")
@@ -136,7 +130,7 @@ class Circuit:
                 if len(operands) != 1:
                     raise ValueError(f"measure expects 1 {kind} operand, got {len(operands)}")
             _check_qubits(qubits, self.n_qubits, self._measured)
-            if not _is_index(clbits[0]):
+            if not _is_int(clbits[0]):
                 raise ValueError(f"clbit operand {clbits[0]!r} is not an integer")
             if not 0 <= clbits[0] < self.n_clbits:
                 raise ValueError(f"clbit {clbits[0]} out of range for register of {self.n_clbits}")

@@ -15,8 +15,7 @@ two qubits, and the 1-qubit gates left at the end form one block per qubit. A
 block is one 4^k x 4^k superoperator (k = 1 or 2), the ``gates._product`` of
 its gates' superoperators, as is a gate's damping of its k qubits. Each call
 builds each distinct (gate, qubits) superoperator once and composes the longer
-blocks from those; the T2 > 2*T1 clamping warnings raised while building
-are raised once per message, as the caller's. Nothing is kept between calls,
+blocks from those. Nothing is kept between calls,
 neither channels nor superoperators: ``qrouter run`` keeps the simulated state
 itself (``cli._seedless_states``), so a repeated run does not simulate again,
 and the state keeps its Born distributions and square root.
@@ -42,9 +41,20 @@ from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks, _kron_r
 from .qstate import _PAULI_BASIS, DensityMatrix, _check_qubit_subset, _read_number, _reduced_matrix
 
 
+def _physical_t2(t1_us: float, t2_us: float, stacklevel: int) -> float:
+    """``t2_us``, or 2*T1 with a warning (at the caller's ``stacklevel``) when it
+    exceeds that bound, which no qubit can (Nielsen & Chuang 8.3)."""
+    if t2_us <= 2 * t1_us:
+        return t2_us
+    message = f"T2 = {t2_us} exceeds 2*T1 = {2 * t1_us}; clamping dephasing rate to 0"
+    warnings.warn(message, stacklevel=stacklevel + 1)
+    return 2 * t1_us
+
+
 @dataclass(frozen=True)
 class QubitParams:
-    """Calibration row for one physical qubit (times in microseconds)."""
+    """Calibration row for one physical qubit (times in microseconds). ``t2_us`` is
+    the T2 the model uses: a T2 > 2*T1 is clamped to 2*T1, warning from the line making it."""
 
     t1_us: float
     t2_us: float
@@ -52,6 +62,8 @@ class QubitParams:
     def __post_init__(self):
         if not (self.t1_us > 0 and self.t2_us > 0):  # NaN fails too
             raise ValueError("T1 and T2 must be positive")
+        # the dataclass __init__ stands between this method and the line that makes the row
+        object.__setattr__(self, "t2_us", _physical_t2(self.t1_us, self.t2_us, stacklevel=3))
 
 
 # ibmqx4 calibration table for q[0]..q[4]: T1, T2
@@ -150,19 +162,13 @@ def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
     """Pure dephasing beyond what relaxation already causes.
 
     Dephasing rate is 1/T2 - 1/(2*T1); off-diagonals decay by exp(-t * rate).
-    Unphysical T2 > 2*T1 rows clamp the rate at zero with a warning.
+    An unphysical T2 > 2*T1 is clamped to 2*T1 (rate 0) with a warning.
     """
     if not t_ns >= 0:  # NaN fails too
         raise ValueError("duration must be nonnegative")
     if not (t1_us > 0 and t2_us > 0):
         raise ValueError("T1 and T2 must be positive")
-    rate = 1.0 / t2_us - 1.0 / (2.0 * t1_us)
-    if rate < 0:
-        warnings.warn(
-            f"T2 = {t2_us} exceeds 2*T1 = {2 * t1_us}; clamping dephasing rate to 0",
-            stacklevel=2,
-        )
-        rate = 0.0
+    rate = 1.0 / _physical_t2(t1_us, t2_us, stacklevel=2) - 1.0 / (2.0 * t1_us)
     lam = 1.0 - np.exp(-(t_ns / 1000.0) * rate)
     k0 = np.sqrt(1 - lam) * np.eye(2, dtype=complex)
     k1 = np.sqrt(lam) * np.diag([1, 0]).astype(complex)
@@ -283,20 +289,15 @@ def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
     rho[(0,) * (2 * r)] = 1.0
 
     gate_superops = {}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for block in blocks:
-            for gate in block:
-                if gate not in gate_superops:
-                    gate_superops[gate] = _gate_superop(*gate, model)
     for block in blocks:  # a block's superoperator acts on its last gate's qubits
+        for gate in block:
+            if gate not in gate_superops:
+                gate_superops[gate] = _gate_superop(*gate, model)
         qubits = block[-1][1]
         k = len(qubits)
         sop = gate_superops[block[0]] if len(block) == 1 else _product(
             [(gate_superops[g], _sides(tuple(map(qubits.index, g[1])), k)) for g in block], 2 * k)
         rho = _apply_superop(rho, sop, tuple(pos[q] for q in qubits))
-    for note in {str(w.message): w.message for w in caught}.values():
-        warnings.warn(note, stacklevel=2)
     # summed in the order partial_trace sums a validated (C-ordered) matrix
     rho = np.ascontiguousarray(rho)
     return DensityMatrix(len(keep), _reduced_matrix(rho, [pos[q] for q in keep]))

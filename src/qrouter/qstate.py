@@ -226,11 +226,11 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.stack([z.real, z.imag], -1)
 
 
-# The one rule for numbers read from files: a JSON int or float, never a bool,
-# and where a float is meant (``_is_number``) a finite one, so an int must be
-# within float range. Python's json reads NaN and Infinity; RFC 8259 has neither.
+# The one rule for integers: an int or NumPy integer, never a bool. A number read
+# from a file is one or a float, and where a float is meant (``_is_number``) a
+# finite one, within float range. Python's json reads NaN and Infinity; RFC 8259 has neither.
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

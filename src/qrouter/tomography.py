@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import GATE_MATRICES, _is_index, _kron_rows
+from .gates import GATE_MATRICES, _kron_rows
 from .noise import readout_flip
 from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
 
@@ -260,7 +260,7 @@ class TomographyDataset:
 def _check_shots(shots, n_settings: int) -> None:
     """Shots are a positive integer (never a bool), and since estimation sums
     int64 counts over the settings, their total must fit in one."""
-    if not _is_index(shots) or shots < 1:
+    if not _is_int(shots) or shots < 1:
         raise ValueError(f"shots must be positive and an integer, not {shots!r}")
     if int(shots) * n_settings > np.iinfo(np.int64).max:
         raise ValueError(f"{shots} shots x {n_settings} settings exceed 2^63 - 1 in total")
@@ -268,14 +268,14 @@ def _check_shots(shots, n_settings: int) -> None:
 
 def _check_width(n) -> None:
     """A dataset has 1..MAX_TOMOGRAPHY_QUBITS qubits, the widths ``from_json`` reads back."""
-    if not _is_index(n) or not 1 <= n <= MAX_TOMOGRAPHY_QUBITS:
+    if not _is_int(n) or not 1 <= n <= MAX_TOMOGRAPHY_QUBITS:
         raise ValueError(f"'n_qubits' {n!r} is not in 1..{MAX_TOMOGRAPHY_QUBITS}")
 
 
 def _check_seed(seed) -> None:
     """A master seed is a non-negative integer, never a bool, as ``from_json``
     reads one back."""
-    if not _is_index(seed) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
 
 

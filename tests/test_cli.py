@@ -665,7 +665,7 @@ class TestSpecAndExecute:
         argv = [*self.QASM, "--out", "r.json"]
         _, _, state, _ = cli.execute(self.spec(*argv, "--tomography", "none"))
         cli.execute(self.spec(*argv))
-        (((ideal, target, rho, tomographed), _),) = cli._kept_states.values()
+        ((ideal, target, rho, tomographed),) = cli._kept_states.values()
         assert state is rho is tomographed  # scored without tomography, sampled with it
         # with what they keep: the target's square root and the sampled distributions
         arrays = [ideal.amplitudes, target.matrix, target._sqrt, rho.matrix, rho._probs[1]]
@@ -677,7 +677,7 @@ class TestSpecAndExecute:
         argv = ["--experiment", "router-control0", "--noise", "ibmqx4", "--tomography", "routed",
                 "--out", "r.json"]
         cli.execute(self.spec(*argv, "--seed", "1"))
-        (((_, target, _, _), _),) = cli._kept_states.values()
+        ((_, target, _, _),) = cli._kept_states.values()
         assert target.n_qubits == 1 and target._sqrt is not None
         decomposed = []
         eigh = np.linalg.eigh
@@ -723,6 +723,18 @@ class TestSpecAndExecute:
         monkeypatch.setattr(noise, "simulate_noisy", self.no_state)  # so the next run is a hit
         with pytest.warns(UserWarning, match="clamping dephasing rate"):
             assert run_cli(*argv, "--seed", "2") == 0
+
+    def test_device_files_equal_after_clamping_share_one_entry(self, tmp_path):
+        argv = ["--experiment", "router-control0", "--tomography", "none",
+                "--out", str(tmp_path / "r.json")]
+        results = []
+        for t2 in (30.0, 45.0):  # both past 2*T1 = 20
+            device = tmp_path / f"t2-{t2}.json"
+            device.write_text(json.dumps({"qubits": [{"t1_us": 10.0, "t2_us": t2}] * 3}))
+            with pytest.warns(UserWarning, match="clamping dephasing rate"):
+                results.append(cli.execute(self.spec(*argv, "--noise", str(device))))
+        assert len(cli._kept_states) == 1
+        assert results[0][2] is results[1][2]
 
     def test_spec_fields_cannot_be_assigned(self, tmp_path):
         spec = self.spec("--experiment", "router-control0", "--out", str(tmp_path / "r.json"))
@@ -1120,6 +1132,11 @@ class TestClaims:
     def test_shown_edges(self, label, condition, x, detail):
         (row,) = [c for c in cli.CLAIMS if (c.label, c.condition) == (label, condition)]
         assert row.shown(x) == detail
+
+    @pytest.mark.parametrize("row", cli.CLAIMS, ids=lambda row: f"{row.label}-{row.condition}")
+    def test_sentence_is_the_papers_words(self, row):
+        paper = (Path(__file__).resolve().parents[1] / "PAPER.md").read_text()
+        assert row.sentence in paper
 
     def test_verify_prints_the_unrounded_number(self, report_path, capsys):
         run_cli(

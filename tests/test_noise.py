@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -75,6 +76,19 @@ class TestDeviceTable:
     def test_rejects_nan_times(self, t1, t2):
         with pytest.raises(ValueError, match="T1 and T2 must be positive"):
             QubitParams(t1_us=t1, t2_us=t2)
+
+    def test_unphysical_t2_is_clamped_with_one_warning_from_the_calling_line(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            row = QubitParams(10.0, 30.0)
+            at_bound = QubitParams(10.0, 20.0)  # kept, and no warning
+        assert row.t2_us == 20.0 and row == at_bound
+        assert [str(w.message) for w in caught] == [
+            "T2 = 30.0 exceeds 2*T1 = 20.0; clamping dephasing rate to 0"
+        ]
+        assert caught[0].category is UserWarning
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
 class TestNoiseModel:
@@ -486,49 +500,59 @@ class TestFusedSimulator:
             assert np.max(np.abs(fused - reference)) <= 1e-12, label
 
     def test_unphysical_t2_still_warns(self):
-        model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
+        # where the row is made; neither simulation warns again
+        with pytest.warns(UserWarning, match="clamping dephasing rate"):
+            model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
         c = Circuit(2).add("h", 0).add("cx", 0, 1)
-        with pytest.warns(UserWarning, match="clamping dephasing rate"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rho = simulate_noisy(c, model)
-        with pytest.warns(UserWarning, match="clamping dephasing rate"):
             reference = per_kraus_reference(c, model)
         assert np.max(np.abs(rho.matrix - reference.matrix)) <= 1e-12
 
-    def test_unphysical_t2_warns_on_every_call(self):
-        model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
-        c = Circuit(2).add("h", 0).add("cx", 0, 1)
-        runs = []
-        for _ in range(2):
-            with pytest.warns(UserWarning, match="clamping dephasing rate"):
-                runs.append(simulate_noisy(c, model).matrix)
-        assert np.array_equal(*runs)
-        # a trailing block on the unphysical qubit warns on every call too, also
-        # when that qubit is traced out
-        c.add("t", 0)
-        for _ in range(2):
-            with pytest.warns(UserWarning, match="clamping dephasing rate"):
-                rho = simulate_noisy(c, model, keep=[1])
-        assert rho.n_qubits == 1
-        # a circuit that never touches the unphysical qubit does not warn, even
-        # when it keeps that qubit
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            simulate_noisy(Circuit(2).add("x", 1), model)
+    def test_unphysical_t2_warns_once_per_row_not_per_call(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
+            assert len(caught) == 1
+            c = Circuit(2).add("h", 0).add("cx", 0, 1)
+            runs = [simulate_noisy(c, model).matrix for _ in range(2)]
+            # a trailing block on the clamped qubit, also when that qubit is traced out
+            c.add("t", 0)
+            rho = simulate_noisy(c, model, keep=[1])
             simulate_noisy(Circuit(2).add("x", 1), model, keep=[0, 1])
+        assert len(caught) == 1
+        assert np.array_equal(*runs) and rho.n_qubits == 1
 
-    def test_one_clamping_warning_per_call_from_the_caller(self):
-        model = NoiseModel(qubits=(QubitParams(10.0, 30.0), QubitParams(35.2, 38.1)))
-        # six gates in three blocks (two CNOTs and a trailing one) touch the unphysical qubit 0
-        c = Circuit(2).add("h", 0).add("t", 0).add("cx", 0, 1).add("x", 0).add("cx", 1, 0)
-        c.add("s", 0)
-        for _ in range(2):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+    def test_one_clamping_warning_per_row_from_the_line_that_makes_it(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            rows = (QubitParams(10.0, 30.0), QubitParams(35.2, 38.1), QubitParams(20.0, 41.0))
+            model = NoiseModel(qubits=rows)
+            # six gates in three blocks (two CNOTs and a trailing one) touch the clamped qubit 0
+            c = Circuit(3).add("h", 0).add("t", 0).add("cx", 0, 1).add("x", 0).add("cx", 1, 0)
+            c.add("s", 0).add("cx", 2, 1)
+            for _ in range(2):
                 simulate_noisy(c, model)
-            assert [str(w.message) for w in caught] == [
-                "T2 = 30.0 exceeds 2*T1 = 20.0; clamping dephasing rate to 0"
-            ]
-            assert caught[0].category is UserWarning and caught[0].filename == __file__
+                per_kraus_reference(c, model)
+        assert [str(w.message) for w in caught] == [
+            "T2 = 30.0 exceeds 2*T1 = 20.0; clamping dephasing rate to 0",
+            "T2 = 41.0 exceeds 2*T1 = 40.0; clamping dephasing rate to 0",
+        ]
+        for w in caught:
+            assert w.category is UserWarning and (w.filename, w.lineno) == (__file__, line)
+
+    def test_unphysical_row_simulates_as_the_row_at_the_bound(self):
+        rng = np.random.default_rng(34)
+        bound = NoiseModel(qubits=(QubitParams(10.0, 20.0), *IBMQX4_QUBITS[1:4]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clamping warning is pinned above
+            clamped = NoiseModel(qubits=(QubitParams(10.0, 30.0), *IBMQX4_QUBITS[1:4]))
+            for _ in range(5):
+                c = random_circuit(rng, 4, 20)
+                assert np.array_equal(simulate_noisy(c, clamped).matrix,
+                                      simulate_noisy(c, bound).matrix)
 
     def test_models_share_no_superoperators(self):
         models = [ibmqx4_model(), SECOND_MODEL, ibmqx4_model(p1=2e-3), ibmqx4_model()]

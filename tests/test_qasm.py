@@ -14,6 +14,7 @@ from qrouter.gates import (
 from qrouter.qasm import (
     IBMQX4_COUPLING,
     CouplingMap,
+    CouplingMapError,
     DuplicateRegisterError,
     IndexOutOfRangeError,
     MissingHeaderError,
@@ -354,6 +355,20 @@ class TestCouplingMap:
     def test_dict_with_tuple_edges(self):
         cmap = coupling_map_from_json({"n_qubits": 2, "edges": [(1, 0)]})
         assert cmap == CouplingMap(2, frozenset({(1, 0)}))
+
+    @pytest.mark.parametrize(
+        "n, edge, accepted",
+        [(np.int64(2), (1, 0), True), (2, (np.int64(1), 0), True),
+         (True, (1, 0), False), (2, (True, 0), False)],
+        ids=["int64-n_qubits", "int64-edge", "bool-n_qubits", "bool-edge"],
+    )
+    def test_dict_integers_are_ints_or_numpy_integers_never_bools(self, n, edge, accepted):
+        data = {"n_qubits": n, "edges": [edge]}
+        if accepted:
+            assert coupling_map_from_json(data) == CouplingMap(2, frozenset({(1, 0)}))
+        else:
+            with pytest.raises(CouplingMapError, match="integer"):
+                coupling_map_from_json(data)
 
 
 class TestTranspile:
