@@ -6,24 +6,26 @@ Subcommands:
   verify       re-check a report's invariants and the paper's claims (``CLAIMS``)
 
 Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error, 3 unroutable
-circuit, and for ``verify`` 1 when any check fails. A malformed device file,
-coupling map or report exits 2: a coupling map of no qubits, and any value
-that should be a number and is not one (``true``, ``false``, a numeric string,
-or where a float is meant ``NaN``, ``Infinity`` or an int past float range)
-included. An invalid ``reconstructed`` density matrix exits 2 in ``emit-figure``
-and is a failed check (1) in ``verify``. ``verify`` recomputes the fidelity
-(and, unless the report is of routed tomography, the negativity and the control
-entropy) from ``reconstructed`` and ``ideal_state``; a stored value that differs
-by more than 1e-9 is a failed check, and an ``ideal_state`` that is not a
-normalised state of matching size exits 2.
+circuit, and for ``verify`` 1 when any check fails. An input file that is not
+UTF-8 text, or JSON nested past the decoder's depth, exits 2. So does a
+malformed device file, coupling map or report: a coupling map of no qubits, and
+any value that should be a number and is not one (``true``, ``false``, a
+numeric string, or where a float is meant ``NaN``, ``Infinity`` or an int past
+float range) included. An invalid ``reconstructed`` density matrix exits 2 in
+``emit-figure`` and is a failed check (1) in ``verify``. ``verify`` recomputes
+the fidelity (and, unless the report is of routed tomography, the negativity
+and the control entropy) from ``reconstructed`` and ``ideal_state``; a stored
+value that differs by more than 1e-9 is a failed check, and an ``ideal_state``
+that is not a normalised state of matching size exits 2.
 ``spec_from_args`` reads ``run``'s arguments, and the files they name, into a
 checked ``Spec``. It rejects (exit 1) a circuit of no qubits (a QASM program
-with no ``qreg``), an executed register wider than 12 qubits, full tomography
-of more than 6, routed tomography of an experiment with no routed qubit, a
-counts file that is the report file, a circuit wider than its coupling map, a
-``--layout`` that is not a list of integers in ASCII digits, and, with no
-``--layout``, a circuit of more qubits than ``DEFAULT_LAYOUT`` places or a map
-too small for the default layout's first entries, before any state is formed.
+with no ``qreg``), an executed register wider than 12 qubits or than the device
+model, full tomography of more than 6, routed tomography of an experiment with
+no routed qubit, a counts file that is the report file, a circuit wider than
+its coupling map, a ``--layout`` that is not a list of integers in ASCII digits
+or that ``qstate._check_qubits`` refuses, and, with no ``--layout``, a circuit
+of more qubits than ``DEFAULT_LAYOUT`` places or a map too small for the
+default layout's first entries, before any state is formed.
 ``execute`` simulates, samples and scores a ``Spec`` with no I/O, and
 ``run_experiment`` writes its counts file (compact JSON on one line) and report.
 The states that a run's seed does not change are kept for the next runs of the
@@ -172,10 +174,15 @@ def spec_from_args(args) -> Spec:
 
     if args.layout and not args.transpile:
         raise SpecError("--layout applies only together with --transpile")
-    cmap = qasm.get_coupling_map(args.transpile) if args.transpile else None
+    cmap = qasm.IBMQX4_COUPLING if args.transpile == "ibmqx4" else None
+    if args.transpile and cmap is None:
+        with open(args.transpile) as f:
+            cmap = qasm.coupling_map_from_json(f.read())
     width = circuit.n_qubits if cmap is None else cmap.n_qubits
     if width > MAX_QUBITS:
         raise SpecError(f"executed register of {width} qubits; at most {MAX_QUBITS} are simulated")
+    if model is not None and len(model.qubits) < width:
+        raise SpecError(f"model calibrates {len(model.qubits)} qubits, circuit needs {width}")
     if args.tomography == "full" and circuit.n_qubits > MAX_TOMOGRAPHY_QUBITS:
         raise SpecError(
             f"tomography of {circuit.n_qubits} qubits; at most {MAX_TOMOGRAPHY_QUBITS} are run"
@@ -523,6 +530,8 @@ def main(argv=None) -> int:
     except (
         OSError,
         json.JSONDecodeError,
+        UnicodeDecodeError,  # an input file that is not UTF-8 text; a ValueError, so listed here
+        RecursionError,  # JSON nested past the decoder's depth; no qrouter code recurses
         qasm.QasmError,
         qasm.CouplingMapError,
         noise_mod.DeviceFileError,

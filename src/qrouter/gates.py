@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import StateVector, _is_int
+from .qstate import StateVector, _check_qubits, _is_int
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -42,21 +42,6 @@ class Instruction(NamedTuple):
     clbits: tuple[int, ...] = ()
 
 
-def _check_qubits(qubits: tuple, n_qubits: int, measured=()) -> None:
-    """Refuse, in this order: a repeated operand, then per operand one that is
-    not an integer (``_is_int``), one outside the register, and one in
-    ``measured``."""
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"repeated qubit operand in {qubits}")
-    for q in qubits:
-        if not _is_int(q):
-            raise ValueError(f"qubit operand {q!r} is not an integer")
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit {q} out of range for register of {n_qubits}")
-        if q in measured:
-            raise ValueError(f"qubit {q} was already measured")
-
-
 def _check_gate(n_qubits: int, gate: str, qubits: tuple, measured=()) -> None:
     """Refuse an unknown gate, then a wrong number of operands, then what
     ``_check_qubits`` refuses."""
@@ -84,10 +69,10 @@ class Circuit:
 
     Built by appending, then treated as immutable: simulators and the
     serializer never modify a circuit. Measurement is terminal; adding a gate
-    on an already-measured qubit raises. ``append`` states the rule of each
-    instruction kind, and ``measure`` and ``barrier`` hand it theirs. Each
-    (register size, gate, operands) is checked once per process, by ``_gate``,
-    and its immutable instruction is shared by every circuit that adds it.
+    on an already-measured qubit raises. ``append`` states each kind's rule
+    (qubits: ``qstate._check_qubits``); ``measure`` and ``barrier`` hand it
+    theirs. Each (register size, gate, operands) is checked once per process,
+    by ``_gate``, and its immutable instruction is shared by every circuit.
     """
 
     def __init__(self, n_qubits: int, n_clbits: int = 0, name: str = ""):
@@ -304,8 +289,7 @@ def _append_toffoli(c: Circuit, ctrl1: int, ctrl2: int, target: int):
 
 def append_fredkin(c: Circuit, control: int, a: int, b: int) -> Circuit:
     """Append a controlled-swap of ``a`` and ``b`` (control ``control``)."""
-    if len({control, a, b}) != 3:
-        raise ValueError("controlled-swap needs three distinct qubits")
+    _check_qubits((control, a, b), c.n_qubits)  # before any gate is added
     c.add("cx", b, a)
     _append_toffoli(c, control, a, b)
     c.add("cx", b, a)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks, _kron_rows, _product
-from .qstate import _PAULI_BASIS, DensityMatrix, _check_qubit_subset, _read_number, _reduced_matrix
+from .qstate import _PAULI_BASIS, DensityMatrix, _check_qubits, _read_number, _reduced_matrix
 
 
 def _physical_t2(t1_us: float, t2_us: float, stacklevel: int) -> float:
@@ -267,12 +267,12 @@ def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.n
 def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
     """Density-matrix run of ``c`` from |0...0> under ``model``, reduced to ``keep``.
 
-    As in ``partial_trace``, new qubit i is circuit qubit ``keep[i]``; the
-    default keeps every qubit in order. Only the qubits that a gate touches or
-    ``keep`` names are simulated: an untouched qubit gets no gate and no noise,
-    so it stays |0> and is never formed. The model must calibrate at least as
-    many qubits as the circuit has. Barriers are ignored; measurement belongs
-    to the tomography layer.
+    As in ``partial_trace``, ``keep`` is checked and new qubit i is circuit qubit
+    ``keep[i]``; the default keeps every qubit in order. Only the qubits that a
+    gate touches or ``keep`` names are simulated: an untouched qubit gets no gate
+    and no noise, so it stays |0> and is never formed. The model must calibrate
+    at least as many qubits as the circuit has. Barriers are ignored;
+    measurement belongs to the tomography layer.
     """
     n = c.n_qubits
     if len(model.qubits) < n:
@@ -280,7 +280,9 @@ def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:
             f"model calibrates {len(model.qubits)} qubits, circuit needs {n}"
         )
     keep = list(range(n)) if keep is None else list(keep)
-    _check_qubit_subset(keep, n, "keep set")
+    _check_qubits(keep, n)
+    if not keep:
+        raise ValueError("keep set must be nonempty")
     blocks = list(_fused_blocks(c.unitary_gates()))
     register = sorted({q for block in blocks for q in block[-1][1]}.union(keep))
     pos = {q: i for i, q in enumerate(register)}

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .gates import GATE_ARITY, GATE_MATRICES, Circuit, Instruction
-from .qstate import _is_int
+from .qstate import _check_qubits, _is_int
 
 
 class QasmError(Exception):
@@ -296,13 +296,6 @@ def coupling_map_from_json(data) -> CouplingMap:
     return CouplingMap(n, frozenset(tuple(e) for e in edges))
 
 
-def get_coupling_map(name_or_path: str) -> CouplingMap:
-    if name_or_path == "ibmqx4":
-        return IBMQX4_COUPLING
-    with open(name_or_path) as f:
-        return coupling_map_from_json(f.read())
-
-
 def transpile(c: Circuit, cmap: CouplingMap) -> Circuit:
     """Legalize CNOT directions against ``cmap``.
 
@@ -333,12 +326,11 @@ def transpile(c: Circuit, cmap: CouplingMap) -> Circuit:
 
 
 def apply_layout(c: Circuit, layout, n_qubits: int) -> Circuit:
-    """Relabel logical qubit i to physical qubit ``layout[i]`` on a larger register."""
+    """Relabel logical qubit i to physical qubit ``layout[i]`` (``_check_qubits``'s rule)."""
     layout = list(layout)
     if len(layout) != c.n_qubits:
         raise ValueError(f"layout must list {c.n_qubits} physical qubits")
-    if len(set(layout)) != len(layout) or any(not 0 <= q < n_qubits for q in layout):
-        raise ValueError("layout entries must be distinct and within the device")
+    _check_qubits(layout, n_qubits)
     out = Circuit(n_qubits, c.n_clbits, name=c.name)
     for instr in c.instructions:
         out.append(Instruction(instr.name, tuple([layout[q] for q in instr.qubits]), instr.clbits))

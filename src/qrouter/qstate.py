@@ -142,19 +142,23 @@ def to_density(psi: StateVector) -> DensityMatrix:
     return DensityMatrix._trusted(psi.n_qubits, m)
 
 
-def _check_qubit_subset(qubits, n: int, what: str):
-    qs = sorted(set(qubits))
-    if len(qs) != len(list(qubits)):
-        raise ValueError(f"{what} contains repeated qubit indices")
-    if not qs:
-        raise ValueError(f"{what} must be nonempty")
-    if qs[0] < 0 or qs[-1] >= n:
-        raise ValueError(f"{what} references qubits outside 0..{n - 1}")
-    return qs
+def _check_qubits(qubits, n_qubits: int, measured=()) -> None:
+    """The one rule of the qubits an operation names: gate operands, keep sets, cut
+    sides, layouts. Refuse, in this order: a repeat, then per qubit a non-integer
+    (``_is_int``), one outside the register, and one in ``measured``."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit operand in {qubits}")
+    for q in qubits:
+        if not _is_int(q):
+            raise ValueError(f"qubit operand {q!r} is not an integer")
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"qubit {q} out of range for register of {n_qubits}")
+        if q in measured:
+            raise ValueError(f"qubit {q} was already measured")
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the ``keep`` qubits, in the order given.
+    """Reduced state on the nonempty ``keep`` qubits (``_check_qubits``'s rule), in order.
 
     New qubit i is old qubit ``keep[i]``, so a sorted ``keep`` retains
     ascending index order and an unsorted one also permutes the qubits. A
@@ -162,7 +166,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     state of a checked state is not checked again.
     """
     keep = list(keep)
-    _check_qubit_subset(keep, rho.n_qubits, "keep set")
+    _check_qubits(keep, rho.n_qubits)
+    if not keep:
+        raise ValueError("keep set must be nonempty")
     t = rho.matrix.reshape((2,) * (2 * rho.n_qubits))
     return DensityMatrix._trusted(len(keep), _reduced_matrix(t, keep))
 
@@ -197,13 +203,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def negativity(rho: DensityMatrix, part_a, part_b) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over ``part_a``.
 
-    ``part_a`` and ``part_b`` must partition the qubits disjointly; 0 for any
-    state that is a product across the cut.
+    The nonempty sides ``part_a + part_b`` pass ``_check_qubits`` and cover every
+    qubit; 0 for any state that is a product across the cut.
     """
     n = rho.n_qubits
-    a = _check_qubit_subset(part_a, n, "part_a")
-    b = _check_qubit_subset(part_b, n, "part_b")
-    if set(a) & set(b) or len(a) + len(b) != n:
+    a, b = list(part_a), list(part_b)
+    _check_qubits(a + b, n)
+    if not a or not b or len(a) + len(b) != n:
         raise ValueError("partition must cover all qubits disjointly")
     t = rho.matrix.reshape((2,) * (2 * n))
     axes = list(range(2 * n))

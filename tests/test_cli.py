@@ -335,11 +335,16 @@ class TestRun:
              "the circuit has no qubits: a QASM program needs a 'qreg'"),
             (["--qasm", "{tmp}/noqreg.qasm", "--tomography", "none"],
              "the circuit has no qubits: a QASM program needs a 'qreg'"),
+            (["--experiment", "router-control0", "--noise", "{tmp}/dev1.json"],
+             "model calibrates 1 qubits, circuit needs 3"),
+            (["--experiment", "router-control0", "--transpile", "ibmqx4", "--layout", "2,2,1"],
+             "repeated qubit operand in [2, 2, 1]"),
         ],
         ids=["no-shots", "unknown-experiment", "measure", "default-layout-4q",
              "default-layout-5q", "layout-not-integers", "layout-arabic-indic-digits",
              "layout-underscore", "default-layout-2q-map", "default-layout-1q-map",
-             "no-qreg", "no-qreg-transpiled", "no-qreg-no-tomography"],
+             "no-qreg", "no-qreg-transpiled", "no-qreg-no-tomography", "device-narrower",
+             "layout-repeated"],
     )
     def test_spec_error_exit_1_before_any_state(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -358,6 +363,7 @@ class TestRun:
             "noqreg.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\n',
             "map2.json": '{"n_qubits": 2, "edges": [[1, 0]]}',
             "map1.json": '{"n_qubits": 1, "edges": []}',
+            "dev1.json": '{"qubits": [{"t1_us": 35.2, "t2_us": 38.1}]}',
         }
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
@@ -1246,6 +1252,34 @@ class TestEmitFigure:
                        "--out", str(csv_path)) == 2
         assert message in capsys.readouterr().err
         assert not csv_path.exists()
+
+
+INPUT_FILE_COMMANDS = {
+    "run-qasm": ("run", "--qasm", "{file}", "--out", "{tmp}/r.json"),
+    "run-noise": ("run", "--experiment", "router-control0", "--noise", "{file}",
+                  "--out", "{tmp}/r.json"),
+    "run-transpile": ("run", "--experiment", "router-control0", "--transpile", "{file}",
+                      "--out", "{tmp}/r.json"),
+    "verify": ("verify", "--report", "{file}"),
+    "emit-figure": ("emit-figure", "--report", "{file}", "--part", "real",
+                    "--out", "{tmp}/fig.csv"),
+}
+UNREADABLE_FILES = {"not-utf8": b'\xff\xfe{"n_qubits": 1}', "nested": b"[" * 200_000}
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE_FILES))
+@pytest.mark.parametrize("command", sorted(INPUT_FILE_COMMANDS))
+def test_undecodable_or_too_nested_file_exit_2(tmp_path, capsys, command, fault):
+    """An input file that is not UTF-8 text, or JSON nested past the decoder's
+    depth, exits 2 with one error line: not 1, which ``verify`` gives a failed
+    check, and no traceback. The command writes no file."""
+    path = tmp_path / "input"
+    path.write_bytes(UNREADABLE_FILES[fault])
+    argv = [arg.format(file=path, tmp=tmp_path) for arg in INPUT_FILE_COMMANDS[command]]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["input"]
 
 
 def test_fuzzed_reports_exit_cleanly(tmp_path, report_path):

@@ -418,8 +418,18 @@ class TestSimulateNoisy:
             with pytest.raises(ValueError, match=message):
                 simulate_noisy(Circuit(6).add("h", 0), ibmqx4_model(), keep)
 
-    @pytest.mark.parametrize("keep", [[0, 0], [], [5], [-1], [2, 0, 2]])
-    def test_keep_checked_as_partial_trace_checks_it(self, keep):
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            ([0, 0], "repeated qubit operand in [0, 0]"),
+            ([], "keep set must be nonempty"),
+            ([5], "qubit 5 out of range for register of 5"),
+            ([-1], "qubit -1 out of range for register of 5"),
+            ([2, 0, 2], "repeated qubit operand in [2, 0, 2]"),
+        ],
+        ids=["repeat", "empty", "past-register", "negative", "repeat-of-three"],
+    )
+    def test_keep_checked_as_partial_trace_checks_it(self, keep, message):
         c = transpile(
             apply_layout(named_router_circuit("router-control1"), (2, 0, 1), 5),
             IBMQX4_COUPLING,
@@ -429,7 +439,7 @@ class TestSimulateNoisy:
         with pytest.raises(ValueError) as got:
             simulate_noisy(c, ibmqx4_model(), keep)
         assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith("keep set ")
+        assert str(got.value) == message
 
 
 def per_kraus_reference(c, model):

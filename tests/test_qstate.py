@@ -5,6 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from qrouter.gates import Circuit, append_fredkin
+from qrouter.noise import ibmqx4_model, simulate_noisy
+from qrouter.qasm import apply_layout
 from qrouter.qstate import (
     DensityMatrix,
     StateVector,
@@ -406,6 +409,48 @@ class TestNegativity:
             negativity(rho, [0], [0, 1])
         with pytest.raises(ValueError):
             negativity(rho, [0], [])
+
+
+RHO3 = to_density(basis_state(3, 0))
+
+
+class TestQubitListRule:
+    """Every list of qubits that an operation names, in a register of 3, is
+    refused by ``qstate._check_qubits`` in its words. A repeat names the list as
+    the entry point passes it on: a gate's operand tuple, a cut's two sides
+    joined, a controlled-swap's three qubits."""
+
+    BAD_QUBITS = {
+        "float": ([1.0], "qubit operand 1.0 is not an integer"),
+        "bool": ([True], "qubit operand True is not an integer"),
+        "np.True_": ([np.True_], f"qubit operand {np.True_!r} is not an integer"),
+        "str": (["0"], "qubit operand '0' is not an integer"),
+        "None": ([None], "qubit operand None is not an integer"),
+        "repeat": ([1, 1], "repeated qubit operand in {operands}"),
+        "past-register": ([3], "qubit 3 out of range for register of 3"),
+        "negative": ([-1], "qubit -1 out of range for register of 3"),
+    }
+    # (call on the bad qubits, the list it checks)
+    CALLS = {
+        "Circuit.add": (lambda qs: Circuit(3).add(("h", "cx")[len(qs) - 1], *qs), tuple),
+        "append_fredkin": (lambda qs: append_fredkin(Circuit(3), *([0, 2] + qs)[-3:]),
+                           lambda qs: tuple(([0, 2] + qs)[-3:])),
+        "partial_trace": (lambda qs: partial_trace(RHO3, qs), list),
+        "negativity-part_a": (lambda qs: negativity(RHO3, qs, [0, 2]), lambda qs: qs + [0, 2]),
+        "negativity-part_b": (lambda qs: negativity(RHO3, [0, 2], qs), lambda qs: [0, 2] + qs),
+        "simulate_noisy-keep": (lambda qs: simulate_noisy(Circuit(3), ibmqx4_model(), qs), list),
+        "apply_layout": (lambda qs: apply_layout(Circuit(len(qs)), qs, 3), list),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_QUBITS))
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_one_rule_and_its_words(self, entry, bad):
+        call, checked = self.CALLS[entry]
+        qubits, message = self.BAD_QUBITS[bad]
+        with pytest.raises(ValueError) as err:
+            call(qubits)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message.format(operands=checked(qubits))
 
 
 class TestGlobalPhase:
