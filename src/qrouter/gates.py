@@ -212,7 +212,9 @@ def _kron_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def embed_gate(u: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
     """Dense 2^n x 2^n lift of a k-qubit operator: the tensor kernel's reference."""
-    return _product([(u, tuple(qubits))], n_qubits)
+    qubits = tuple(qubits)
+    _check_qubits(qubits, n_qubits)
+    return _product([(u, qubits)], n_qubits)
 
 
 def _fused_blocks(gates):

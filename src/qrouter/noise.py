@@ -6,10 +6,12 @@ each touched qubit using that qubit's T1/T2. At the error magnitudes modeled
 here the ordering is below any test tolerance, but it is pinned so runs are
 reproducible.
 
-A channel is its Kraus operators as one complex (k, d, d) stack, checked
-where it is made (``_kraus``). The simulator folds that sequence into one
-superoperator per gate, the product, in the pinned order, of K (x) K* summed
-over each stage's stack (Nielsen & Chuang 8.2), and applies gates in
+Each noisy gate is one superoperator on row-major vec(rho), the product in
+the pinned order of closed forms (Nielsen & Chuang 8.3): the unitary U (x) U*,
+depolarizing (1 - p) I + (p/d) |vec I><vec I|, and each qubit's damping. The
+Kraus stacks of those channels are the tests' oracle (``tests/_analytic.py``);
+``apply_channel`` still takes a channel as a checked (k, d, d) Kraus stack
+(``_kraus``). The simulator applies gates in
 ``gates._fused_blocks``: each CNOT absorbs the 1-qubit gates pending on its
 two qubits, and the 1-qubit gates left at the end form one block per qubit. A
 block is one 4^k x 4^k superoperator (k = 1 or 2), the ``gates._product`` of
@@ -30,15 +32,14 @@ after every step.
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks, _kron_rows, _product
-from .qstate import _PAULI_BASIS, DensityMatrix, _check_qubits, _read_number, _reduced_matrix
+from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks, _product
+from .qstate import DensityMatrix, _check_qubits, _read_number, _reduced_matrix
 
 
 def _physical_t2(t1_us: float, t2_us: float, stacklevel: int) -> float:
@@ -146,53 +147,11 @@ def _kraus(operators) -> np.ndarray:
     return ops
 
 
-def amplitude_damping(t_ns: float, t1_us: float) -> np.ndarray:
-    """Zero-temperature relaxation over ``t_ns`` with lifetime ``t1_us``."""
-    if not t_ns >= 0:  # NaN fails too
-        raise ValueError("duration must be nonnegative")
-    if not t1_us > 0:
-        raise ValueError("T1 must be positive")
-    gamma = 1.0 - np.exp(-(t_ns / 1000.0) / t1_us)
-    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    return _kraus([k0, k1])
-
-
-def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
-    """Pure dephasing beyond what relaxation already causes.
-
-    Dephasing rate is 1/T2 - 1/(2*T1); off-diagonals decay by exp(-t * rate).
-    An unphysical T2 > 2*T1 is clamped to 2*T1 (rate 0) with a warning.
-    """
-    if not t_ns >= 0:  # NaN fails too
-        raise ValueError("duration must be nonnegative")
-    if not (t1_us > 0 and t2_us > 0):
-        raise ValueError("T1 and T2 must be positive")
-    rate = 1.0 / _physical_t2(t1_us, t2_us, stacklevel=2) - 1.0 / (2.0 * t1_us)
-    lam = 1.0 - np.exp(-(t_ns / 1000.0) * rate)
-    k0 = np.sqrt(1 - lam) * np.eye(2, dtype=complex)
-    k1 = np.sqrt(lam) * np.diag([1, 0]).astype(complex)
-    k2 = np.sqrt(lam) * np.diag([0, 1]).astype(complex)
-    return _kraus([k0, k1, k2])
-
-
-def depolarizing(p: float, n_qubits: int) -> np.ndarray:
-    """rho -> (1 - p) rho + p I/2^n on ``n_qubits`` in {1, 2}, by weighted Pauli strings."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    if n_qubits not in (1, 2):
-        raise ValueError("depolarizing channel supports 1 or 2 qubits")
-    d4 = 4**n_qubits
-    ops = _kron_rows(_PAULI_BASIS, np.array(list(itertools.product(range(4), repeat=n_qubits))))
-    ops[0] *= np.sqrt(1.0 - p + p / d4)
-    ops[1:] *= np.sqrt(p / d4)
-    return _kraus(ops)
-
-
 def apply_channel(rho: DensityMatrix, ops, qubits) -> DensityMatrix:
     """Apply the channel of Kraus operators ``ops`` on the listed qubits of a larger register."""
     ops = _kraus(ops)
     qubits = tuple(qubits)
+    _check_qubits(qubits, rho.n_qubits)
     dim = ops.shape[1]
     if dim != 2 ** len(qubits):
         raise ValueError(f"channel acts on {dim} dimensions but got {len(qubits)} qubits")
@@ -245,23 +204,26 @@ def _apply_superop(t: np.ndarray, sop: np.ndarray, qubits: tuple[int, ...]) -> n
     return _apply_tensor(t, sop, _sides(qubits, t.ndim // 2))
 
 
-def _damping_superop(params: QubitParams, dur: float) -> np.ndarray:
-    """Amplitude then phase damping of one qubit over ``dur`` ns (4x4)."""
-    ad = amplitude_damping(dur, params.t1_us)
-    pd = phase_damping(dur, params.t1_us, params.t2_us)
-    return _superop(pd) @ _superop(ad)
-
-
 def _gate_superop(name: str, qubits: tuple[int, ...], model: NoiseModel) -> np.ndarray:
-    """One noisy gate in the pinned order: unitary, depolarizing, then each qubit's
-    damping. Indices run over (row qubits, column qubits) of ``qubits``."""
-    k = len(qubits)
-    dur = model.dur_2q_ns if k == 2 else model.dur_1q_ns
-    # damping on different qubits commutes
-    damp = _product([(_damping_superop(model.qubits[q], dur), _sides((i,), k))
-                     for i, q in enumerate(qubits)], 2 * k)
-    depol = _superop(depolarizing(model.p2 if k == 2 else model.p1, k))
-    return damp @ depol @ _superop(GATE_MATRICES[name][None])
+    """One noisy gate in closed form, in the pinned order: the unitary U (x) U*,
+    depolarizing (1 - p) I + (p/d) |vec I><vec I|, then each qubit's amplitude and
+    phase damping (Nielsen & Chuang 8.3). Indices run over (row qubits, column
+    qubits) of ``qubits``."""
+    k, d = len(qubits), 2 ** len(qubits)
+    t_us = (model.dur_2q_ns if k == 2 else model.dur_1q_ns) / 1000.0
+    p = model.p2 if k == 2 else model.p1
+    vec_i = np.eye(d).reshape(-1)
+    depol = (1.0 - p) * np.eye(d * d) + (p / d) * np.outer(vec_i, vec_i)
+    damps = []  # damping on different qubits commutes
+    for i, q in enumerate(qubits):
+        t1, t2 = model.qubits[q].t1_us, model.qubits[q].t2_us
+        gamma = 1.0 - np.exp(-t_us / t1)
+        lam = 1.0 - np.exp(-t_us * (1.0 / t2 - 1.0 / (2.0 * t1)))
+        c = np.sqrt(1.0 - gamma) * (1.0 - lam)
+        damp = np.array([[1, 0, 0, gamma], [0, c, 0, 0], [0, 0, c, 0], [0, 0, 0, 1 - gamma]])
+        damps.append((damp, _sides((i,), k)))
+    u = GATE_MATRICES[name]
+    return _product(damps, 2 * k) @ depol @ np.kron(u, u.conj())
 
 
 def simulate_noisy(c: Circuit, model: NoiseModel, keep=None) -> DensityMatrix:

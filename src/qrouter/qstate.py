@@ -143,9 +143,11 @@ def to_density(psi: StateVector) -> DensityMatrix:
 
 
 def _check_qubits(qubits, n_qubits: int, measured=()) -> None:
-    """The one rule of the qubits an operation names: gate operands, keep sets, cut
-    sides, layouts. Refuse, in this order: a repeat, then per qubit a non-integer
-    (``_is_int``), one outside the register, and one in ``measured``."""
+    """The one rule of the qubits an operation names (gate operands, keep sets, cut
+    sides, layouts, permutations, a lift's or a channel's qubits), checked before
+    any reaches ``gates._axis_orders``, whose cache keys by value (``True == 1.0 == 1``).
+    Refuse, in this order: a repeat, then per qubit a non-integer (``_is_int``),
+    one outside the register, and one in ``measured``."""
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"repeated qubit operand in {qubits}")
     for q in qubits:
@@ -186,7 +188,8 @@ def permute_qubits(rho: DensityMatrix, order) -> DensityMatrix:
     """Relabel qubits so that new qubit i is old qubit ``order[i]``."""
     n = rho.n_qubits
     order = list(order)
-    if sorted(order) != list(range(n)):
+    _check_qubits(order, n)
+    if len(order) != n:
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
     t = rho.matrix.reshape((2,) * (2 * n))
     axes = order + [n + q for q in order]

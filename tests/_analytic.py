@@ -1,8 +1,11 @@
 """Closed-form reference states and reference implementations shared by the test modules."""
 
+import itertools
+
 import numpy as np
 
-from qrouter.gates import GATE_MATRICES, Circuit, apply_circuit, resolve_prep
+from qrouter.gates import GATE_MATRICES, Circuit, _kron_rows, apply_circuit, resolve_prep
+from qrouter.noise import _kraus, _physical_t2
 from qrouter.qstate import _PAULI_BASIS, _PAULI_LETTERS, _pairs, basis_state
 from qrouter.tomography import TomographyDataset, observables_for
 
@@ -185,3 +188,50 @@ def gate_by_gate_unitary(c):
     for instr in c.unitary_gates():
         u = tensordot_apply(u, GATE_MATRICES[instr.name], instr.qubits)
     return u.reshape(dim, dim)
+
+
+# The Kraus stacks of the channels that ``noise._gate_superop`` writes in closed form,
+# checked by ``noise._kraus``: the oracle its superoperators are tested against.
+
+
+def amplitude_damping(t_ns: float, t1_us: float) -> np.ndarray:
+    """Zero-temperature relaxation over ``t_ns`` with lifetime ``t1_us``."""
+    if not t_ns >= 0:  # NaN fails too
+        raise ValueError("duration must be nonnegative")
+    if not t1_us > 0:
+        raise ValueError("T1 must be positive")
+    gamma = 1.0 - np.exp(-(t_ns / 1000.0) / t1_us)
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
+    return _kraus([k0, k1])
+
+
+def phase_damping(t_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
+    """Pure dephasing beyond what relaxation already causes.
+
+    Dephasing rate is 1/T2 - 1/(2*T1); off-diagonals decay by exp(-t * rate).
+    An unphysical T2 > 2*T1 is clamped to 2*T1 (rate 0) with a warning.
+    """
+    if not t_ns >= 0:  # NaN fails too
+        raise ValueError("duration must be nonnegative")
+    if not (t1_us > 0 and t2_us > 0):
+        raise ValueError("T1 and T2 must be positive")
+    rate = 1.0 / _physical_t2(t1_us, t2_us, stacklevel=2) - 1.0 / (2.0 * t1_us)
+    lam = 1.0 - np.exp(-(t_ns / 1000.0) * rate)
+    k0 = np.sqrt(1 - lam) * np.eye(2, dtype=complex)
+    k1 = np.sqrt(lam) * np.diag([1, 0]).astype(complex)
+    k2 = np.sqrt(lam) * np.diag([0, 1]).astype(complex)
+    return _kraus([k0, k1, k2])
+
+
+def depolarizing(p: float, n_qubits: int) -> np.ndarray:
+    """rho -> (1 - p) rho + p I/2^n on ``n_qubits`` in {1, 2}, by weighted Pauli strings."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    if n_qubits not in (1, 2):
+        raise ValueError("depolarizing channel supports 1 or 2 qubits")
+    d4 = 4**n_qubits
+    ops = _kron_rows(_PAULI_BASIS, np.array(list(itertools.product(range(4), repeat=n_qubits))))
+    ops[0] *= np.sqrt(1.0 - p + p / d4)
+    ops[1:] *= np.sqrt(p / d4)
+    return _kraus(ops)

@@ -22,6 +22,12 @@ exits 1 when the contract is broken: a file missing or extra, a counts file
 whose sha256 differs, a report number more than ``TOL`` from the manifest's,
 or a changed verdict. ``tests/test_output_contract.py`` holds the suite to the
 same rule.
+
+The manifest also records, under the key ``ENVIRONMENT``, which is not a file,
+the Python and numpy versions and the BLAS that the files were written under:
+counts follow the last bit of the simulated state, which another numpy or
+BLAS may round differently. When any file differs, the command prints that
+record beside the running environment's.
 """
 
 from __future__ import annotations
@@ -33,8 +39,11 @@ import io
 import itertools
 import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from qrouter.cli import main as qrouter
 from qrouter.gates import ROUTER_EXPERIMENTS
@@ -43,6 +52,15 @@ MANIFEST = Path(__file__).resolve().with_name("output_contract.json")
 SEED = 7
 NUMBERS = ("fidelity", "negativity", "entropy_control_bits")
 TOL = 1e-12  # report numbers may round differently under another numpy or BLAS
+ENVIRONMENT = "environment"
+
+
+def environment() -> dict:
+    """The Python and numpy versions, and the BLAS numpy was built with where its
+    build configuration names one (``None`` otherwise)."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name")}
 
 
 def configurations():
@@ -102,7 +120,7 @@ def differences(found: dict, manifest: dict) -> list[tuple[str, bool]]:
     and for each report whose verdicts differ from its entry's, and whether
     it breaks the contract (see the module docstring)."""
     lines = []
-    for name in sorted(found.keys() | manifest.keys()):
+    for name in sorted((found.keys() | manifest.keys()) - {ENVIRONMENT}):
         got, want = found.get(name), manifest.get(name)
         if got is None or want is None:
             lines.append((f"{name}: {'missing' if got is None else 'not in the manifest'}", True))
@@ -133,13 +151,16 @@ def main(argv=None) -> int:
     for name, entry in sorted(found.items()):
         print(f"{entry['sha256']}  {name}")
     if args.write_manifest:
-        MANIFEST.write_text(json.dumps(found, indent=2, sort_keys=True) + "\n")
+        record = {**found, ENVIRONMENT: environment()}
+        MANIFEST.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {len(found)} entries to {MANIFEST}")
         return 0
     manifest = json.loads(MANIFEST.read_text())
     lines = differences(found, manifest)
     for line, broken in lines:
         print(("BROKEN " if broken else "moved ") + line)
+    if lines:
+        print(f"manifest written under {manifest.get(ENVIRONMENT)}; running under {environment()}")
     same = sum(manifest.get(name, {}).get("sha256") == e["sha256"] for name, e in found.items())
     print(f"{len(found)} files, {same} sha256-identical to the manifest")
     return 1 if any(broken for _, broken in lines) else 0

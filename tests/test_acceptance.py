@@ -1,9 +1,12 @@
 """End-to-end acceptance suite; prints one PASS/FAIL line per criterion."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qrouter.gates import (
+    GATE_ARITY,
     Circuit,
     apply_circuit,
     circuit_unitary,
@@ -11,13 +14,7 @@ from qrouter.gates import (
     named_router_circuit,
     router_circuit,
 )
-from qrouter.noise import (
-    amplitude_damping,
-    depolarizing,
-    ibmqx4_model,
-    phase_damping,
-    simulate_noisy,
-)
+from qrouter.noise import _gate_superop, ibmqx4_model, simulate_noisy
 from qrouter.qasm import IBMQX4_COUPLING, parse, serialize, transpile
 from qrouter.qstate import (
     basis_state,
@@ -34,7 +31,17 @@ from qrouter.tomography import (
     reconstruct,
 )
 
-from ._analytic import C8, PLUS, PSI_S, exact_expectations, prep_state, psi_f_amplitudes
+from ._analytic import (
+    C8,
+    PLUS,
+    PSI_S,
+    amplitude_damping,
+    depolarizing,
+    exact_expectations,
+    phase_damping,
+    prep_state,
+    psi_f_amplitudes,
+)
 
 EXPERIMENTS = ["router-superposition", "router-control0", "router-control1"]
 
@@ -289,6 +296,19 @@ def test_criterion_9_channel_physicality():
         for ch in channels
     )
 
+    # what the simulator builds: every noisy gate the ibmqx4 model can run, in closed
+    # form, is trace-preserving (<vec I| S = <vec I|) with a PSD Choi matrix
+    model = ibmqx4_model()
+    worst_sop_tp, lowest_choi = 0.0, np.inf
+    for name, k in GATE_ARITY.items():
+        for qubits in itertools.permutations(range(len(model.qubits)), k):
+            sop, d = _gate_superop(name, qubits, model), 2**k
+            vec_i = np.eye(d).reshape(-1)
+            worst_sop_tp = max(worst_sop_tp, np.max(np.abs(vec_i @ sop - vec_i)))
+            # S[(a, b), (c, d)] is Choi entry [(c, a), (d, b)]
+            choi = sop.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+            lowest_choi = min(lowest_choi, np.linalg.eigvalsh(choi)[0])
+
     rng = np.random.default_rng(55)
     zero = ibmqx4_model(p1=0.0, p2=0.0, p_readout=0.0, dur_1q_ns=0.0, dur_2q_ns=0.0)
     worst_eq = 0.0
@@ -305,7 +325,9 @@ def test_criterion_9_channel_physicality():
 
     report(
         "criterion 9 (channel physicality)",
-        worst_tp <= 1e-9 and worst_eq <= 1e-9,
+        max(worst_tp, worst_sop_tp, worst_eq) <= 1e-9 and lowest_choi >= -1e-9,
         f"trace-preservation deviation {worst_tp:.2e} <= 1e-9; "
+        f"gate superoperators: trace-preservation deviation {worst_sop_tp:.2e} <= 1e-9, "
+        f"lowest Choi eigenvalue {lowest_choi:.2e} >= -1e-9; "
         f"zero-noise vs pure simulation deviation {worst_eq:.2e} <= 1e-9",
     )

@@ -21,12 +21,9 @@ from qrouter.noise import (
     IBMQX4_QUBITS,
     NoiseModel,
     QubitParams,
-    amplitude_damping,
     apply_channel,
-    depolarizing,
     ibmqx4_model,
     noise_model_from_json,
-    phase_damping,
     readout_flip,
     simulate_noisy,
 )
@@ -40,6 +37,8 @@ from qrouter.qstate import (
     to_density,
 )
 from qrouter.tomography import fidelity
+
+from ._analytic import amplitude_damping, depolarizing, phase_damping
 
 
 def zero_model(**kw):
@@ -499,6 +498,75 @@ SECOND_MODEL = NoiseModel(
     dur_1q_ns=55.0,
     dur_2q_ns=650.0,
 )
+
+
+def kraus_oracle(name, qubits, model):
+    """``noise._superop`` of each stage's Kraus stack, lifted to the gate's qubits by
+    ``embed_gate``, multiplied in the pinned order: the gate, depolarizing, then
+    amplitude and phase damping of each qubit."""
+    k = len(qubits)
+    dur = model.dur_2q_ns if k == 2 else model.dur_1q_ns
+    stages = [GATE_MATRICES[name][None], depolarizing(model.p2 if k == 2 else model.p1, k)]
+    for i, q in enumerate(qubits):
+        t1, t2 = model.qubits[q].t1_us, model.qubits[q].t2_us
+        for ch in (amplitude_damping(dur, t1), phase_damping(dur, t1, t2)):
+            stages.append(np.array([embed_gate(op, (i,), k) for op in ch]))
+    sop = np.eye(4**k)
+    for ch in stages:
+        sop = noise._superop(ch) @ sop
+    return sop
+
+
+def placements(n):
+    """Every (gate, qubits) that a circuit on n qubits can hold."""
+    return [(name, qubits) for name, k in sorted(GATE_ARITY.items())
+            for qubits in itertools.permutations(range(n), k)]
+
+
+class TestClosedFormGates:
+    """``noise._gate_superop`` writes each noisy gate in closed form; the Kraus stacks
+    of ``tests/_analytic.py`` are its oracle."""
+
+    # Each entry on either side is a short sum of products of numbers in [0, 1], a few
+    # roundings each; 8 ulps of 1 bounds them (the ibmqx4 placements differ by 1.5 ulps).
+    TOL = 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("model", [ibmqx4_model(), SECOND_MODEL], ids=["ibmqx4", "second"])
+    def test_every_placement_matches_the_kraus_oracle(self, model):
+        for name, qubits in placements(5):
+            sop = noise._gate_superop(name, qubits, model)
+            oracle = kraus_oracle(name, qubits, model)
+            assert np.max(np.abs(sop - oracle)) <= self.TOL, (name, qubits)
+
+    def test_random_calibrations_match_the_kraus_oracle(self):
+        rng = np.random.default_rng(36)
+        gates = placements(2)
+        for _ in range(200):
+            t1 = rng.uniform(5.0, 120.0, size=2)
+            rows = tuple(QubitParams(a, b) for a, b in zip(t1, t1 * rng.uniform(0.1, 2.0, 2)))
+            p1, p2 = rng.uniform(0.0, 1.0, size=2)
+            dur_1q, dur_2q = rng.uniform(0.0, 5000.0, size=2)
+            model = NoiseModel(rows, p1=p1, p2=p2, dur_1q_ns=dur_1q, dur_2q_ns=dur_2q)
+            name, qubits = gates[rng.integers(len(gates))]
+            sop = noise._gate_superop(name, qubits, model)
+            assert np.max(np.abs(sop - kraus_oracle(name, qubits, model))) <= self.TOL, model
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(p1=0.0, p2=0.0), dict(p1=1.0, p2=1.0), dict(dur_1q_ns=0.0, dur_2q_ns=0.0),
+         dict(p1=0.0, p2=0.0, dur_1q_ns=0.0, dur_2q_ns=0.0)],
+        ids=["p-0", "p-1", "duration-0", "noiseless"],
+    )
+    def test_edges_match_the_kraus_oracle(self, fields):
+        with pytest.warns(UserWarning, match="clamping dephasing rate"):
+            clamped = QubitParams(10.0, 30.0)  # T2 = 2*T1 after clamping, so lambda = 0
+        model = NoiseModel((clamped, IBMQX4_QUBITS[4]), **fields)
+        for name, qubits in placements(2):
+            sop = noise._gate_superop(name, qubits, model)
+            assert np.max(np.abs(sop - kraus_oracle(name, qubits, model))) <= self.TOL
+            if model.p1 == model.dur_1q_ns == 0.0:  # only the unitary is left
+                u = GATE_MATRICES[name]
+                assert np.max(np.abs(sop - np.kron(u, u.conj()))) <= self.TOL
 
 
 class TestFusedSimulator:

@@ -12,7 +12,16 @@ from pathlib import Path
 import qrouter
 from qrouter.cli import main as qrouter_main
 
-from .output_contract import MANIFEST, TOL, configurations, differences, entries
+from . import output_contract
+from .output_contract import (
+    ENVIRONMENT,
+    MANIFEST,
+    TOL,
+    configurations,
+    differences,
+    entries,
+    environment,
+)
 
 ROUTED_ERROR = "error: routed-qubit tomography applies only to router-control0/control1\n"
 
@@ -53,6 +62,28 @@ def test_fresh_processes_write_the_bytes_of_warm_caches(matrix, tmp_path, monkey
             assert (tmp_path / name / file).read_bytes() == (where / file).read_bytes(), name
 
 
+def test_manifest_records_where_it_was_written():
+    recorded = json.loads(MANIFEST.read_text())[ENVIRONMENT]
+    assert sorted(recorded) == ["blas", "numpy", "python"]
+    assert all(isinstance(value, str) and value for value in recorded.values()), recorded
+    assert sorted(environment()) == sorted(recorded)
+
+
+def test_a_difference_prints_both_environments(tmp_path, monkeypatch, capsys):
+    manifest = json.loads(MANIFEST.read_text())
+    name = "router-control1_ibmqx4_transpiled_full.counts.json"
+    manifest[name] = {"sha256": "0" * 64}
+    tampered = tmp_path / "output_contract.json"
+    tampered.write_text(json.dumps(manifest))
+    monkeypatch.setattr(output_contract, "MANIFEST", tampered)
+    monkeypatch.chdir(tmp_path)
+    assert output_contract.main([str(tmp_path / "files")]) == 1
+    out = capsys.readouterr().out
+    assert f"BROKEN {name}: counts differ" in out
+    assert (f"manifest written under {manifest[ENVIRONMENT]}; running under {environment()}"
+            in out)
+
+
 def test_what_breaks_the_contract():
     report = {"sha256": "a", "fidelity": 0.9, "negativity": 0.1, "entropy_control_bits": 0.5}
     counts = {"sha256": "c"}
@@ -62,6 +93,8 @@ def test_what_breaks_the_contract():
         return differences({"r.json": {**report, **changed}, "r.counts.json": counts}, manifest)
 
     assert report_lines() == []
+    recorded = {ENVIRONMENT: {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas"}}
+    assert differences({"r.json": report, "r.counts.json": counts}, {**manifest, **recorded}) == []
     assert report_lines(sha256="b", fidelity=0.9 + TOL / 2) == [
         (f"r.json: bytes differ; fidelity {TOL / 2:+.3g} (now {0.9 + TOL / 2!r})", False)
     ]

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from qrouter.gates import Circuit, append_fredkin
-from qrouter.noise import ibmqx4_model, simulate_noisy
+from qrouter import gates
+from qrouter.gates import Circuit, append_fredkin, apply_circuit, embed_gate
+from qrouter.noise import apply_channel, ibmqx4_model, simulate_noisy
 from qrouter.qasm import apply_layout
 from qrouter.qstate import (
     DensityMatrix,
@@ -418,7 +419,7 @@ class TestQubitListRule:
     """Every list of qubits that an operation names, in a register of 3, is
     refused by ``qstate._check_qubits`` in its words. A repeat names the list as
     the entry point passes it on: a gate's operand tuple, a cut's two sides
-    joined, a controlled-swap's three qubits."""
+    joined, a controlled-swap's three qubits, a permutation."""
 
     BAD_QUBITS = {
         "float": ([1.0], "qubit operand 1.0 is not an integer"),
@@ -440,6 +441,10 @@ class TestQubitListRule:
         "negativity-part_b": (lambda qs: negativity(RHO3, [0, 2], qs), lambda qs: [0, 2] + qs),
         "simulate_noisy-keep": (lambda qs: simulate_noisy(Circuit(3), ibmqx4_model(), qs), list),
         "apply_layout": (lambda qs: apply_layout(Circuit(len(qs)), qs, 3), list),
+        "embed_gate": (lambda qs: embed_gate(np.eye(2 ** len(qs)), qs, 3), tuple),
+        "apply_channel": (lambda qs: apply_channel(RHO3, np.eye(2 ** len(qs))[None], qs), tuple),
+        "permute_qubits": (lambda qs: permute_qubits(RHO3, ([0, 2] + qs)[-3:]),
+                           lambda qs: ([0, 2] + qs)[-3:]),
     }
 
     @pytest.mark.parametrize("bad", sorted(BAD_QUBITS))
@@ -451,6 +456,31 @@ class TestQubitListRule:
             call(qubits)
         assert type(err.value) is ValueError
         assert str(err.value) == message.format(operands=checked(qubits))
+
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("entry", ["embed_gate", "apply_channel", "permute_qubits"])
+    def test_a_refused_qubit_leaves_its_placement_working(self, entry, bad):
+        """A refused list never reaches ``gates._axis_orders``, whose cache keys by
+        value, where ``True == 1 == 1.0``: the valid call of the same placement
+        still gives its result after the refusal."""
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        rho = to_density(tensor_product(bell(), basis_state(1, 1)))
+        lift = np.kron(np.kron(np.eye(2), x), np.eye(2))  # x on qubit 1 of 3
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        call, expected = {
+            "embed_gate": (lambda q: embed_gate(x, (q,), 3), lift),
+            "apply_channel": (lambda q: apply_channel(rho, x[None], [q]).matrix,
+                              lift @ rho.matrix @ lift),
+            "permute_qubits": (lambda q: permute_qubits(partial_trace(rho, [1, 2]), [q, 0]).matrix,
+                               swap @ partial_trace(rho, [1, 2]).matrix @ swap),
+        }[entry]
+        gates._axis_orders.cache_clear()  # so the refused call would fill the entry
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(bad)
+        assert np.max(np.abs(call(1) - expected)) <= 1e-15
+        if entry == "embed_gate":  # the same (ndim, qubits) key, reached by a circuit
+            out = apply_circuit(Circuit(4).add("x", 1), basis_state(4, 0))
+            assert np.array_equal(out.amplitudes, basis_state(4, 0b0100).amplitudes)
 
 
 class TestGlobalPhase:

@@ -9,7 +9,7 @@ import pytest
 
 from qrouter import tomography
 from qrouter.gates import apply_circuit, named_router_circuit
-from qrouter.noise import depolarizing, ibmqx4_model, readout_flip, simulate_noisy
+from qrouter.noise import ibmqx4_model, readout_flip, simulate_noisy
 from qrouter.qstate import _PAULI_BASIS, DensityMatrix, StateVector, basis_state, to_density
 from qrouter.tomography import (
     TomographyDataset,
@@ -36,6 +36,7 @@ from ._analytic import (
     PSI_S,
     basis_probs,
     counts_dataset,
+    depolarizing,
     exact_expectations,
     loop_estimator_tables,
     loop_expectation,
