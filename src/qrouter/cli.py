@@ -6,17 +6,19 @@ Subcommands:
   verify       re-check a report's invariants and the paper's claims (``CLAIMS``)
 
 Exit codes: 0 success, 1 invalid spec, 2 I/O or parse error, 3 unroutable
-circuit, and for ``verify`` 1 when any check fails. An input file that is not
-UTF-8 text, or JSON nested past the decoder's depth, exits 2. So does a
-malformed device file, coupling map or report: a coupling map of no qubits, and
-any value that should be a number and is not one (``true``, ``false``, a
-numeric string, or where a float is meant ``NaN``, ``Infinity`` or an int past
-float range) included. An invalid ``reconstructed`` density matrix exits 2 in
-``emit-figure`` and is a failed check (1) in ``verify``. ``verify`` recomputes
-the fidelity (and, unless the report is of routed tomography, the negativity
-and the control entropy) from ``reconstructed`` and ``ideal_state``; a stored
-value that differs by more than 1e-9 is a failed check, and an ``ideal_state``
-that is not a normalised state of matching size exits 2.
+circuit, and for ``verify`` 1 when any check fails. ``_read_input`` reads every
+input file: one that is not UTF-8 text, or JSON truncated or nested past the
+decoder's depth, exits 2 with the file's path in the message. So does a
+malformed device file, coupling map or report (``InputError``): a coupling map
+of no qubits, and any value that should be a number and is not one (``true``,
+``false``, a numeric string, or where a float is meant ``NaN``, ``Infinity`` or
+an int past float range) included. An invalid ``reconstructed`` density matrix
+exits 2 in ``emit-figure`` and is a failed check (1) in ``verify``. ``verify``
+recomputes the fidelity (and, unless the report is of routed tomography, the
+negativity and the control entropy) from ``reconstructed`` and ``ideal_state``;
+a stored value that differs by more than 1e-9 is a failed check, and an
+``ideal_state`` that is not a normalised state of matching size, or of no
+qubits, exits 2.
 ``spec_from_args`` reads ``run``'s arguments, and the files they name, into a
 checked ``Spec``. It rejects (exit 1) a circuit of no qubits (a QASM program
 with no ``qreg``), an executed register wider than 12 qubits or than the device
@@ -51,6 +53,7 @@ from . import qasm, tomography
 from .gates import ROUTER_EXPERIMENTS, Circuit, apply_circuit, named_router_circuit
 from .qstate import (
     DensityMatrix,
+    InputError,
     StateVector,
     _pairs,
     _read_complex,
@@ -72,10 +75,6 @@ MAX_QUBITS = 12  # widest executed register: its density matrix is 4^12 complex 
 
 class SpecError(Exception):
     """Invalid experiment specification (exit code 1)."""
-
-
-class ReportError(ValueError):
-    """A report file that does not have the expected structure (exit code 2)."""
 
 
 # the qubit that carries the signal in each classically controlled router
@@ -156,13 +155,11 @@ def spec_from_args(args) -> Spec:
             )
         circuit = named_router_circuit(args.experiment)
     else:
-        with open(args.qasm) as f:
-            circuit = qasm.parse(f.read())
+        circuit = _read_input(args.qasm, qasm.parse)
         circuit.name = Path(args.qasm).stem
     model = noise_mod.ibmqx4_model() if args.noise == "ibmqx4" else None
     if args.noise not in (None, "none", "ibmqx4"):
-        with open(args.noise) as f:
-            model = noise_mod.noise_model_from_json(f.read())
+        model = noise_mod.noise_model_from_json(_read_input(args.noise))
     if args.shots < 1:
         raise SpecError("shots must be positive")
     if args.seed < 0:
@@ -176,8 +173,7 @@ def spec_from_args(args) -> Spec:
         raise SpecError("--layout applies only together with --transpile")
     cmap = qasm.IBMQX4_COUPLING if args.transpile == "ibmqx4" else None
     if args.transpile and cmap is None:
-        with open(args.transpile) as f:
-            cmap = qasm.coupling_map_from_json(f.read())
+        cmap = qasm.coupling_map_from_json(_read_input(args.transpile))
     width = circuit.n_qubits if cmap is None else cmap.n_qubits
     if width > MAX_QUBITS:
         raise SpecError(f"executed register of {width} qubits; at most {MAX_QUBITS} are simulated")
@@ -382,26 +378,37 @@ def _scores(rho: DensityMatrix, target: DensityMatrix, whole: DensityMatrix | No
     return scores
 
 
+def _read_input(path: str, decode: Callable = json.loads):
+    """``decode`` of the UTF-8 text of the file at ``path``; text that is not UTF-8, or
+    JSON that is malformed or too deep to decode, raises ``InputError`` naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return decode(f.read())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise InputError(f"{path}: {e}") from None
+
+
 def _load_report(path: str) -> dict:
     """A report that is a JSON object with a non-null 'reconstructed' entry."""
-    with open(path) as f:
-        report = json.load(f)
+    report = _read_input(path)
     if not isinstance(report, dict):
-        raise ReportError("report must be a JSON object")
+        raise InputError("report must be a JSON object")
     if report.get("reconstructed") is None:
-        raise ReportError("report has no 'reconstructed'")
+        raise InputError("report has no 'reconstructed'")
     return report
 
 
 def _report_ideal(report: dict) -> DensityMatrix:
     """The report's 'ideal_state' amplitude pairs as a density matrix."""
-    amps = _read_complex(report.get("ideal_state"), "report 'ideal_state'", ReportError)
+    amps = _read_complex(report.get("ideal_state"), "report 'ideal_state'")
     if not amps.size or amps.size & (amps.size - 1):
-        raise ReportError(f"report 'ideal_state' holds {amps.size} amplitudes, not a power of 2")
+        raise InputError(f"report 'ideal_state' holds {amps.size} amplitudes, not a power of 2")
+    if amps.size == 1:
+        raise InputError("report 'ideal_state' holds 1 amplitude: a state needs at least one qubit")
     try:
         return to_density(StateVector(amps.size.bit_length() - 1, amps))
     except ValueError as e:
-        raise ReportError(f"report 'ideal_state': {e}") from None
+        raise InputError(f"report 'ideal_state': {e}") from None
 
 
 def emit_figure(args) -> None:
@@ -409,7 +416,7 @@ def emit_figure(args) -> None:
     try:
         rho = density_from_json(report["reconstructed"])
     except ValueError as e:
-        raise ReportError(f"report 'reconstructed': {e}") from None
+        raise InputError(f"report 'reconstructed': {e}") from None
     part = np.real(rho.matrix) if args.part == "real" else np.imag(rho.matrix)
     labels = [f"|{format(i, f'0{rho.n_qubits}b')}>" for i in range(rho.dim)]
     with open(args.out, "w", newline="") as f:
@@ -422,16 +429,16 @@ def emit_figure(args) -> None:
 def verify(args) -> int:
     report = _load_report(args.report)
     keys = ("fidelity", "negativity", "entropy_control_bits")
-    stored = {key: _read_number(report, key, "report", ReportError) for key in keys}
+    stored = {key: _read_number(report, key, "report") for key in keys}
     fid = stored["fidelity"]
     spec = report.get("spec", {})
     if not isinstance(spec, dict):
-        raise ReportError("report 'spec' must be an object")
+        raise InputError("report 'spec' must be an object")
     fields = {"name": "custom", "noise": "none", "tomography": ""}
     for key, default in fields.items():
         value = fields[key] = spec.get(key, default)
         if not isinstance(value, str):
-            raise ReportError(f"report spec {key!r} is not a string: {value!r}")
+            raise InputError(f"report spec {key!r} is not a string: {value!r}")
     name = fields["name"]
     ideal = _report_ideal(report)
     checks: list[tuple[str, bool, str]] = []
@@ -447,11 +454,11 @@ def verify(args) -> int:
     if fields["tomography"] == "routed":
         q = _ROUTED_QUBIT.get(name)
         if q is None or q >= ideal.n_qubits:
-            raise ReportError(f"routed report of {name!r} has no routed qubit")
+            raise InputError(f"routed report of {name!r} has no routed qubit")
         # a routed report does not store the executed state, so only its fidelity is recomputed
         target, whole = partial_trace(ideal, [q]), None
     if target.dim != rho.dim:
-        raise ReportError(
+        raise InputError(
             f"report 'ideal_state' gives {target.n_qubits} scored qubits, "
             f"'reconstructed' has {rho.n_qubits}"
         )
@@ -527,16 +534,7 @@ def main(argv=None) -> int:
     except qasm.UnroutableCnotError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (
-        OSError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,  # an input file that is not UTF-8 text; a ValueError, so listed here
-        RecursionError,  # JSON nested past the decoder's depth; no qrouter code recurses
-        qasm.QasmError,
-        qasm.CouplingMapError,
-        noise_mod.DeviceFileError,
-        ReportError,
-    ) as e:
+    except (OSError, qasm.QasmError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SpecError, ValueError) as e:

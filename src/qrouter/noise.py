@@ -32,14 +32,13 @@ after every step.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import GATE_MATRICES, Circuit, _apply_tensor, _fused_blocks, _product
-from .qstate import DensityMatrix, _check_qubits, _read_number, _reduced_matrix
+from .qstate import DensityMatrix, InputError, _check_qubits, _read_number, _reduced_matrix
 
 
 def _physical_t2(t1_us: float, t2_us: float, stacklevel: int) -> float:
@@ -105,28 +104,22 @@ def ibmqx4_model(**overrides) -> NoiseModel:
     return NoiseModel(qubits=IBMQX4_QUBITS, **overrides)
 
 
-class DeviceFileError(ValueError):
-    """A device file that does not have the expected structure."""
-
-
 def noise_model_from_json(data) -> NoiseModel:
-    """Load a device file; unspecified fields fall back to the preset defaults."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    """A decoded device file; unspecified fields fall back to the preset defaults."""
     if not isinstance(data, dict):
-        raise DeviceFileError("device file must be a JSON object")
+        raise InputError("device file must be a JSON object")
     rows = data.get("qubits")
     if not isinstance(rows, list):
-        raise DeviceFileError("device file needs a 'qubits' list")
+        raise InputError("device file needs a 'qubits' list")
     qubits = []
     for i, row in enumerate(rows):
         where = f"device file qubits[{i}]"
         if not isinstance(row, dict):
-            raise DeviceFileError(f"{where} must be an object")
-        t1, t2 = (_read_number(row, key, where, DeviceFileError) for key in ("t1_us", "t2_us"))
+            raise InputError(f"{where} must be an object")
+        t1, t2 = (_read_number(row, key, where) for key in ("t1_us", "t2_us"))
         qubits.append(QubitParams(t1, t2))
     kwargs = {
-        key: _read_number(data, key, "device file", DeviceFileError)
+        key: _read_number(data, key, "device file")
         for key in ("p1", "p2", "p_readout", "dur_1q_ns", "dur_2q_ns")
         if key in data
     }

@@ -12,12 +12,11 @@ a circuit of gates alone; every other source is read, or rejected, by ``_read``.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 from .gates import GATE_ARITY, GATE_MATRICES, Circuit, Instruction
-from .qstate import _check_qubits, _is_int
+from .qstate import InputError, _check_qubits, _is_int
 
 
 class QasmError(Exception):
@@ -274,25 +273,19 @@ IBMQX4_COUPLING = CouplingMap(
 )
 
 
-class CouplingMapError(ValueError):
-    """A coupling-map file that does not have the expected structure."""
-
-
 def coupling_map_from_json(data) -> CouplingMap:
-    """Load ``{"n_qubits": n, "edges": [[c, t], ...]}`` (dict or JSON text)."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    """The map of a decoded ``{"n_qubits": n, "edges": [[c, t], ...]}``."""
     if not isinstance(data, dict):
-        raise CouplingMapError("coupling map must be a JSON object")
+        raise InputError("coupling map must be a JSON object")
     n = data.get("n_qubits")
     if not (_is_int(n) and n >= 1):
-        raise CouplingMapError(f"coupling map needs a positive integer 'n_qubits', not {n!r}")
+        raise InputError(f"coupling map needs a positive integer 'n_qubits', not {n!r}")
     edges = data.get("edges")
     if not isinstance(edges, (list, tuple)):
-        raise CouplingMapError("coupling map needs an 'edges' list")
+        raise InputError("coupling map needs an 'edges' list")
     for i, edge in enumerate(edges):
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(map(_is_int, edge))):
-            raise CouplingMapError(f"coupling map edges[{i}] is not a pair of integers: {edge!r}")
+            raise InputError(f"coupling map edges[{i}] is not a pair of integers: {edge!r}")
     return CouplingMap(n, frozenset(tuple(e) for e in edges))
 
 

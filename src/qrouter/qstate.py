@@ -248,26 +248,30 @@ def _is_number(x) -> bool:
     return _is_int(x) and abs(x) <= sys.float_info.max
 
 
-def _read_number(obj: dict, key: str, where: str, error) -> float:
-    """``obj[key]`` as a finite float; a missing key or a non-number raises ``error``,
-    the caller's."""
+class InputError(ValueError):
+    """Decoded outside input (a report, device file, coupling map or counts file)
+    that does not have the expected structure; ``qrouter`` exits 2 on it."""
+
+
+def _read_number(obj: dict, key: str, where: str) -> float:
+    """``obj[key]`` as a finite float; a missing key or a non-number raises ``InputError``."""
     if key not in obj:
-        raise error(f"{where} has no {key!r}")
+        raise InputError(f"{where} has no {key!r}")
     value = obj[key]
     if not _is_number(value):
         problem = "is not finite" if isinstance(value, float) else "is not a number"
-        raise error(f"{where} {key!r} {problem}: {value!r}")
+        raise InputError(f"{where} {key!r} {problem}: {value!r}")
     return float(value)
 
 
-def _read_complex(pairs, what: str, error) -> np.ndarray:
-    """A list of [re, im] number pairs as a complex array; anything else raises ``error``.
+def _read_complex(pairs, what: str) -> np.ndarray:
+    """A list of [re, im] number pairs as a complex array; anything else raises ``InputError``.
     Every number passes ``_is_number``, then all become one float array viewed as complex."""
     if isinstance(pairs, list) and all(
         isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in pairs
     ):
         return np.array(pairs, dtype=float).reshape(-1, 2).view(complex).reshape(-1)
-    raise error(f"{what} must be a list of [re, im] number pairs")
+    raise InputError(f"{what} must be a list of [re, im] number pairs")
 
 
 def density_from_json(data) -> DensityMatrix:
@@ -280,7 +284,9 @@ def density_from_json(data) -> DensityMatrix:
     # checked against the row count before 2**n can grow without bound
     if not (_is_int(n) and 0 <= n < dim.bit_length() and dim == 2**n):
         raise ValueError(f"density matrix 'n_qubits' {n!r} does not match {dim} rows")
+    if n == 0:
+        raise ValueError("density matrix 'n_qubits' is 0: a state needs at least one qubit")
     if not all(isinstance(row, list) and len(row) == dim for row in entries):
         raise ValueError("density matrix 'entries' must be rows of [re, im] number pairs")
-    m = _read_complex([z for row in entries for z in row], "density matrix 'entries'", ValueError)
+    m = _read_complex([z for row in entries for z in row], "density matrix 'entries'")
     return DensityMatrix(n, m.reshape(dim, dim))

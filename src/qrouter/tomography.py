@@ -10,7 +10,6 @@ bits ignored by every estimator that targets the setting's observable.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .gates import GATE_MATRICES, _kron_rows
 from .noise import readout_flip
-from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, _is_int
+from .qstate import _PAULI_BASIS, _PAULI_LETTERS, DensityMatrix, InputError, _is_int
 
 # the rotation stack of the 3^6 measured bases, which ``_setting_probs`` forms for
 # each state it has no distributions for: 3^6 * 4^6 complex = 48 MB, twice that
@@ -218,33 +217,31 @@ class TomographyDataset:
 
     @classmethod
     def from_json(cls, data) -> "TomographyDataset":
-        """Inverse of ``to_json``; a malformed file raises ``ValueError``."""
-        if isinstance(data, str):
-            data = json.loads(data)
+        """Inverse of ``to_json``; a malformed file raises ``InputError``."""
         if not isinstance(data, dict):
-            raise ValueError("a counts file holds one JSON object")
+            raise InputError("a counts file holds one JSON object")
         header = {}
         for key in ("n_qubits", "shots", "seed"):
             value = data.get(key)
             if not _is_int(value):
-                raise ValueError(f"counts file {key!r} must be an integer, not {value!r}")
+                raise InputError(f"counts file {key!r} must be an integer, not {value!r}")
             header[key] = value
         rng_name = data.get("rng", "numpy-pcg64")
         if rng_name not in _RNG_NAMES:
-            raise ValueError(f"counts file 'rng' {rng_name!r} names no sampling contract")
+            raise InputError(f"counts file 'rng' {rng_name!r} names no sampling contract")
         table = data.get("settings")
         if not isinstance(table, dict) or not all(isinstance(o, dict) for o in table.values()):
-            raise ValueError("counts file 'settings' must map each setting to its outcome counts")
+            raise InputError("counts file 'settings' must map each setting to its outcome counts")
         n = header["n_qubits"]
         _check_width(n)
         counts = np.zeros((len(table), 2**n), dtype=np.int64)
         for row, outcomes in zip(counts, table.values()):
             for label, c in outcomes.items():
                 if not isinstance(label, str) or len(label) != n or not set(label) <= {"0", "1"}:
-                    raise ValueError(f"outcome {label!r} is not a {n}-bit string")
+                    raise InputError(f"outcome {label!r} is not a {n}-bit string")
                 # a negative count that fits is refused by the constructor
                 if not _is_int(c) or not -(2**63) <= c < 2**63:
-                    raise ValueError(f"outcome count {c!r} is not an integer in int64 range")
+                    raise InputError(f"outcome count {c!r} is not an integer in int64 range")
                 row[int(label, 2)] = c
         return cls(**header, settings=list(table), counts=counts, rng_name=rng_name)
 

@@ -1254,6 +1254,30 @@ class TestEmitFigure:
         assert not csv_path.exists()
 
 
+def test_zero_qubit_report_exit_2(tmp_path, report_path, capsys):
+    """A report whose 'reconstructed' and 'ideal_state' hold one number, a state of
+    no qubits, which ``run`` never writes: ``verify`` and ``emit-figure`` exit 2,
+    and no figure labels its one row as a 1-qubit basis state."""
+    run_cli(
+        "run", "--experiment", "router-control0", "--tomography", "none",
+        "--no-timestamps", "--out", report_path,
+    )
+    report = read_json(report_path)
+    report["spec"]["name"] = "custom"
+    report["reconstructed"] = {"n_qubits": 0, "entries": [[[1.0, 0.0]]]}
+    report["ideal_state"] = [[1.0, 0.0]]
+    with open(report_path, "w") as f:
+        json.dump(report, f)
+    assert run_cli("verify", "--report", report_path) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "a state needs at least one qubit" in err
+    csv_path = tmp_path / "fig.csv"
+    assert run_cli("emit-figure", "--report", report_path, "--part", "real",
+                   "--out", str(csv_path)) == 2
+    assert "a state needs at least one qubit" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 INPUT_FILE_COMMANDS = {
     "run-qasm": ("run", "--qasm", "{file}", "--out", "{tmp}/r.json"),
     "run-noise": ("run", "--experiment", "router-control0", "--noise", "{file}",
@@ -1264,21 +1288,29 @@ INPUT_FILE_COMMANDS = {
     "emit-figure": ("emit-figure", "--report", "{file}", "--part", "real",
                     "--out", "{tmp}/fig.csv"),
 }
-UNREADABLE_FILES = {"not-utf8": b'\xff\xfe{"n_qubits": 1}', "nested": b"[" * 200_000}
+UNREADABLE_FILES = {
+    "not-utf8": b'\xff\xfe{"n_qubits": 1}',
+    "nested": b"[" * 200_000,
+    "truncated": b'{"qubits": [',
+}
 
 
 @pytest.mark.parametrize("fault", sorted(UNREADABLE_FILES))
 @pytest.mark.parametrize("command", sorted(INPUT_FILE_COMMANDS))
 def test_undecodable_or_too_nested_file_exit_2(tmp_path, capsys, command, fault):
-    """An input file that is not UTF-8 text, or JSON nested past the decoder's
-    depth, exits 2 with one error line: not 1, which ``verify`` gives a failed
-    check, and no traceback. The command writes no file."""
+    """An input file that is not UTF-8 text, or JSON that is truncated or nested
+    past the decoder's depth, exits 2 with one error line that names the file:
+    not 1, which ``verify`` gives a failed check, and no traceback. The command
+    writes no file. To the QASM reader the JSON faults are syntax errors, whose
+    message gives a line and column instead."""
     path = tmp_path / "input"
     path.write_bytes(UNREADABLE_FILES[fault])
     argv = [arg.format(file=path, tmp=tmp_path) for arg in INPUT_FILE_COMMANDS[command]]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if fault == "not-utf8" or command != "run-qasm":
+        assert f"error: {path}: " in err
     assert [p.name for p in tmp_path.iterdir()] == ["input"]
 
 
@@ -1350,7 +1382,7 @@ def coupling_map_file(tmp_path, capsys, path, value):
 def counts_file(tmp_path, capsys, path, value):
     message = f"{path[0]!r} must be an integer" if len(path) == 1 else "is not an integer"
     doc = replaced(COUNTS, path, value)
-    for data in (doc, json.dumps(doc)):
+    for data in (doc, json.loads(json.dumps(doc))):
         with pytest.raises(ValueError, match=message):
             TomographyDataset.from_json(data)
 

@@ -30,6 +30,7 @@ from qrouter.noise import (
 from qrouter.qasm import IBMQX4_COUPLING, UnroutableCnotError, apply_layout, transpile
 from qrouter.qstate import (
     DensityMatrix,
+    InputError,
     StateVector,
     basis_state,
     negativity,
@@ -111,14 +112,14 @@ class TestNoiseModel:
         # Python's json reads these literals, which RFC 8259 JSON does not have
         doc = {"qubits": [{"t1_us": 10.0, "t2_us": 12.0}]}
         (doc["qubits"][0] if where.startswith("t") else doc)[where] = float(text)
-        with pytest.raises(noise.DeviceFileError, match=f"'{where}' is not finite"):
-            noise_model_from_json(json.dumps(doc))
+        with pytest.raises(InputError, match=f"'{where}' is not finite"):
+            noise_model_from_json(json.loads(json.dumps(doc)))
 
     def test_json_overrides(self):
-        m = noise_model_from_json(
+        m = noise_model_from_json(json.loads(
             '{"qubits": [{"t1_us": 10, "t2_us": 12, "qubit_freq_ghz": 5.2}],'
             ' "p2": 0.005, "dur_2q_ns": 300}'
-        )
+        ))
         assert m.qubits[0].t1_us == 10
         assert m.p2 == 0.005 and m.dur_2q_ns == 300
         assert m.p1 == 1e-3  # untouched default

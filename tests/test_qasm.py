@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -14,7 +15,6 @@ from qrouter.gates import (
 from qrouter.qasm import (
     IBMQX4_COUPLING,
     CouplingMap,
-    CouplingMapError,
     DuplicateRegisterError,
     IndexOutOfRangeError,
     MissingHeaderError,
@@ -29,6 +29,7 @@ from qrouter.qasm import (
     serialize,
     transpile,
 )
+from qrouter.qstate import InputError
 
 from .test_gates import max_dev_up_to_phase
 
@@ -347,9 +348,9 @@ class TestCouplingMap:
             CouplingMap(2, frozenset({(0, 0)}))
 
     def test_json_round_trip(self):
-        cmap = coupling_map_from_json(
+        cmap = coupling_map_from_json(json.loads(
             '{"n_qubits": 5, "edges": [[1, 0], [2, 0], [2, 1], [2, 4], [3, 2], [3, 4]]}'
-        )
+        ))
         assert cmap == IBMQX4_COUPLING
 
     def test_dict_with_tuple_edges(self):
@@ -367,7 +368,7 @@ class TestCouplingMap:
         if accepted:
             assert coupling_map_from_json(data) == CouplingMap(2, frozenset({(1, 0)}))
         else:
-            with pytest.raises(CouplingMapError, match="integer"):
+            with pytest.raises(InputError, match="integer"):
                 coupling_map_from_json(data)
 
 

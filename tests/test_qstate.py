@@ -11,6 +11,7 @@ from qrouter.noise import apply_channel, ibmqx4_model, simulate_noisy
 from qrouter.qasm import apply_layout
 from qrouter.qstate import (
     DensityMatrix,
+    InputError,
     StateVector,
     _read_complex,
     basis_state,
@@ -140,6 +141,7 @@ class TestDensityMatrix:
             {"n_qubits": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
             {"n_qubits": 10**12, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
             {"n_qubits": -1, "entries": [[[1, 0]]]},
+            {"n_qubits": 0, "entries": [[[1, 0]]]},
             {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0]]]},
             {"n_qubits": 1, "entries": [[1, 0], [0, 0]]},
             {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0], [0]]]},
@@ -208,11 +210,11 @@ class TestReadComplex:
         try:
             want = loop_read_complex(pairs, "report 'x'", ReadError)
         except ReadError as err:
-            with pytest.raises(ReadError) as got:
-                _read_complex(pairs, "report 'x'", ReadError)
+            with pytest.raises(InputError) as got:
+                _read_complex(pairs, "report 'x'")
             assert str(got.value) == str(err) == "report 'x' must be a list of [re, im] number pairs"
             return
-        got = _read_complex(pairs, "report 'x'", ReadError)
+        got = _read_complex(pairs, "report 'x'")
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -222,7 +224,7 @@ class TestReadComplex:
         rho = DensityMatrix._trusted(3, m)  # any complex matrix: only the numbers travel
         entries = json.loads(json.dumps(density_to_json(rho)))["entries"]
         pairs = [z for row in entries for z in row]
-        assert _read_complex(pairs, "x", ValueError).tobytes() == m.tobytes()
+        assert _read_complex(pairs, "x").tobytes() == m.tobytes()
 
 
 def brute_partial_trace(m, n, keep):

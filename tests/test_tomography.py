@@ -172,7 +172,7 @@ class TestDataset:
         rho = to_density(basis_state(1, 0))
         ds = collect_dataset(rho, np.int64(100), np.int64(3))
         assert type(ds.shots) is int and type(ds.seed) is int
-        again = TomographyDataset.from_json(json.dumps(ds.to_json()))
+        again = TomographyDataset.from_json(json.loads(json.dumps(ds.to_json())))
         assert again.to_json() == ds.to_json() == collect_dataset(rho, 100, 3).to_json()
 
     @pytest.mark.parametrize(
@@ -200,7 +200,7 @@ class TestDataset:
             return
         ds = TomographyDataset(n, shots, seed, ["Z"], counts)
         assert (type(ds.n_qubits), type(ds.shots), type(ds.seed)) == (int, int, int)
-        again = TomographyDataset.from_json(json.dumps(ds.to_json()))
+        again = TomographyDataset.from_json(json.loads(json.dumps(ds.to_json())))
         assert (again.n_qubits, again.shots, again.seed) == (n, shots, seed)
         assert again.to_json() == ds.to_json()
 
@@ -225,7 +225,7 @@ class TestDataset:
         rho = to_density(apply_circuit(named_router_circuit("router-control0"), basis_state(3, 0)))
         data = collect_dataset(rho, 2048, 9).to_json()
         data["rng"] = "numpy-pcg64-seedseq-multinomial"
-        again = TomographyDataset.from_json(json.dumps(data))
+        again = TomographyDataset.from_json(json.loads(json.dumps(data)))
         assert again.rng_name == "numpy-pcg64-seedseq-multinomial"
         assert again.to_json() == data
         assert np.array_equal(reconstruct(again).matrix, reconstruct(collect_dataset(rho, 2048, 9)).matrix)
@@ -308,7 +308,7 @@ class TestCountsFileBoundary:
         with pytest.raises(ValueError, match=message):
             TomographyDataset.from_json(doc)
         with pytest.raises(ValueError, match=message):
-            TomographyDataset.from_json(json.dumps(doc))
+            TomographyDataset.from_json(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize(
         "rng",
@@ -316,7 +316,7 @@ class TestCountsFileBoundary:
     )
     def test_loads_each_named_sampling_contract(self, rng):
         doc = counts_file(rng=rng)
-        for data in (doc, json.dumps(doc)):
+        for data in (doc, json.loads(json.dumps(doc))):
             ds = TomographyDataset.from_json(data)
             assert ds.rng_name == rng
             assert ds.to_json() == doc
@@ -630,14 +630,14 @@ class TestStreamContract:
         for i, s in enumerate(ds.settings):
             assert labelled[s] == multinomial_counts(basis_probs(rho, s), 1000, seed, i)
         assert len({tuple(row) for row in ds.counts.tolist()}) == 27
-        assert TomographyDataset.from_json(json.dumps(ds.to_json())).seed == seed
+        assert TomographyDataset.from_json(json.loads(json.dumps(ds.to_json()))).seed == seed
 
     @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**63)])
     def test_numpy_integer_seed_is_written_as_an_int(self, seed):
         rho = to_density(basis_state(1, 0))
         ds = collect_dataset(rho, 100, seed)
         assert type(ds.seed) is int and ds.seed == seed
-        again = TomographyDataset.from_json(json.dumps(ds.to_json()))
+        again = TomographyDataset.from_json(json.loads(json.dumps(ds.to_json())))
         assert again.to_json() == collect_dataset(rho, 100, int(seed)).to_json()
 
 
